@@ -73,3 +73,7 @@ class ZigzagInconsistentError(TrophodgeError):
 
 class InputFormatError(TrophodgeError):
     pass
+
+
+class NotAComplexError(TrophodgeError):
+    """A differential that does not square to zero."""

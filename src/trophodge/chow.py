@@ -21,7 +21,7 @@ from . import (
     NotUnimodularError,
     RankDeficientError,
 )
-from .linalg import RationalMatrix, kernel_basis, rank, solve
+from .linalg import Echelon, RationalMatrix, kernel_basis, rank, solve
 from .polyhedral import FaceComplex, StarFan
 
 Vec = tuple[Fraction, ...]
@@ -57,7 +57,7 @@ class ChowRing:
         self.nrays = len(star.ray_labels)
         self.top = star.dim
         self._monomials: dict[int, list[frozenset]] = {}
-        self._pivots: dict[int, dict] = {}
+        self._relations: dict[int, Echelon] = {}
         self._basis: dict[int, list[frozenset]] = {}
         self._reduce_memo: dict[tuple, dict] = {}
         self._functional_memo: dict[tuple, list[Fraction]] = {}
@@ -154,39 +154,10 @@ class ChowRing:
             return
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
-        pivots: dict[int, list[Fraction]] = {}
-        if p > 0:
-            for row in self._relation_rows(p):
-                vec = [Fraction(0)] * len(monos)
-                for mono, c in row.items():
-                    vec[index[mono]] = c
-                self._rref_insert(pivots, vec)
-        self._pivots[p] = pivots
-        self._basis[p] = [m for i, m in enumerate(monos) if i not in pivots]
-
-    @staticmethod
-    def _rref_insert(pivots: dict[int, list[Fraction]], vec: list[Fraction]) -> None:
-        n = len(vec)
-        while True:
-            lead = next((j for j in range(n) if vec[j] != 0), None)
-            if lead is None:
-                return
-            if lead in pivots:
-                c = vec[lead]
-                prow = pivots[lead]
-                for j in range(lead, n):
-                    vec[j] -= c * prow[j]
-                continue
-            inv = vec[lead]
-            pivots[lead] = [v / inv for v in vec]
-            # Back-substitute into existing rows to keep reduced form.
-            for other_lead, row in list(pivots.items()):
-                if other_lead == lead:
-                    continue
-                c = row[lead]
-                if c != 0:
-                    pivots[other_lead] = [a - c * b for a, b in zip(row, pivots[lead])]
-            return
+        rows = self._relation_rows(p) if p > 0 else []
+        relations = Echelon({index[mono]: c for mono, c in row.items()} for row in rows)
+        self._relations[p] = relations
+        self._basis[p] = [m for i, m in enumerate(monos) if i not in relations.pivots]
 
     def basis(self, p: int) -> list[frozenset]:
         if p < 0 or p > self.top:
@@ -211,16 +182,13 @@ class ChowRing:
         self._ensure_degree(p)
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
-        vec = [Fraction(0)] * len(monos)
+        vec: dict[int, Fraction] = {}
         for mono, c in combo.items():
-            vec[index[mono]] += c
-        for lead, row in self._pivots[p].items():
-            c = vec[lead]
-            if c != 0:
-                for j in range(len(vec)):
-                    vec[j] -= c * row[j]
-        basis_index = [index[m] for m in self._basis[p]]
-        return ChowClass(p, tuple(vec[i] for i in basis_index))
+            vec[index[mono]] = vec.get(index[mono], 0) + c
+        # The remainder modulo the relations is zero on every pivot column,
+        # so it is the class's expansion over the basis monomials.
+        rem, _ = self._relations[p].reduce(vec)
+        return ChowClass(p, tuple(Fraction(rem.get(index[m], 0)) for m in self._basis[p]))
 
     def class_from_monomial(self, mono: frozenset) -> ChowClass:
         p = len(mono)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import ChaseFailureError, HLFailureError
+from . import ChaseFailureError, DegreeMismatchError, HLFailureError
 from .cohomology import GradedComplex, QuotientBasis
-from .linalg import RationalMatrix, kernel_basis, rank, solve
+from .linalg import Echelon, RationalMatrix, column_echelon, kernel_basis, rank
 
 
 @dataclass
@@ -119,6 +119,7 @@ def _induced(src: GradedComplex, dst: GradedComplex, mats: dict[int, RationalMat
 class _KernelComplex:
     def __init__(self, t: LefschetzTriple):
         self.basis: dict[int, list[list[Fraction]]] = {}
+        self._spans: dict[int, Echelon] = {}
         terms = {}
         for k in t.degrees():
             if t.C.dim(k) == 0:
@@ -126,6 +127,7 @@ class _KernelComplex:
             kb = kernel_basis(t.l_matrix(k)).basis
             if kb:
                 self.basis[k] = [list(v) for v in kb]
+                self._spans[k] = Echelon(kb, keyed=True)
                 terms[k] = len(kb)
         diffs = {}
         for k in list(terms):
@@ -144,16 +146,8 @@ class _KernelComplex:
         self._t = t
 
     def _coords(self, k: int, vec: list[Fraction]) -> list[Fraction]:
-        basis = self.basis.get(k, [])
-        if not basis:
-            if any(v != 0 for v in vec):
-                raise ChaseFailureError("vector not in kernel subcomplex")
-            return []
-        m = RationalMatrix(len(vec), len(basis))
-        for j, b in enumerate(basis):
-            for i, v in enumerate(b):
-                m[i, j] = v
-        c = solve(m, vec)
+        span = self._spans.get(k, Echelon())
+        c = span.coordinates(vec, range(len(self.basis.get(k, []))))
         if c is None:
             raise ChaseFailureError("vector not in kernel subcomplex")
         return c
@@ -215,8 +209,9 @@ def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
     if h_r0.dim == 0:
         return out
     qb0 = rc.quot.get(0)
+    lift = column_echelon(t.l_matrix(-1))
     # Uniqueness certificate for the L-preimage step.
-    if t.C.dim(-1) and kernel_basis(t.l_matrix(-1)).basis:
+    if lift.relations:
         raise ChaseFailureError("L-preimage not unique in degree -1")
     for j, rep in enumerate(h_r0.representatives):
         c = [Fraction(0)] * t.D.dim(0)
@@ -227,7 +222,7 @@ def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
             shifted = t.l_matrix(-2).mul_vec(lift_shift)
             c = [a + b for a, b in zip(c, shifted)]
         c_prime = t.D.differential(0).mul_vec(c)
-        b_prime = solve(t.l_matrix(-1), c_prime)
+        b_prime = lift.coordinates(c_prime, range(t.C.dim(-1)))
         if b_prime is None:
             raise ChaseFailureError("no L-preimage for the pushed lift")
         b_second = t.C.differential(-1).mul_vec(b_prime)
@@ -430,7 +425,8 @@ def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
 def mapping_cone_check(st, p: int) -> dict:
     """The projection of the double-cone total complex onto the cokernel
     complex must be a quasi-isomorphism, for an even p."""
-    assert p % 2 == 0
+    if p % 2:
+        raise DegreeMismatchError(f"the mapping cone needs an even row, not p={p}")
     d = st.dim
     kc = st.k_complex(p // 2 + 1)
     rc = st.r_complex(p // 2)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import CONVENTIONS, InputFormatError, TrophodgeError, __version__
 from .chow import fan_ring, minkowski_weights
-from .cohomology import hodge_diamond
+from .cohomology import cochain_complex, hodge_diamond
 from .fixtures import FIXTURES, named_fixture, write_fixture_files
 from .linalg import fmt_rat, rat
 from .polyhedral import FaceComplex, compactify, load_complex
@@ -77,7 +77,10 @@ def _load(arg: str, validate: bool = True) -> FaceComplex:
 def cmd_chow(args) -> int:
     y = _load(args.input)
     ring = fan_ring(y)
-    degrees = range(ring.top + 1) if args.degrees == "all" else [int(args.degrees)]
+    try:
+        degrees = range(ring.top + 1) if args.degrees == "all" else [int(args.degrees)]
+    except ValueError:
+        raise InputFormatError(f"--degrees must be 'all' or an integer, not {args.degrees!r}") from None
     table = {str(p): ring.dim(p) for p in degrees}
     _emit({**_report_header(), "chow_dims": table}, args.format)
     return 0
@@ -161,17 +164,20 @@ def cmd_cs_check(args) -> int:
 def _parse_class(st, path: str) -> HodgeClass:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    p = int(data["p"])
-    classes = {}
-    for vid_s, monos in data.get("vertices", {}).items():
-        vid = int(vid_s)
-        ring = st.rings_for(vid)
-        combo = {}
-        for label_s, coeff in monos.items():
-            labels = tuple(int(t) for t in label_s.split(",")) if label_s else ()
-            rays = frozenset(ring.star.ray_position(l) for l in labels)
-            combo[rays] = combo.get(rays, Fraction(0)) + rat(coeff)
-        classes[vid] = ring.reduce_class(p, combo)
+    try:
+        p = int(data["p"])
+        classes = {}
+        for vid_s, monos in data.get("vertices", {}).items():
+            vid = int(vid_s)
+            ring = st.rings_for(vid)
+            combo = {}
+            for label_s, coeff in monos.items():
+                labels = tuple(int(t) for t in label_s.split(",")) if label_s else ()
+                rays = frozenset(ring.star.ray_position(l) for l in labels)
+                combo[rays] = combo.get(rays, Fraction(0)) + rat(coeff)
+            classes[vid] = ring.reduce_class(p, combo)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"malformed class JSON: {exc!r}") from exc
     return HodgeClass(p, classes)
 
 
@@ -217,7 +223,7 @@ def cmd_check_all(args) -> int:
 
     x = compactify(y)
     diamond = hodge_diamond(x)
-    checks["cellular-complexes-square-zero"] = True  # asserted during assembly
+    checks["cellular-complexes-square-zero"] = all(cochain_complex(x, p).check() for p in range(x.dim + 1))
     st = build_steenbrink(x)
     d = st.dim
     for b in range(0, 2 * d + 1, 2):

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import DegeneratePairingError
-from .linalg import RationalMatrix, kernel_basis
-from .polyhedral import FaceComplex, _compose, _det_fraction
+from . import DegeneratePairingError, NotAComplexError
+from .lattice import det_int
+from .linalg import Echelon, RationalMatrix, kernel_basis, rank
+from .polyhedral import FaceComplex, _compose
 
 Vec = list[Fraction]
 
@@ -26,96 +27,38 @@ Vec = list[Fraction]
 # ---------------------------------------------------------------------------
 # Small quotient-space helper (cohomology = cocycles / coboundaries)
 
-def _leading(vec: list[Fraction]) -> Optional[int]:
-    return next((j for j, v in enumerate(vec) if v != 0), None)
-
-
-def _rref_insert_plain(pivots: dict[int, list[Fraction]], vec: list[Fraction]) -> bool:
-    while True:
-        lead = _leading(vec)
-        if lead is None:
-            return False
-        if lead in pivots:
-            c = vec[lead]
-            prow = pivots[lead]
-            for j in range(lead, len(vec)):
-                vec[j] -= c * prow[j]
-            continue
-        inv = vec[lead]
-        pivots[lead] = [v / inv for v in vec]
-        return True
-
-
 class QuotientBasis:
     """Basis handling for a quotient (span Z)/(span B) of row vectors.
 
-    Stored rows satisfy: row = sum_j coeffs[j] * reduce_b(representative_j),
-    so coordinates of an arbitrary vector's class are recovered by tracked
-    elimination.
+    The representatives are the rows of Z that are independent modulo B
+    and the rows of Z before them.  One echelon form holds B unkeyed and Z
+    keyed by position, so a vector's class coordinates are its tracked
+    coefficients on the representatives.
     """
 
     def __init__(self, ambient_dim: int, zrows: Sequence[Sequence[Fraction]],
                  brows: Sequence[Sequence[Fraction]]):
         self.ambient_dim = ambient_dim
-        self._b_pivots: dict[int, list[Fraction]] = {}
+        self._span = Echelon(keyed=True)
         for r in brows:
-            _rref_insert_plain(self._b_pivots, [Fraction(x) for x in r])
+            self._span.add(r)
+        self._keys: list[int] = []
         self.representatives: list[list[Fraction]] = []
-        self._rep_pivots: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-        for r in zrows:
-            vec = self._reduce_b([Fraction(x) for x in r])
-            coeffs = [Fraction(0)] * len(self.representatives)
-            lead = self._track_eliminate(vec, coeffs)
-            if lead is None:
-                continue
-            inv = vec[lead]
-            row = [v / inv for v in vec]
-            cf = [c / inv for c in coeffs] + [Fraction(1) / inv]
-            self.representatives.append([Fraction(x) for x in r])
-            self._rep_pivots[lead] = (row, cf)
+        for i, r in enumerate(zrows):
+            if self._span.add(r, i):
+                self._keys.append(i)
+                self.representatives.append([Fraction(x) for x in r])
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def _reduce_b(self, vec: list[Fraction]) -> list[Fraction]:
-        # Rows are echelon (zeros before each pivot), so one increasing pass
-        # over pivot columns clears them all.
-        for lead in sorted(self._b_pivots):
-            c = vec[lead]
-            if c != 0:
-                prow = self._b_pivots[lead]
-                for j in range(len(vec)):
-                    vec[j] -= c * prow[j]
-        return vec
-
-    def _track_eliminate(self, vec: list[Fraction], coeffs: list[Fraction]) -> Optional[int]:
-        """Reduce vec by stored pivot rows, accumulating rep coefficients;
-        returns the leading index left over, or None when fully reduced."""
-        while True:
-            lead = _leading(vec)
-            if lead is None:
-                return None
-            if lead not in self._rep_pivots:
-                return lead
-            prow, pcf = self._rep_pivots[lead]
-            c = vec[lead]
-            for j in range(len(vec)):
-                vec[j] -= c * prow[j]
-            for j, pc in enumerate(pcf):
-                coeffs[j] -= c * pc
-
     def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Coordinates of a vector's class over the representative basis."""
-        v = self._reduce_b([Fraction(x) for x in vec])
-        coeffs = [Fraction(0)] * self.dim
-        lead = self._track_eliminate(v, coeffs)
-        if lead is not None:
+        coords = self._span.coordinates(vec, self._keys)
+        if coords is None:
             raise DegeneratePairingError("vector is not a cocycle of this space")
-        return [-c for c in coeffs]
-
-    def is_zero_class(self, vec: Sequence[Fraction]) -> bool:
-        return all(c == 0 for c in self.coordinates(vec))
+        return coords
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +69,13 @@ class GradedComplex:
     """A bounded cochain complex of finite-dimensional Q vector spaces.
 
     diffs[k] maps degree k to degree k+1 and has shape (dim_{k+1}, dim_k).
+    ranks caches the rank of each differential once it is computed.
     """
 
     terms: dict[int, int]
     diffs: dict[int, RationalMatrix]
     labels: dict[int, list] = field(default_factory=dict)
+    ranks: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def dim(self, k: int) -> int:
         return self.terms.get(k, 0)
@@ -168,11 +113,14 @@ class GradedComplex:
     def h_basis(self, k: int) -> QuotientBasis:
         return QuotientBasis(self.dim(k), self.cocycle_rows(k), self.coboundary_rows(k))
 
-    def h_dim(self, k: int) -> int:
-        return self.h_basis(k).dim
+    def d_rank(self, k: int) -> int:
+        if k not in self.ranks:
+            self.ranks[k] = rank(self.differential(k))
+        return self.ranks[k]
 
-    def h_dims(self) -> dict[int, int]:
-        return {k: self.h_dim(k) for k in self.support}
+    def h_dim(self, k: int) -> int:
+        """dim C^k - rank d_k - rank d_{k-1}; builds no basis."""
+        return self.dim(k) - self.d_rank(k) - self.d_rank(k - 1)
 
     def shift(self, n: int) -> "GradedComplex":
         """The complex E[n] with E[n]^k = E^(n+k); differentials keep signs
@@ -206,8 +154,7 @@ def wedge_vector(vectors: Sequence[Sequence], m: int) -> Vec:
     p = len(vectors)
     coords = []
     for idx in itertools.combinations(range(m), p):
-        minor = [[Fraction(v[i]) for i in idx] for v in vectors]
-        coords.append(_det_fraction(minor))
+        coords.append(Fraction(det_int([[v[i] for i in idx] for v in vectors])))
     return coords
 
 
@@ -219,8 +166,7 @@ def wedge_map_matrix(q_rows: Sequence[Sequence[int]], m_src: int, p: int) -> Rat
     out = RationalMatrix(len(dst_idx), len(src_idx))
     for j, I in enumerate(src_idx):
         for i, J in enumerate(dst_idx):
-            minor = [[Fraction(q_rows[r][c]) for c in I] for r in J]
-            out[i, j] = _det_fraction(minor)
+            out[i, j] = det_int([[q_rows[r][c] for c in I] for r in J])
     return out
 
 
@@ -244,48 +190,21 @@ class CoefficientSpace:
                 continue
             for sub in itertools.combinations(tangent, p):
                 rows.append(wedge_vector(sub, m))
-        self._pivots: dict[int, list[Fraction]] = {}
-        self.basis: list[list[Fraction]] = []
-        for r in rows:
-            r0 = list(r)
-            if self._insert(r0):
-                pass
-        self.basis = [self._pivots[k] for k in sorted(self._pivots)]
-
-    def _insert(self, vec: list[Fraction]) -> bool:
-        while True:
-            lead = next((j for j, v in enumerate(vec) if v != 0), None)
-            if lead is None:
-                return False
-            if lead in self._pivots:
-                c = vec[lead]
-                prow = self._pivots[lead]
-                for j in range(lead, len(vec)):
-                    vec[j] -= c * prow[j]
-                continue
-            inv = vec[lead]
-            self._pivots[lead] = [v / inv for v in vec]
-            return True
+        self._span = Echelon(rows)
+        self._leads = sorted(self._span.pivots)
+        self.basis: list[list[Fraction]] = [
+            [Fraction(self._span.pivots[k].get(j, 0)) for j in range(self.ambient_dim)]
+            for k in self._leads]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        coords_by_lead = {}
-        while True:
-            lead = next((j for j, x in enumerate(v) if x != 0), None)
-            if lead is None:
-                break
-            if lead not in self._pivots:
-                raise DegeneratePairingError("vector outside coefficient space")
-            c = v[lead]
-            prow = self._pivots[lead]
-            for j in range(len(v)):
-                v[j] -= c * prow[j]
-            coords_by_lead[lead] = c
-        return [coords_by_lead.get(k, Fraction(0)) for k in sorted(self._pivots)]
+        rem, mult = self._span.reduce(vec)
+        if rem:
+            raise DegeneratePairingError("vector outside coefficient space")
+        return [Fraction(mult.get(k, 0)) for k in self._leads]
 
 
 def _binom(n: int, k: int) -> int:
@@ -379,7 +298,8 @@ def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
                         d[offsets[q + 1][delta] + j, offsets[q][gamma] + i] + sign * v
         diffs[q] = d
     gc = GradedComplex(terms, diffs, labels)
-    assert gc.check(), "cellular differential does not square to zero"
+    if not gc.check():
+        raise NotAComplexError(f"cellular differential of C^{{{p},*}} does not square to zero")
     cache[p] = gc
     return gc
 
@@ -420,9 +340,6 @@ def poincare_pairing(x: FaceComplex, p: int) -> dict[int, list[list[Fraction]]]:
         m = len(mat[0]) if mat else 0
         if n != m:
             raise DegeneratePairingError(f"pairing block (p={p},q={q}) is not square")
-        if n:
-            from .linalg import rank as _rank
-
-            if _rank(RationalMatrix.from_rows(mat)) != n:
-                raise DegeneratePairingError(f"pairing block (p={p},q={q}) degenerate")
+        if n and rank(RationalMatrix.from_rows(mat)) != n:
+            raise DegeneratePairingError(f"pairing block (p={p},q={q}) degenerate")
     return out

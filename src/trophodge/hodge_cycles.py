@@ -29,7 +29,7 @@ from . import (
 )
 from .chow import ChowClass, MinkowskiWeight, gysin as chow_gysin, mw_evaluate, ring_of
 from .cohomology import cochain_complex, coefficient_space, wedge_vector
-from .linalg import RationalMatrix, kernel_basis, rank, solve
+from .linalg import Echelon, RationalMatrix, kernel_basis, rank, solve
 from .steenbrink import SteenbrinkPage, n_power_h_matrix
 
 
@@ -102,14 +102,10 @@ def hodge_locus_basis(st: SteenbrinkPage, p: int) -> list[HodgeClass]:
     ker_coords = kernel_basis(nmat).basis
     target_rank = len(ker_coords)
     chosen: list[list[Fraction]] = []
-    chosen_coords: list[list[Fraction]] = []
+    chosen_span = Echelon()
     for vec in k_cocycle_vectors(st, p):
-        term = st.block_to_term(0, b, 0, vec)
-        coords = h0.coordinates(term)
-        trial = chosen_coords + [coords]
-        if rank(RationalMatrix.from_rows(trial)) > len(chosen_coords):
+        if chosen_span.add(h0.coordinates(st.block_to_term(0, b, 0, vec))):
             chosen.append(vec)
-            chosen_coords.append(coords)
         if len(chosen) == target_rank:
             break
     if len(chosen) != target_rank:

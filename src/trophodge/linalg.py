@@ -1,25 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Rank, kernel and image bases, particular solutions and quotient dimensions,
-computed by fraction-free (Bareiss) elimination on integer-scaled rows with
-deterministic pivoting: pivots are chosen column by column, taking the first
-row with a nonzero entry.  All results are exact; there is no tolerance
-anywhere.
+Every elimination in the package runs through one kernel, `Echelon`: a row
+echelon form over Q grown one sparse row at a time, with one deterministic
+pivot rule (a row is reduced on its leading column by the rows kept before
+it, in the order given).  Rank, kernel bases, particular solutions, in-span
+and quotient coordinates are all read from it.  Results do not depend on
+the elimination order: kernel vectors are the canonical ones (1 on their
+free column, 0 on the others) and solutions set every free variable to 0.
+All results are exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import NotASubspaceError
 
 Rational = Fraction
-
-# Matrices narrower than this are eliminated on dense row lists; wider ones
-# on sparse row dicts.
-_DENSE_COLS = 64
+Row = dict[int, Fraction]
 
 
 def rat(value) -> Fraction:
@@ -149,199 +149,173 @@ class Subspace:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        if self.basis and rank(RationalMatrix.from_rows(self.basis)) != len(self.basis):
-            raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def _integer_rows(m: RationalMatrix) -> list:
-    """Scale each row by the lcm of denominators; returns dense lists or
-    sparse dicts depending on the width."""
-    dense = m.cols < _DENSE_COLS
-    rows = []
-    for i in range(m.rows):
-        items = [(j, v) for (r, j), v in m.entries.items() if r == i]
-        scale = 1
-        for _, v in items:
-            scale = scale * v.denominator // _gcd(scale, v.denominator)
-        if dense:
-            row = [0] * m.cols
-            for j, v in items:
-                row[j] = int(v * scale)
-            rows.append(row)
-        else:
-            rows.append({j: int(v * scale) for j, v in items if v != 0})
-    return rows
+def _sparse(row: Union[Mapping[int, Fraction], Sequence]) -> Row:
+    """A fresh {column: value} dict of the nonzero entries of a dict or a
+    dense sequence.  Integral values become ints, which keeps elimination
+    on integer data in fast int arithmetic."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: v.numerator if v.denominator == 1 else v for j, v in items if v}
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+class Echelon:
+    """A row echelon form over Q, grown one sparse row at a time.
 
-
-def _bareiss(rows: list, cols: int) -> tuple[list, list[tuple[int, int]]]:
-    """Fraction-free elimination in place; returns (rows, pivots).
-
-    Pivot selection is deterministic: columns left to right, first row (in
-    the current order) with a nonzero entry.
+    `pivots` maps each leading column to the kept row that has 1 there and
+    0 in every column before it.  A row added under a key is tracked: with
+    `keyed` set, `combos` gives each kept row as a combination of the keyed
+    rows added so far (modulo the rows added without a key), and
+    `relations` lists, for each keyed row that was dropped, the combination
+    of keyed rows that vanishes because of it.  The rows given to the
+    constructor are added in order, keyed by position when `keyed` is set.
     """
-    dense = bool(rows) and isinstance(rows[0], list)
-    nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    pr = 0
-    for pc in range(cols):
-        sel = None
-        for i in range(pr, nrows):
-            val = rows[i][pc] if dense else rows[i].get(pc, 0)
-            if val != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-        piv = rows[pr][pc]
-        for i in range(pr + 1, nrows):
-            if dense:
-                head = rows[i][pc]
-                width = len(rows[i])
-                for j in range(pc, width):
-                    num = rows[i][j] * piv - head * rows[pr][j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    rows[i][j] = q
-            else:
-                head = rows[i].get(pc, 0)
-                support = set(rows[i]) | set(rows[pr])
-                new = {}
-                for j in support:
-                    if j < pc:
-                        if j in rows[i]:
-                            new[j] = rows[i][j]
-                        continue
-                    num = rows[i].get(j, 0) * piv - head * rows[pr].get(j, 0)
-                    q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    if q:
-                        new[j] = q
-                rows[i] = new
-        pivots.append((pr, pc))
-        prev = piv
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
+
+    __slots__ = ("pivots", "combos", "relations")
+
+    def __init__(self, rows: Iterable = (), keyed: bool = False):
+        self.pivots: dict[int, Row] = {}
+        self.combos: Optional[dict[int, Row]] = {} if keyed else None
+        self.relations: list[tuple[Hashable, Row]] = []
+        for i, row in enumerate(rows):
+            self.add(row, i if keyed else None)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _eliminate(self, row: Row, rem: Optional[Row] = None) -> Row:
+        """Subtract kept rows from row, in place, while its leading column
+        holds a pivot; returns the multiplier used at each pivot column.
+        With rem given, a leading entry without a pivot moves into rem and
+        elimination goes on, so that row ends empty."""
+        pivots = self.pivots
+        mult: Row = {}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                if rem is None:
+                    break
+                rem[lead] = row.pop(lead)
+                continue
+            c = mult[lead] = row[lead]
+            for j, v in prow.items():
+                x = row.get(j, 0) - c * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        return mult
+
+    def _combination(self, mult: Mapping[int, Fraction]) -> Row:
+        """The keyed-row coefficients of the sum of mult[c] times the row kept at c."""
+        out: Row = {}
+        for lead, c in mult.items():
+            for k, v in self.combos[lead].items():
+                out[k] = out.get(k, 0) + c * v
+        return out
+
+    def add(self, row, key: Optional[Hashable] = None) -> bool:
+        """Reduce row and keep it when it is independent of the kept rows."""
+        row = _sparse(row)
+        mult = self._eliminate(row)
+        combo = None
+        if self.combos is not None:
+            combo = {k: -v for k, v in self._combination(mult).items() if v}
+            if key is not None:
+                combo[key] = 1
+        if not row:
+            if combo is not None and key is not None:
+                self.relations.append((key, combo))
+            return False
+        lead = min(row)
+        inv = row[lead]
+        if inv == -1:  # negation keeps integral entries ints
+            row = {j: -v for j, v in row.items()}
+            if combo is not None:
+                combo = {k: -v for k, v in combo.items()}
+        elif inv != 1:
+            inv = Fraction(inv)
+            row = {j: v / inv for j, v in row.items()}
+            if combo is not None:
+                combo = {k: v / inv for k, v in combo.items()}
+        self.pivots[lead] = row
+        if combo is not None:
+            self.combos[lead] = combo
+        return True
+
+    def reduce(self, row) -> tuple[Row, Row]:
+        """(remainder, multipliers): row is the remainder plus the sum of
+        multipliers[c] times the row kept at c, and the remainder is 0 in
+        every pivot column.  The remainder is empty exactly when row lies in
+        the span of the kept rows."""
+        rem: Row = {}
+        mult = self._eliminate(_sparse(row), rem)
+        return rem, mult
+
+    def coordinates(self, row, keys: Iterable[Hashable]) -> Optional[list[Fraction]]:
+        """Coefficients of row over the keyed rows listed, modulo the rows
+        added without a key; None when row is outside the span."""
+        rem, mult = self.reduce(row)
+        if rem:
+            return None
+        combo = self._combination(mult)
+        return [Fraction(combo.get(k, 0)) for k in keys]
 
 
-def _echelon(m: RationalMatrix) -> tuple[list, list[tuple[int, int]]]:
-    return _bareiss(_integer_rows(m), m.cols)
+def column_echelon(m: RationalMatrix, keyed: bool = True) -> Echelon:
+    """The echelon of m's columns, added left to right with column j keyed
+    by j.  Its kept keys are the pivot columns of m, its relations the
+    canonical kernel of m, and its coordinates solve m.x = b."""
+    cols: list[Row] = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    return Echelon(cols, keyed)
+
+
+def kernel_vectors(e: Echelon, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The relations of a column echelon as dense vectors of length n."""
+    return tuple(tuple(Fraction(combo.get(j, 0)) for j in range(n)) for _, combo in e.relations)
 
 
 def rank(m: RationalMatrix) -> int:
     """Rank over Q."""
-    _, pivots = _echelon(m)
-    return len(pivots)
+    return column_echelon(m, keyed=False).rank
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Basis of the right kernel {x : m.x = 0}; dim = cols - rank."""
-    rows, pivots = _echelon(m)
-    dense = bool(rows) and isinstance(rows[0], list)
-    pivot_cols = [pc for _, pc in pivots]
-    free_cols = [j for j in range(m.cols) if j not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            row = rows[pr]
-            s = Fraction(0)
-            if dense:
-                for j in range(pc + 1, m.cols):
-                    if row[j]:
-                        s += row[j] * x[j]
-                piv = row[pc]
-            else:
-                for j, v in row.items():
-                    if j > pc:
-                        s += v * x[j]
-                piv = row[pc]
-            x[pc] = -s / piv
-        basis.append(tuple(x))
-    return Subspace(m.cols, tuple(basis))
+    """Basis of the right kernel {x : m.x = 0}, one vector per free column
+    with 1 there and 0 on the other free columns; dim = cols - rank."""
+    return Subspace(m.cols, kernel_vectors(column_echelon(m), m.cols))
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
-    """A particular solution of m.x = b, or None when inconsistent.
-
-    Deterministic: pivot variables are solved bottom-up and all free
-    variables are set to zero.
-    """
+    """The solution of m.x = b with every free variable 0, or None when
+    the system is inconsistent."""
     b = [rat(v) for v in b]
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
-    aug = RationalMatrix(m.rows, m.cols + 1)
-    for key, v in m.entries.items():
-        aug.entries[key] = v
-    for i, v in enumerate(b):
-        if v != 0:
-            aug.entries[(i, m.cols)] = v
-    rows, pivots = _bareiss(_integer_rows(aug), m.cols)
-    dense = bool(rows) and isinstance(rows[0], list)
-
-    def entry(row, j):
-        return row[j] if dense else row.get(j, 0)
-
-    used = {pr for pr, _ in pivots}
-    for i in range(len(rows)):
-        if i in used:
-            continue
-        if entry(rows[i], m.cols) != 0:
-            return None
-    x = [Fraction(0)] * m.cols
-    for pr, pc in reversed(pivots):
-        row = rows[pr]
-        s = Fraction(entry(row, m.cols))
-        if dense:
-            for j in range(pc + 1, m.cols):
-                if row[j]:
-                    s -= row[j] * x[j]
-        else:
-            for j, v in row.items():
-                if pc < j < m.cols:
-                    s -= v * x[j]
-        x[pc] = s / entry(row, pc)
-    return x
+    return column_echelon(m).coordinates(b, range(m.cols))
 
 
 def quotient_dim(ambient: Subspace, sub: Subspace) -> int:
     """dim(ambient) - dim(sub), after checking sub is contained in ambient."""
     if ambient.ambient_dim != sub.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    if sub.dim:
-        joint = RationalMatrix.from_rows(list(ambient.basis) + list(sub.basis))
-        if rank(joint) != ambient.dim:
-            raise NotASubspaceError("sub is not contained in ambient")
+    if sub.dim and Echelon(ambient.basis + sub.basis).rank != ambient.dim:
+        raise NotASubspaceError("sub is not contained in ambient")
     return ambient.dim - sub.dim
 
 
 def row_space_rank(rows: Iterable[Sequence]) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    return rank(RationalMatrix.from_rows(rows))
+    return Echelon(rows).rank
 
 
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
     """Whether target lies in the span of the given vectors."""
-    if all(rat(t) == 0 for t in target):
-        return True
-    if not vectors:
-        return False
-    m = RationalMatrix.from_rows(vectors).transpose()
-    return solve(m, list(target)) is not None
+    return not Echelon(vectors).reduce(target)[0]

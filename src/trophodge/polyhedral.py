@@ -18,17 +18,19 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from .lattice import (
     apply_rows,
+    det_int,
     primitive,
     quotient_presentation,
     saturate,
     spans_unimodularly,
 )
-from .linalg import RationalMatrix, rat, solve
+from .linalg import Echelon, RationalMatrix, column_echelon, kernel_basis, kernel_vectors, rat, solve
 
 Point = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -175,11 +177,6 @@ class FaceComplex:
             self._strata[sed] = _stratum_presentation(self.rank, sed)
         return self._strata[sed]
 
-    @property
-    def is_fan(self) -> bool:
-        zero = tuple(Fraction(0) for _ in range(self.rank))
-        return all(f.sedentarity == () and f.vertices == (zero,) for f in self.faces)
-
     def is_pure(self, d: Optional[int] = None) -> bool:
         d = self.dim if d is None else d
         tops = {f.index for f in self.faces_of_dim(d)}
@@ -302,44 +299,16 @@ def _det_in_basis(rows: list[list[Fraction]], basis: tuple[IntVec, ...]) -> Frac
     k = len(basis)
     if len(rows) != k:
         raise NotCodimOneError("dimension mismatch in orientation computation")
-    if k == 0:
-        return Fraction(1)
-    bmat = RationalMatrix(len(basis[0]), k)
-    for j, b in enumerate(basis):
-        for i, v in enumerate(b):
-            bmat[i, j] = Fraction(v)
+    span = Echelon(basis, keyed=True)
     coords = []
     for r in rows:
-        c = solve(bmat, r)
+        c = span.coordinates(r, range(k))
         if c is None:
             raise NotCodimOneError("vector outside face tangent space")
         coords.append(c)
-    det = _det_fraction(coords)
-    return det
-
-
-def _det_fraction(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    a = [row[:] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+    # det(C) = det(D C) / det(D) for the diagonal D that makes each row integral.
+    scales = [lcm(*(c.denominator for c in row)) for row in coords]
+    return Fraction(det_int([[int(c * s) for c in row] for row, s in zip(coords, scales)]), prod(scales))
 
 
 def _stratum_presentation(rank: int, sed: SedKey):
@@ -362,6 +331,8 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
     are checked when validate is set.
     """
     vpool = [tuple(rat(x) for x in v) for v in vertices]
+    if not all(any(r) for r in rays):
+        raise InputFormatError("a ray is the zero vector")
     rpool = [primitive(tuple(int(x) for x in r)) for r in rays]
     for v in vpool:
         if len(v) != rank:
@@ -398,10 +369,8 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
         for v in verts[1:]:
             gens_matrix.append([rat(a) - rat(b) for a, b in zip(v, v0)])
         gens_matrix.extend([[Fraction(x) for x in r] for r in ras])
-        if gens_matrix:
-            from .linalg import rank as qrank
-            if qrank(RationalMatrix.from_rows(gens_matrix)) != len(gens_matrix):
-                raise InputFormatError(f"face {vs}/{rs} is not simplicial")
+        if gens_matrix and Echelon(gens_matrix).rank != len(gens_matrix):
+            raise InputFormatError(f"face {vs}/{rs} is not simplicial")
         faces.append(_make_face(i, verts, ras, (), [(i, ())]))
 
     order = set()
@@ -450,13 +419,11 @@ def _check_pair_intersection(rank, v1, r1, v2, r2, shared_v, shared_r) -> None:
     eqs.append((row, Fraction(-1)))
     row = [Fraction(0)] * len(g1) + [Fraction(1) if g[0] == "v" else Fraction(0) for g in g2]
     eqs.append((row, Fraction(-1)))
-    mat = RationalMatrix.from_rows([e[0] for e in eqs])
-    rhs = [-e[1] for e in eqs]
-    part = solve(mat, rhs)
+    system = column_echelon(RationalMatrix.from_rows([e[0] for e in eqs]))
+    part = system.coordinates([-e[1] for e in eqs], range(nv))
     if part is None:
         return  # empty intersection
-    from .linalg import kernel_basis
-    kern = kernel_basis(mat).basis
+    kern = kernel_vectors(system, nv)
     npar = len(kern)
 
     def coord_expr(idx):
@@ -541,7 +508,6 @@ def _cones_meet_properly(rank: int, r1: tuple[IntVec, ...], r2: tuple[IntVec, ..
     for c in range(rank):
         eqs.append([Fraction(r[c]) for r in r1] + [-Fraction(r[c]) for r in r2])
     mat = RationalMatrix.from_rows(eqs) if eqs else RationalMatrix(0, nv)
-    from .linalg import kernel_basis
     kern = kernel_basis(mat).basis
     npar = len(kern)
     base = []
@@ -776,7 +742,7 @@ def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
         rays = [[int(x) for x in r] for r in data.get("rays", [])]
         face_specs = [(spec.get("vertices", []), spec.get("rays", []))
                       for spec in data["faces"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed complex JSON: {exc}") from exc
     if not vertices:
         # Fan form: implicit origin vertex.

@@ -46,6 +46,18 @@ def test_chow_dims_u34(u34):
     assert fan_ring(u34).dims() == [1, 7, 1]
 
 
+def test_relations_reduce_to_zero_b4():
+    # B4's degree-2 relations are not found in the order of their leading
+    # monomials; the normal form must still send every one of them to zero.
+    from trophodge.matroids import bergman_fan, boolean_matroid
+
+    ring = fan_ring(bergman_fan(boolean_matroid(4)))
+    assert ring.dims() == [1, 11, 11, 1]
+    for p in range(1, ring.top + 1):
+        for row in ring._relation_rows(p):
+            assert ring.reduce_class(p, row).is_zero()
+
+
 def test_degree_of_ray_classes_fix_a(fixa):
     ring = fan_ring(fixa)
     for mono in ring.monomials(1):

@@ -1,6 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import trophodge
 from trophodge.cli import main
 from trophodge.polyhedral import complex_from_json, complex_to_json
 
@@ -114,3 +119,63 @@ def test_malformed_input_exit_two(capsys, tmp_path):
 def test_missing_file_exit_two(capsys):
     code, out = run(capsys, "cohomology", "/nonexistent/path.json")
     assert code == 2
+
+
+LINE = {"lattice_rank": 1, "vertices": [["0"]], "rays": [[1], [-1]],
+        "faces": [{"vertices": [0], "rays": []}, {"vertices": [0], "rays": [0]},
+                  {"vertices": [0], "rays": [1]}]}
+PAYLOADS = {
+    "zero_ray": {**LINE, "rays": [[1], [0]]},
+    "zero_denominator": {**LINE, "vertices": [["1/0"]]},
+    "bad_label": {"p": 1, "vertices": {"0": {"a,b": "1"}}},
+    "bad_coefficient": {"p": 1, "vertices": {"0": {"": "1/0"}}},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow", "fixA", "--degrees", "foo"],
+    ["cohomology", "{zero_ray}"],
+    ["cohomology", "{zero_denominator}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_label}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_coefficient}"],
+], ids=["degrees", "zero-ray", "zero-denominator", "class-label", "class-coefficient"])
+def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
+    paths = {}
+    for name, payload in PAYLOADS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    code, out = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"] == "malformed-input"
+
+
+CORRUPT_ONE_SIGN = """
+import sys
+from trophodge.cli import main
+from trophodge.polyhedral import FaceComplex
+
+sign = FaceComplex.incidence_sign
+flipped = []
+
+def first_sign_flipped(self, gamma, delta):
+    s = sign(self, gamma, delta)
+    if not flipped:
+        flipped.append((gamma, delta))
+        return -s
+    return s
+
+FaceComplex.incidence_sign = first_sign_flipped
+sys.exit(main(["check-all", "fixF", "--seed", "1"]))
+"""
+
+
+def test_corrupted_incidence_sign_fails_under_optimize():
+    # python -O strips asserts; the d o d check must still run and fail.
+    src = os.path.dirname(os.path.dirname(trophodge.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_ONE_SIGN],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "verification-failed"
+    assert "does not square to zero" in out["detail"]

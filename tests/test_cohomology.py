@@ -92,6 +92,20 @@ def test_differentials_square_to_zero(comp_c, comp_f):
             assert cochain_complex(x, p).check()
 
 
+def test_h_dim_from_ranks_matches_quotient_basis(comp_a, comp_b, comp_c, comp_d, comp_e,
+                                                 comp_f):
+    from trophodge.steenbrink import build_steenbrink
+
+    for x in (comp_a, comp_b, comp_c, comp_d, comp_e, comp_f):
+        st = build_steenbrink(x)
+        complexes = [cochain_complex(x, p) for p in range(x.dim + 1)]
+        complexes += [st.row_complex(b) for b in range(0, 2 * x.dim + 1, 2)]
+        complexes += [c(p) for p in range(x.dim + 1) for c in (st.k_complex, st.r_complex)]
+        for gc in complexes:
+            for k in range(min(gc.terms, default=0) - 1, max(gc.terms, default=0) + 2):
+                assert gc.h_dim(k) == gc.h_basis(k).dim
+
+
 def test_euler_characteristic_identity(comp_c, comp_e, comp_f):
     for x in (comp_c, comp_e, comp_f):
         for p in range(x.dim + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from trophodge import NotASubspaceError
 from trophodge.linalg import (
+    Echelon,
     RationalMatrix,
     Subspace,
     fmt_rat,
@@ -137,7 +138,7 @@ def test_rank_agrees_with_naive_oracle():
 
 
 def test_sparse_path_wide_matrix():
-    # Width beyond the dense cutoff exercises the sparse elimination path.
+    # One more wide, sparse input for the elimination kernel.
     rng = random.Random(3)
     nc = 70
     rows = []
@@ -155,3 +156,91 @@ def test_rational_serialization():
     assert fmt_rat(rat("3/6")) == "1/2"
     assert fmt_rat(rat(5)) == "5"
     assert rat("-7/2") == F(-7, 2)
+
+
+def random_rows(rng, nr, nc):
+    """Sparse random rationals with a zero row and a zero column when there is room."""
+    rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+             for _ in range(nc)] for _ in range(nr)]
+    if nr > 2:
+        rows[rng.randrange(nr)] = [F(0)] * nc
+    if nc > 2:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = F(0)
+    if nr > 3:  # a dependent row, so that the rank drops below min(nr, nc)
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def matrix(rows, nc):
+    m = RationalMatrix(len(rows), nc)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            m[i, j] = v
+    return m
+
+
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (12, 40), (16, 80), (80, 16)]
+
+
+@pytest.mark.parametrize("nr,nc", SHAPES)
+def test_rank_kernel_solve_against_oracle(nr, nc):
+    rng = random.Random(nr * 1000 + nc)
+    for _ in range(3):
+        rows = random_rows(rng, nr, nc)
+        m = matrix(rows, nc)
+        r = naive_rank(rows)
+        assert rank(m) == r
+        kern = kernel_basis(m).basis
+        assert len(kern) == nc - r
+        free = []
+        for v in kern:
+            assert all(x == 0 for x in m.mul_vec(v))
+            f = max(j for j, x in enumerate(v) if x != 0)
+            assert v[f] == 1
+            free.append(f)
+        # Canonical: each vector is 0 on the other free columns, and the
+        # remaining columns are independent, so they are m's pivot columns.
+        assert len(set(free)) == len(free)
+        for v, f in zip(kern, free):
+            assert all(v[g] == 0 for g in free if g != f)
+        pivots = [j for j in range(nc) if j not in free]
+        assert naive_rank([[row[j] for j in pivots] for row in rows]) == len(pivots) == r
+
+        b = m.mul_vec([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nc)])
+        x = solve(m, b)
+        assert m.mul_vec(x) == b
+        assert all(x[f] == 0 for f in free)
+        b = [F(rng.randint(-3, 3)) for _ in range(nr)]
+        consistent = naive_rank([row + [bi] for row, bi in zip(rows, b)]) == r
+        x = solve(m, b)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert m.mul_vec(x) == b and all(x[f] == 0 for f in free)
+
+
+@pytest.mark.parametrize("nr,nc", SHAPES)
+def test_quotient_coordinates_round_trip(nr, nc):
+    """Rows added without a key span B; keyed rows that are independent
+    modulo B are a quotient basis, and the coordinates of any combination
+    of them plus a vector of B are its coefficients on that basis."""
+    rng = random.Random(7 * nr + nc)
+    brows = random_rows(rng, nr // 2, nc)
+    zrows = random_rows(rng, nr, nc)
+    e = Echelon(keyed=True)
+    for r in brows:
+        e.add(r)
+    kept = [i for i, r in enumerate(zrows) if e.add(r, i)]
+    assert len(kept) == naive_rank(brows + zrows) - naive_rank(brows)
+    coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in kept]
+    vec = [F(0)] * nc
+    for c, i in zip(coeffs, kept):
+        vec = [a + c * b for a, b in zip(vec, zrows[i])]
+    for r in brows:
+        c = F(rng.randint(-2, 2))
+        vec = [a + c * b for a, b in zip(vec, r)]
+    assert e.coordinates(vec, kept) == coeffs
+    # A nonzero w with (B + Z).w = 0 is outside the row space, since w.w > 0.
+    for w in kernel_basis(matrix(brows + zrows, nc)).basis[:1]:
+        assert e.coordinates(w, kept) is None
