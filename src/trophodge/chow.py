@@ -246,15 +246,10 @@ class ChowRing:
         return self.degree(self.multiply(a, b))
 
 
-_RING_ATTR = "_chow_ring"
-
-
 def ring_of(star: StarFan) -> ChowRing:
-    cached = getattr(star, _RING_ATTR, None)
-    if cached is None:
-        cached = ChowRing(star)
-        setattr(star, _RING_ATTR, cached)
-    return cached
+    if star._chow_ring is None:
+        star._chow_ring = ChowRing(star)
+    return star._chow_ring
 
 
 def fan_star(f: FaceComplex) -> StarFan:

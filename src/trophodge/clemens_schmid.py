@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import ChaseFailureError, DegreeMismatchError, HLFailureError
-from .cohomology import GradedComplex, QuotientBasis
+from .cohomology import GradedComplex, QuotientBasis, induced_map
 from .linalg import Echelon, RationalMatrix, column_echelon, kernel_basis, rank
 
 
@@ -89,28 +89,12 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
     hC = {k: t.C.h_basis(k) for k in t.degrees()}
     hD = {k: t.D.h_basis(k) for k in set(t.D.terms) | {k + 2 for k in t.degrees()}}
     for k in t.degrees():
-        m = _induced(t.C, t.D, {k: t.l_matrix(k)}, k, 2, hC, hD)
+        m = induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, hC[k], hD[k + 2], shift=2)
         r = rank(m)
         if k <= -1 and r != hC[k].dim:
             raise HLFailureError(f"L not injective on cohomology in degree {k}")
         if k >= -1 and r != hD[k + 2].dim:
             raise HLFailureError(f"L not surjective on cohomology onto degree {k + 2}")
-
-
-def _induced(src: GradedComplex, dst: GradedComplex, mats: dict[int, RationalMatrix],
-             k: int, shift: int, src_h: dict, dst_h: dict) -> RationalMatrix:
-    if k not in src_h:
-        src_h[k] = src.h_basis(k)
-    if k + shift not in dst_h:
-        dst_h[k + shift] = dst.h_basis(k + shift)
-    hs, hd = src_h[k], dst_h[k + shift]
-    out = RationalMatrix(hd.dim, hs.dim)
-    m = mats.get(k)
-    for j, rep in enumerate(hs.representatives):
-        img = m.mul_vec(rep) if m is not None else [Fraction(0)] * dst.dim(k + shift)
-        for i, c in enumerate(hd.coordinates(img)):
-            out[i, j] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +232,11 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     hD = {k: t.D.h_basis(k) for k in range(kmin, kmax + 1)}
     hR = {k: rc.gc.h_basis(k) for k in range(kmin, kmax + 1)}
 
-    incl = {k: _induced(kc.gc, t.C, {k: kc.inclusion(k)}, k, 0, hK, hC)
+    incl = {k: induced_map(kc.gc, t.C, {k: kc.inclusion(k)}, k, hK[k], hC[k])
             for k in range(kmin, kmax + 1)}
-    lmap = {k: _induced(t.C, t.D, {k: t.l_matrix(k)}, k, 2, hC, hD)
+    lmap = {k: induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, hC[k], hD[k + 2], shift=2)
             for k in range(kmin, kmax - 1)}
-    proj = {k: _induced(t.D, rc.gc, {k: rc.projection(k)}, k, 0, hD, hR)
+    proj = {k: induced_map(t.D, rc.gc, {k: rc.projection(k)}, k, hD[k], hR[k])
             for k in range(kmin, kmax + 1)}
     conn = {k: RationalMatrix(hK[k].dim, hR[k].dim) for k in range(kmin, kmax + 1)}
     conn[0] = _chase_d0(t, kc, rc, hR[0], hK[0])
@@ -306,8 +290,8 @@ def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
         hD[k] = t.D.h_basis(k)
         hR[k] = rc.gc.h_basis(k)
     d0 = _chase_d0(t, kc, rc, hR[0], hK[0])
-    dminus = _induced(t.D, rc.gc, {0: rc.projection(0)}, 0, 0, hD, hR)
-    dplus = _induced(kc.gc, t.C, {0: kc.inclusion(0)}, 0, 0, hK, hC)
+    dminus = induced_map(t.D, rc.gc, {0: rc.projection(0)}, 0, hD[0], hR[0])
+    dplus = induced_map(kc.gc, t.C, {0: kc.inclusion(0)}, 0, hK[0], hC[0])
     return d0.matmul(dminus).is_zero() and dplus.matmul(d0).is_zero()
 
 
@@ -498,8 +482,8 @@ def mapping_cone_check(st, p: int) -> dict:
     hR = {a: rc.h_basis(a) for a in hT}
     result = {}
     for a in hT:
-        m = _induced(total, rc, {a: proj.get(a, RationalMatrix(rc.dim(a), total.dim(a)))},
-                     a, 0, hT, hR)
+        m = induced_map(total, rc, {a: proj.get(a, RationalMatrix(rc.dim(a), total.dim(a)))},
+                        a, hT[a], hR[a])
         ok = (hT[a].dim == hR[a].dim == rank(m)) if (hT[a].dim or hR[a].dim) else True
         if hT[a].dim or hR[a].dim:
             result[a] = {"h_total": hT[a].dim, "h_coker": hR[a].dim, "iso": ok}

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import CONVENTIONS, InputFormatError, TrophodgeError, __version__
-from .chow import fan_ring, minkowski_weights
+from .chow import fan_ring, is_balanced, minkowski_weights
 from .cohomology import cochain_complex, hodge_diamond
 from .fixtures import FIXTURES, named_fixture, write_fixture_files
 from .linalg import fmt_rat, rat
@@ -197,14 +197,15 @@ def cmd_hodge_cycle(args) -> int:
     all_ok = True
     for i, alpha in enumerate(classes):
         cyc = hodge_to_cycle(st, alpha)
+        balanced = is_balanced(st.x, cyc.weight)
         ok = verify_class(st, alpha, cyc)
-        all_ok = all_ok and ok
+        all_ok = all_ok and balanced and ok
         out[str(i)] = {
             "class": {str(v): {_mono_label(st.rings_for(v), m): fmt_rat(c)
                                for m, c in zip(st.rings_for(v).basis(p), cls.coeffs) if c}
                       for v, cls in alpha.classes.items()},
             "cycle": {"p": p, "weights": {str(f): fmt_rat(v) for f, v in cyc.weight.weights}},
-            "verification": {"balanced": True, "class_matches": ok},
+            "verification": {"balanced": balanced, "class_matches": ok},
         }
     _emit({**_report_header(), "p": p, "count": len(classes), "cycles": out}, args.format)
     return 0 if all_ok else 1

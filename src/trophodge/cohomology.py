@@ -133,14 +133,17 @@ class GradedComplex:
 def induced_map(src: GradedComplex, dst: GradedComplex,
                 chain_maps: dict[int, RationalMatrix], k: int,
                 src_h: Optional[QuotientBasis] = None,
-                dst_h: Optional[QuotientBasis] = None) -> RationalMatrix:
-    """Matrix of the induced map H^k(src) -> H^k(dst) of a chain map."""
-    src_h = src_h or src.h_basis(k)
-    dst_h = dst_h or dst.h_basis(k)
+                dst_h: Optional[QuotientBasis] = None, shift: int = 0) -> RationalMatrix:
+    """Matrix of the induced map H^k(src) -> H^(k+shift)(dst) of a chain map
+    of degree shift; chain_maps[k] maps src^k to dst^(k+shift)."""
+    if src_h is None:
+        src_h = src.h_basis(k)
+    if dst_h is None:
+        dst_h = dst.h_basis(k + shift)
     cm = chain_maps.get(k)
     out = RationalMatrix(dst_h.dim, src_h.dim)
     for j, rep in enumerate(src_h.representatives):
-        img = cm.mul_vec(rep) if cm is not None else [Fraction(0)] * dst.dim(k)
+        img = cm.mul_vec(rep) if cm is not None else [Fraction(0)] * dst.dim(k + shift)
         for i, c in enumerate(dst_h.coordinates(img)):
             out[i, j] = c
     return out
@@ -221,13 +224,9 @@ def coefficient_space(x: FaceComplex, delta_idx: int, p: int) -> CoefficientSpac
 
 
 def _fp_spaces(x: FaceComplex, p: int) -> dict[int, CoefficientSpace]:
-    cache = getattr(x, "_fp_cache", None)
-    if cache is None:
-        cache = {}
-        x._fp_cache = cache
-    if p not in cache:
-        cache[p] = {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
-    return cache[p]
+    if p not in x._fp_cache:
+        x._fp_cache[p] = {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
+    return x._fp_cache[p]
 
 
 def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> RationalMatrix:
@@ -257,12 +256,8 @@ def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> Rational
 
 def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     """The cellular cochain complex C^{p,*} with signed dual differentials."""
-    cache = getattr(x, "_cochain_cache", None)
-    if cache is None:
-        cache = {}
-        x._cochain_cache = cache
-    if p in cache:
-        return cache[p]
+    if p in x._cochain_cache:
+        return x._cochain_cache[p]
     spaces = _fp_spaces(x, p)
     by_dim: dict[int, list[int]] = {}
     for f in x.faces:
@@ -300,7 +295,7 @@ def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     gc = GradedComplex(terms, diffs, labels)
     if not gc.check():
         raise NotAComplexError(f"cellular differential of C^{{{p},*}} does not square to zero")
-    cache[p] = gc
+    x._cochain_cache[p] = gc
     return gc
 
 

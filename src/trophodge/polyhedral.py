@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from .lattice import (
@@ -30,7 +30,11 @@ from .lattice import (
     saturate,
     spans_unimodularly,
 )
-from .linalg import Echelon, RationalMatrix, column_echelon, kernel_basis, kernel_vectors, rat, solve
+from .linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, rat, solve
+
+if TYPE_CHECKING:
+    from .chow import ChowRing
+    from .cohomology import CoefficientSpace, GradedComplex
 
 Point = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -151,6 +155,8 @@ class FaceComplex:
             if f.sedentarity not in self._strata:
                 self._strata[f.sedentarity] = _stratum_presentation(rank, f.sedentarity)
         self._star_cache: dict[int, "StarFan"] = {}
+        self._fp_cache: dict[int, dict[int, "CoefficientSpace"]] = {}  # p -> face -> F_p
+        self._cochain_cache: dict[int, "GradedComplex"] = {}  # p -> C^{p,*}
 
     # -- basic queries ------------------------------------------------------
 
@@ -327,8 +333,10 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
                   validate: bool = True) -> FaceComplex:
     """Build a complex in R^rank from vertex/ray pools and (V, R) index pairs.
 
-    Faces must be simplicial; the closure and pairwise-intersection axioms
-    are checked when validate is set.
+    Faces must be simplicial.  One pass over each face's generator subsets
+    reads the face order and, when validate is set, checks closure under
+    faces; the intersection axiom is then checked on pairs of maximal cells.
+    Without validate the order is still every strict containment of specs.
     """
     vpool = [tuple(rat(x) for x in v) for v in vertices]
     if not all(any(r) for r in rays):
@@ -349,17 +357,23 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
             raise InputFormatError(f"face {vs}/{rs} references a missing vertex or ray")
         key = (frozenset(vs), frozenset(rs))
         seen[key] = (tuple(sorted(set(vs))), tuple(sorted(set(rs))))
-    if validate:
-        for vs, rs in list(seen.values()):
-            for kv in range(1, len(vs) + 1):
-                for sub_v in itertools.combinations(vs, kv):
-                    for kr in range(0, len(rs) + 1):
-                        for sub_r in itertools.combinations(rs, kr):
-                            if (frozenset(sub_v), frozenset(sub_r)) not in seen:
-                                raise InputFormatError(
-                                    f"closure violated: face {sub_v}/{sub_r} missing")
 
     specs = sorted(seen.values(), key=lambda fr: (len(fr[0]) + len(fr[1]), fr))
+    spec_index = {(frozenset(vs), frozenset(rs)): i for i, (vs, rs) in enumerate(specs)}
+    order = set()
+    for i, (vs, rs) in enumerate(specs):
+        for kv in range(1, len(vs) + 1):
+            for sub_v in itertools.combinations(vs, kv):
+                for kr in range(0, len(rs) + 1):
+                    for sub_r in itertools.combinations(rs, kr):
+                        j = spec_index.get((frozenset(sub_v), frozenset(sub_r)))
+                        if j is None:
+                            if validate:
+                                raise InputFormatError(
+                                    f"closure violated: face {sub_v}/{sub_r} missing")
+                        elif j != i:
+                            order.add((j, i))
+
     faces: list[Face] = []
     for i, (vs, rs) in enumerate(specs):
         verts = [vpool[j] for j in vs]
@@ -373,37 +387,23 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
             raise InputFormatError(f"face {vs}/{rs} is not simplicial")
         faces.append(_make_face(i, verts, ras, (), [(i, ())]))
 
-    order = set()
-    spec_index = {(frozenset(vs), frozenset(rs)): i for i, (vs, rs) in enumerate(specs)}
-    for i, (vs, rs) in enumerate(specs):
-        for j, (vs2, rs2) in enumerate(specs):
-            if i != j and set(vs) <= set(vs2) and set(rs) <= set(rs2):
-                order.add((i, j))
-
     cx = FaceComplex(rank, faces, order)
     if validate:
-        _validate_intersections(cx, specs, vpool, rpool, spec_index)
+        _validate_intersections(cx, specs, vpool, rpool)
     return cx
 
 
-def _validate_intersections(cx: FaceComplex, specs, vpool, rpool, spec_index) -> None:
-    """Pairwise intersections must be the face spanned by shared generators."""
-    n = len(specs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vs1, rs1 = specs[i]
-            vs2, rs2 = specs[j]
-            if set(vs1) <= set(vs2) and set(rs1) <= set(rs2):
-                continue
-            if set(vs2) <= set(vs1) and set(rs2) <= set(rs1):
-                continue
-            _check_pair_intersection(cx.rank, [vpool[k] for k in vs1], [rpool[k] for k in rs1],
-                                     [vpool[k] for k in vs2], [rpool[k] for k in rs2],
-                                     shared_v=[vpool[k] for k in set(vs1) & set(vs2)],
-                                     shared_r=[rpool[k] for k in set(rs1) & set(rs2)])
-            common = (frozenset(set(vs1) & set(vs2)), frozenset(set(rs1) & set(rs2)))
-            if set(vs1) & set(vs2) and common not in spec_index:
-                raise InputFormatError("intersection axiom violated: common face missing")
+def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
+    """Each pair of maximal cells must meet exactly in the face spanned by
+    their shared generators (in the complex by closure under faces)."""
+    # Maximal pairs suffice: faces of one simplicial cell meet properly, and so do faces of two cells that do.
+    top = [i for i in range(len(specs)) if not cx.cofaces(i)]
+    for i, j in itertools.combinations(top, 2):
+        (vs1, rs1), (vs2, rs2) = specs[i], specs[j]
+        _check_pair_intersection(cx.rank, [vpool[k] for k in vs1], [rpool[k] for k in rs1],
+                                 [vpool[k] for k in vs2], [rpool[k] for k in rs2],
+                                 shared_v=[vpool[k] for k in set(vs1) & set(vs2)],
+                                 shared_r=[rpool[k] for k in set(rs1) & set(rs2)])
 
 
 def _check_pair_intersection(rank, v1, r1, v2, r2, shared_v, shared_r) -> None:
@@ -480,48 +480,24 @@ def make_fan(rank: int, cones: Sequence[Sequence[IntVec]], validate: bool = True
 
 
 def recession_fan(y: FaceComplex) -> FaceComplex:
-    """The fan of recession cones of the faces of y; rejects improper overlaps."""
+    """The fan of recession cones of the faces of y.
+
+    The cones must be closed under faces (checked here, since y may have been
+    built without validation) and must meet properly (checked by the
+    validated fan build on pairs of maximal cones).
+    """
     if any(f.sedentarity != () for f in y.faces):
         raise NotAFanError("recession fan needs a complex in a single R^n")
-    cone_sets: set[tuple[IntVec, ...]] = set()
-    for f in y.faces:
-        cone_sets.add(tuple(sorted(f.rays)))
-    cones = sorted(cone_sets)
-    for c in cones:
+    cone_sets = {tuple(sorted(f.rays)) for f in y.faces}
+    for c in cone_sets:
         for k in range(len(c)):
             for sub in itertools.combinations(c, k):
-                if tuple(sorted(sub)) not in cone_sets:
+                if sub not in cone_sets:
                     raise NotAFanError("recession cones are not closed under faces")
-    for c1, c2 in itertools.combinations(cones, 2):
-        if not _cones_meet_properly(y.rank, c1, c2):
-            raise NotAFanError(f"recession cones {c1} and {c2} overlap improperly")
-    return make_fan(y.rank, [list(c) for c in cones], validate=False)
-
-
-def _cones_meet_properly(rank: int, r1: tuple[IntVec, ...], r2: tuple[IntVec, ...]) -> bool:
-    """cone(r1) and cone(r2) must intersect exactly in cone(r1 & r2)."""
-    common = set(r1) & set(r2)
-    nv = len(r1) + len(r2)
-    if nv == 0:
-        return True
-    eqs = []
-    for c in range(rank):
-        eqs.append([Fraction(r[c]) for r in r1] + [-Fraction(r[c]) for r in r2])
-    mat = RationalMatrix.from_rows(eqs) if eqs else RationalMatrix(0, nv)
-    kern = kernel_basis(mat).basis
-    npar = len(kern)
-    base = []
-    for pos in range(nv):
-        coeffs = tuple(Fraction(k[pos]) for k in kern)
-        base.append((coeffs, Fraction(0), False))
-    gens = list(r1) + list(r2)
-    for pos, g in enumerate(gens):
-        if g in common:
-            continue
-        coeffs = tuple(Fraction(k[pos]) for k in kern)
-        if fm_feasible(base + [(coeffs, Fraction(0), True)], npar):
-            return False
-    return True
+    try:
+        return make_fan(y.rank, [list(c) for c in sorted(cone_sets)])
+    except InputFormatError as exc:
+        raise NotAFanError(f"recession cones overlap improperly: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +522,7 @@ def compactify(y: FaceComplex) -> FaceComplex:
         for k in range(len(ray_set) + 1):
             for sub in itertools.combinations(sorted(ray_set), k):
                 sed: SedKey = tuple(sorted(sub))
-                _, proj, _ = _sed_presented(y, sed)
+                _, proj, _ = y.stratum(sed)
                 pverts = {apply_rows_frac(proj, v) for v in f.vertices}
                 prays = set()
                 for r in f.rays:
@@ -560,37 +536,29 @@ def compactify(y: FaceComplex) -> FaceComplex:
     keys = sorted(records, key=lambda k: (len(records[k]["verts"]) - 1 + len(records[k]["rays"]),
                                           k[0], tuple(sorted(k[1])), tuple(sorted(k[2]))))
     faces = []
-    key_index = {}
+    pair_index = {}
     for i, k in enumerate(keys):
         entry = records[k]
         faces.append(_make_face(i, entry["verts"], entry["rays"], entry["sed"],
                                 sorted(entry["pairs"])))
-        key_index[k] = i
+        for pair in entry["pairs"]:
+            pair_index[pair] = i
 
+    # (ga, sa) lies below (gb, sb) when ga is a face of gb and sa contains sb.
     order = set()
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            if i == j:
-                continue
-            if _pair_leq(y, records[ki]["pairs"], records[kj]["pairs"]):
-                order.add((i, j))
+    for j, face in enumerate(faces):
+        for gb, sb in face.pairs:
+            for ga in {gb} | y.subfaces(gb):
+                rays = y.faces[ga].rays
+                if not set(sb) <= set(rays):
+                    continue
+                rest = [r for r in rays if r not in sb]
+                for k in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, k):
+                        i = pair_index[(ga, tuple(sorted(sb + extra)))]
+                        if i != j:
+                            order.add((i, j))
     return FaceComplex(y.rank, faces, order, open_complex=y)
-
-
-def _pair_leq(y: FaceComplex, pairs_a, pairs_b) -> bool:
-    for (ga, sa) in pairs_a:
-        for (gb, sb) in pairs_b:
-            if set(sb) <= set(sa) and (ga == gb or (ga, gb) in y.order):
-                return True
-    return False
-
-
-def _sed_presented(y: FaceComplex, sed: SedKey):
-    if not hasattr(y, "_sed_pres"):
-        y._sed_pres = {}
-    if sed not in y._sed_pres:
-        y._sed_pres[sed] = _stratum_presentation(y.rank, sed)
-    return y._sed_pres[sed]
 
 
 def apply_rows_frac(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> Point:
@@ -614,6 +582,7 @@ class StarFan:
     ray_labels: tuple[int, ...]
     ray_vectors: tuple[IntVec, ...]
     cones: tuple[tuple[int, frozenset], ...]  # (coface label, ray positions)
+    _chow_ring: Optional["ChowRing"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._cone_by_rays = {rays: label for label, rays in self.cones}
@@ -670,10 +639,6 @@ def _build_star_fan(cx: FaceComplex, idx: int) -> StarFan:
             raise NotAFanError("star fan interval has unexpected rank")
         cones.append((eta, through))
     return StarFan(cx, idx, qrank, ray_labels, tuple(ray_vectors), tuple(cones))
-
-
-def star_fan(y: FaceComplex, delta_idx: int) -> StarFan:
-    return y.star_fan(delta_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -381,10 +381,6 @@ def steenbrink_cohomology(st: SteenbrinkPage, b: int) -> dict[int, int]:
     return {a: gc.h_dim(a) for a in gc.support}
 
 
-def kernel_cokernel_complexes(st: SteenbrinkPage, p: int) -> tuple[GradedComplex, GradedComplex]:
-    return st.k_complex(p), st.r_complex(p)
-
-
 def surviving_relative(st: SteenbrinkPage, p: int, q: int) -> tuple[int, int]:
     hk = st.k_complex(p).h_dim(q - p)
     hr = st.r_complex(p).h_dim(q - p)

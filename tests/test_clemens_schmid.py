@@ -14,7 +14,7 @@ from trophodge.clemens_schmid import (
     steenbrink_triple,
     tropical_clemens_schmid,
 )
-from trophodge.cohomology import GradedComplex
+from trophodge.cohomology import GradedComplex, induced_map
 from trophodge.linalg import RationalMatrix
 from trophodge.steenbrink import SteenbrinkPage
 
@@ -36,6 +36,15 @@ def test_identity_collapse():
     assert nodes["H^2(D)"].kernel_dim == 1
     assert nodes["H^0(K)"].kernel_dim == 0  # K vanishes
 
+
+
+def test_induced_map_of_degree_two_chain_map():
+    # L: C^0 -> D^2 induces H^0(C) -> H^2(D); the bases default to those degrees.
+    t = LefschetzTriple(GradedComplex({0: 1}, {}), GradedComplex({2: 1}, {}),
+                        {0: RationalMatrix.from_rows([[3]])})
+    m = induced_map(t.C, t.D, t.L, 0, shift=2)
+    assert (m.rows, m.cols, m[0, 0]) == (1, 1, 3)
+    assert induced_map(t.C, t.D, t.L, 0, t.C.h_basis(0), t.D.h_basis(2), shift=2) == m
 
 def test_hl_precondition_fails_loudly():
     # L = 0 from a nonzero degree -1 cannot be injective.

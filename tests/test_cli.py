@@ -81,6 +81,16 @@ def test_hodge_cycle_fix_d(capsys):
     cycle = data["cycles"]["0"]["cycle"]["weights"]
     assert list(cycle.values()) == ["1"]
     assert data["cycles"]["0"]["verification"]["class_matches"] is True
+    assert data["cycles"]["0"]["verification"]["balanced"] is True
+
+
+def test_hodge_cycle_reports_computed_balancing(capsys, monkeypatch):
+    # The balanced field is computed and counts in the exit code.
+    monkeypatch.setattr("trophodge.cli.is_balanced", lambda y, w: False)
+    code, out = run(capsys, "hodge-cycle", "fixD", "--p", "1")
+    assert code == 1
+    verification = json.loads(out)["cycles"]["0"]["verification"]
+    assert verification == {"balanced": False, "class_matches": True}
 
 
 def test_hodge_cycle_accepts_class_file(capsys, tmp_path):

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from trophodge import InputFormatError, NotAFanError, NotCodimOneError
+from trophodge.matroids import bergman_fan, boolean_matroid
 from trophodge.polyhedral import (
     build_complex,
     compactify,
     complex_from_json,
     complex_to_json,
     recession_fan,
-    star_fan,
 )
 
 F = Fraction
@@ -52,14 +52,14 @@ def test_recession_fan_rejects_improper_overlap():
 
 def test_star_fan_at_origin_is_fan_itself(fixa):
     origin = next(f.index for f in fixa.faces if f.dim == 0)
-    sf = star_fan(fixa, origin)
+    sf = fixa.star_fan(origin)
     assert sorted(sf.ray_vectors) == [(-1, -1), (0, 1), (1, 0)]
     assert len([c for c in sf.cones if len(c[1]) == 1]) == 3
 
 
 def test_star_fan_at_interior_vertex(fixe):
     v1 = next(f.index for f in fixe.faces if f.dim == 0 and f.vertices[0][0] == 1)
-    sf = star_fan(fixe, v1)
+    sf = fixe.star_fan(v1)
     assert sorted(sf.ray_vectors) == [(-1,), (1,)]
 
 
@@ -67,7 +67,7 @@ def test_star_fan_at_infinity_point(comp_b):
     # The point at infinity of the compactified line has no coface of its
     # own sedentarity, so its star fan is the trivial fan in rank zero.
     vp = next(f.index for f in comp_b.faces if f.dim == 0 and f.sedentarity == ((1,),))
-    sf = star_fan(comp_b, vp)
+    sf = comp_b.star_fan(vp)
     assert sf.rank == 0
     assert sf.ray_vectors == ()
 
@@ -198,3 +198,72 @@ def test_fan_json_uses_implicit_origin(fixa):
     assert data["vertices"] == [["0", "0"]]
     back = complex_from_json(data)
     assert faces_by_dim(back) == faces_by_dim(fixa)
+
+
+# ---------------------------------------------------------------------------
+# The face order against its all-pairs definitions
+
+def open_order_oracle(cx):
+    """(a, b) for every face a whose vertices and rays are among b's."""
+    return {(a.index, b.index) for a in cx.faces for b in cx.faces
+            if a.index != b.index and set(a.vertices) <= set(b.vertices)
+            and set(a.rays) <= set(b.rays)}
+
+
+def compact_order_oracle(cx):
+    """(a, b) when some pair (ga, sa) of a and (gb, sb) of b has ga a face of
+    gb (or equal) and sb contained in sa."""
+    y = cx.open_complex
+    return {(a.index, b.index) for a in cx.faces for b in cx.faces
+            if a.index != b.index and any(
+                set(sb) <= set(sa) and (ga == gb or (ga, gb) in y.order)
+                for ga, sa in a.pairs for gb, sb in b.pairs)}
+
+
+@pytest.mark.parametrize("name", ["fixa", "fixb", "fixc", "fixd", "fixe", "fixf", "u34"])
+def test_order_matches_all_pairs_oracle(name, request):
+    y = request.getfixturevalue(name)
+    assert y.order == open_order_oracle(y)
+    x = compactify(y)
+    assert x.order == compact_order_oracle(x)
+
+
+def test_order_of_unclosed_unvalidated_input_is_full():
+    # Without validation the missing edges are not an error, and the order
+    # still holds every containment among the given faces.
+    tri = build_complex(2, [[0, 0], [1, 0], [0, 1]], [],
+                        [([0], []), ([2], []), ([0, 1, 2], [])], validate=False)
+    assert tri.order == open_order_oracle(tri)
+    assert len(tri.order) == 2
+
+
+def test_intersection_validation_rejects_overlap_of_non_maximal_faces():
+    # Two triangles, each closed under faces, where the vertex (1, 1) of one
+    # lies inside an edge of the other.
+    specs = [([0], []), ([1], []), ([2], []), ([0, 1], []), ([0, 2], []), ([1, 2], []),
+             ([0, 1, 2], [])]
+    specs += [([v + 3 for v in vs], rs) for vs, rs in specs]
+    with pytest.raises(InputFormatError):
+        build_complex(2, [[0, 0], [2, 0], [0, 2], [1, 1], [3, 1], [1, 3]], [], specs)
+
+
+def test_intersections_checked_on_maximal_cells_only(monkeypatch):
+    # The Bergman fan of B4 has 24 maximal cones among 75 faces.
+    import trophodge.polyhedral as polyhedral
+
+    data = complex_to_json(bergman_fan(boolean_matroid(4)))
+    calls = []
+    check = polyhedral._check_pair_intersection
+    monkeypatch.setattr(polyhedral, "_check_pair_intersection",
+                        lambda *args, **kw: calls.append(1) or check(*args, **kw))
+    fan = complex_from_json(data)
+    assert len(fan.faces) == 75
+    assert len(calls) == 24 * 23 // 2
+
+
+def test_recession_fan_rejects_cones_not_closed_under_faces():
+    # A quadrant given without its boundary rays, accepted only unvalidated.
+    quadrant = build_complex(2, [[0, 0]], [[1, 0], [0, 1]], [([0], []), ([0], [0, 1])],
+                             validate=False)
+    with pytest.raises(NotAFanError):
+        recession_fan(quadrant)
