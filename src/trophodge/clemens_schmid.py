@@ -49,8 +49,7 @@ class LefschetzTriple:
         for k in self.degrees():
             left = self.D.differential(k + 2).matmul(self.l_matrix(k))
             right = self.l_matrix(k + 1).matmul(self.C.differential(k))
-            if not all(left[i, j] == right[i, j]
-                       for i in range(left.rows) for j in range(left.cols)):
+            if left != right:
                 return False
         return True
 
@@ -437,13 +436,11 @@ def mapping_cone_check(st, p: int) -> dict:
                 m[i, j] = v
         if nk and nmid2:
             # iota: embed the kernel block into the full term.
-            labels_k = kc.labels.get(a, [])
-            term_lab = st.term_labels(a, p + 2)
-            for j, (f, i) in enumerate(labels_k):
-                idx = term_lab.index((a, f, i))
-                m[nk2 + idx, j] = Fraction(1)
+            index = st.term_index(a, p + 2)
+            for j, (f, i) in enumerate(kc.labels.get(a, [])):
+                m[nk2 + index[(a, f, i)], j] = Fraction(1)
         if nmid and nmid2:
-            dmid = st.d_matrix(a - 1, p + 2)
+            dmid = st.row_complex(p + 2).differential(a - 1)
             for (i, j), v in dmid.entries.items():
                 m[nk2 + i, nk + j] = -v
         if nmid and nbot2:
@@ -451,7 +448,7 @@ def mapping_cone_check(st, p: int) -> dict:
             for (i, j), v in nmat.entries.items():
                 m[nk2 + nmid2 + i, nk + j] = v
         if nbot and nbot2:
-            dbot = st.d_matrix(a, p)
+            dbot = st.row_complex(p).differential(a)
             for (i, j), v in dbot.entries.items():
                 m[nk2 + nmid2 + i, nk + nmid + j] = v
         diffs[a] = m
@@ -465,10 +462,9 @@ def mapping_cone_check(st, p: int) -> dict:
         out = RationalMatrix(rc.dim(a), terms[a])
         labels_r = rc.labels.get(a, [])
         if labels_r and nbot:
-            term_lab = st.term_labels(a, p)
+            index = st.term_index(a, p)
             for i, (f, ii) in enumerate(labels_r):
-                idx = term_lab.index((-a, f, ii))
-                out[i, nk + nmid + idx] = Fraction(1)
+                out[i, nk + nmid + index[(-a, f, ii)]] = Fraction(1)
         proj[a] = out
     # Chain map check.
     for a in terms:
@@ -476,7 +472,7 @@ def mapping_cone_check(st, p: int) -> dict:
             continue
         left = proj[a + 1].matmul(diffs[a])
         right = rc.differential(a).matmul(proj[a])
-        if not all(left[i, j] == right[i, j] for i in range(left.rows) for j in range(left.cols)):
+        if left != right:
             raise ChaseFailureError("cone projection is not a chain map")
     hT = {a: total.h_basis(a) for a in range(min(terms, default=0) - 1, max(terms, default=0) + 2)}
     hR = {a: rc.h_basis(a) for a in hT}

@@ -122,13 +122,6 @@ class GradedComplex:
         """dim C^k - rank d_k - rank d_{k-1}; builds no basis."""
         return self.dim(k) - self.d_rank(k) - self.d_rank(k - 1)
 
-    def shift(self, n: int) -> "GradedComplex":
-        """The complex E[n] with E[n]^k = E^(n+k); differentials keep signs
-        (only ranks and maps are consumed downstream)."""
-        return GradedComplex({k - n: v for k, v in self.terms.items()},
-                             {k - n: m for k, m in self.diffs.items()},
-                             {k - n: v for k, v in self.labels.items()})
-
 
 def induced_map(src: GradedComplex, dst: GradedComplex,
                 chain_maps: dict[int, RationalMatrix], k: int,

@@ -5,9 +5,16 @@ Hard Lefschetz checks, primitive parts, and the kernel/cokernel complexes.
 Block (a, b, s) holds one copy of the Chow group A^((a+b-s)/2) of the star
 fan of each bounded s-face; blocks exist only when s >= |a|, s = a mod 2,
 b is even, and the Chow degree fits the star dimension.  The basis of a
-block is the list of (face, Chow basis monomial) pairs, which makes the
-differential a block-sparse stitch of restriction and Gysin matrices,
-each multiplied by the orientation sign of its face pair.
+block is the list of (face, Chow basis monomial) pairs, and one cached
+term index maps each (s, face, monomial) label of ST^{a,b} to its position.
+
+The differential is stitched in one place, `d_matrix`, once per bounded
+cover pair f < g: a restriction block from f into g and a Gysin block from
+g into f, each multiplied by the orientation sign of the pair, which is
+computed once when the page is built.  Every other reader of d takes it
+from the cached row complex.  In row b, d maps the s = a part only into
+itself, by restriction, and the s = -a part only into itself, by Gysin; the
+kernel and cokernel complexes K and R are these two parts of the row.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Sequence
 from . import HLFailureError, NotUnimodularError
 from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
 from .cohomology import GradedComplex, QuotientBasis
-from .linalg import RationalMatrix, rank
+from .linalg import RationalMatrix, kernel_basis, rank
 from .polyhedral import FaceComplex
 
 Element = dict[tuple[int, int, int], list[Fraction]]
@@ -38,6 +45,11 @@ class SteenbrinkPage:
         self.rings: dict[int, ChowRing] = {}
         for i in self.finite:
             self.rings[i] = ring_of(x.star_fan(i))
+        finite_set = set(self.finite)
+        # (f, g, sign of the pair, dim f) for each bounded g covering a bounded f.
+        self._cover_pairs = [(f, g, x.sign(f, g), x.faces[f].dim)
+                             for f in self.finite for g in x.covers_of(f) if g in finite_set]
+        self._term_index: dict[tuple[int, int], dict[tuple[int, int, int], int]] = {}
         self._restr_cache: dict = {}
         self._gys_cache: dict = {}
         self._row_cache: dict[int, GradedComplex] = {}
@@ -70,15 +82,22 @@ class SteenbrinkPage:
         return [s for s in sorted(self.finite_by_dim)
                 if self.block_dim(a, b, s) > 0]
 
+    def term_index(self, a: int, b: int) -> dict[tuple[int, int, int], int]:
+        """Position of each (s, face, basis position) label of the full ST^{a,b}
+        term; the blocks follow each other by s, each face's block is contiguous."""
+        key = (a, b)
+        if key not in self._term_index:
+            labels = [(s, f, i) for s in sorted(self.finite_by_dim)
+                      for f, i in self.block_labels(a, b, s)]
+            self._term_index[key] = {lab: n for n, lab in enumerate(labels)}
+        return self._term_index[key]
+
     def term_labels(self, a: int, b: int) -> list[tuple[int, int, int]]:
         """(s, face, basis position) triples for the full ST^{a,b} term."""
-        out = []
-        for s in self.s_values(a, b):
-            out.extend((s, f, i) for f, i in self.block_labels(a, b, s))
-        return out
+        return list(self.term_index(a, b))
 
     def term_dim(self, a: int, b: int) -> int:
-        return len(self.term_labels(a, b))
+        return len(self.term_index(a, b))
 
     def a_range(self, b: int) -> list[int]:
         return [a for a in range(-self.dim - 1, self.dim + 2) if self.term_dim(a, b) > 0]
@@ -119,45 +138,35 @@ class SteenbrinkPage:
     # -- the differential and monodromy --------------------------------------
 
     def d_matrix(self, a: int, b: int) -> RationalMatrix:
-        src = self.term_labels(a, b)
-        dst = self.term_labels(a + 1, b)
-        dst_pos = {lab: i for i, lab in enumerate(dst)}
+        """d = i* + Gys: ST^{a,b} -> ST^{a+1,b}, one block per bounded cover pair.
+
+        For f < g with dim f = s, i* maps f's s-block into g's (s+1)-block
+        when a+b-s is even (Chow degree (a+b-s)/2), and Gys maps g's
+        (s+1)-block into f's s-block when it is odd (degree (a+b-s-1)/2).
+        Each block starts at the index of its first label; no two overlap.
+        """
+        src, dst = self.term_index(a, b), self.term_index(a + 1, b)
         out = RationalMatrix(len(dst), len(src))
-        for j, (s, f, i) in enumerate(src):
-            k = (a + b - s) // 2
-            # i*-part into (a+1, b, s+1); only bounded cofaces are in the page
-            if self.block_exists(a + 1, b, s + 1):
-                for delta in self.x.covers_of(f):
-                    if self.x.faces[delta].sedentarity or self.x.faces[delta].rays:
-                        continue
-                    sign = self.x.sign(f, delta)
-                    m = self.restriction_matrix(f, delta, k)
-                    for (r, c), v in m.entries.items():
-                        if c == i:
-                            out[dst_pos[(s + 1, delta, r)], j] = \
-                                out[dst_pos[(s + 1, delta, r)], j] + sign * v
-            # Gys-part into (a+1, b, s-1)
-            if self.block_exists(a + 1, b, s - 1):
-                for gamma in self.x.covered_by(f):
-                    if self.x.faces[gamma].sedentarity or self.x.faces[gamma].rays:
-                        continue
-                    sign = self.x.sign(gamma, f)
-                    m = self.gysin_matrix(gamma, f, k)
-                    for (r, c), v in m.entries.items():
-                        if c == i:
-                            out[dst_pos[(s - 1, gamma, r)], j] = \
-                                out[dst_pos[(s - 1, gamma, r)], j] + sign * v
+        for f, g, sign, s in self._cover_pairs:
+            if (a + b - s) % 2 == 0:
+                col0, row0 = src.get((s, f, 0)), dst.get((s + 1, g, 0))
+                block = self.restriction_matrix
+            else:
+                col0, row0 = src.get((s + 1, g, 0)), dst.get((s, f, 0))
+                block = self.gysin_matrix
+            if col0 is None or row0 is None:
+                continue
+            for (r, c), v in block(f, g, (a + b - s) // 2).entries.items():
+                out.entries[row0 + r, col0 + c] = sign * v
         return out
 
     def n_matrix(self, a: int, b: int) -> RationalMatrix:
         """N: ST^{a,b} -> ST^{a+2,b-2}, the identity on surviving blocks."""
-        src = self.term_labels(a, b)
-        dst = self.term_labels(a + 2, b - 2)
-        dst_pos = {lab: i for i, lab in enumerate(dst)}
+        src, dst = self.term_index(a, b), self.term_index(a + 2, b - 2)
         out = RationalMatrix(len(dst), len(src))
-        for j, lab in enumerate(src):
-            if lab in dst_pos:
-                out[dst_pos[lab], j] = Fraction(1)
+        for lab, j in src.items():
+            if lab in dst:
+                out[dst[lab], j] = Fraction(1)
         return out
 
     # -- complexes ------------------------------------------------------------
@@ -165,10 +174,7 @@ class SteenbrinkPage:
     def row_complex(self, b: int) -> GradedComplex:
         if b not in self._row_cache:
             terms = {a: self.term_dim(a, b) for a in self.a_range(b)}
-            diffs = {}
-            for a in list(terms):
-                if terms.get(a + 1):
-                    diffs[a] = self.d_matrix(a, b)
+            diffs = {a: self.d_matrix(a, b) for a in terms if terms.get(a + 1)}
             labels = {a: self.term_labels(a, b) for a in terms}
             self._row_cache[b] = GradedComplex(terms, diffs, labels)
         return self._row_cache[b]
@@ -181,64 +187,32 @@ class SteenbrinkPage:
 
     def k_complex(self, p: int) -> GradedComplex:
         """K^{a,2p} = ST^{a,2p,a} with the restriction differential."""
-        b = 2 * p
-        terms = {}
-        diffs = {}
-        labels = {}
-        amax = self.dim
-        for a in range(0, amax + 1):
-            terms[a] = self.block_dim(a, b, a)
-            labels[a] = self.block_labels(a, b, a)
-        for a in range(0, amax):
-            if not terms.get(a) or not terms.get(a + 1):
-                continue
-            src = labels[a]
-            dst_pos = {lab: i for i, lab in enumerate(labels[a + 1])}
-            out = RationalMatrix(len(labels[a + 1]), len(src))
-            k = (a + b - a) // 2
-            for j, (f, i) in enumerate(src):
-                for delta in self.x.covers_of(f):
-                    fd = self.x.faces[delta]
-                    if fd.sedentarity or fd.rays:
-                        continue
-                    sign = self.x.sign(f, delta)
-                    m = self.restriction_matrix(f, delta, k)
-                    for (r, c), v in m.entries.items():
-                        if c == i:
-                            out[dst_pos[(delta, r)], j] = out[dst_pos[(delta, r)], j] + sign * v
-            diffs[a] = out
-        return GradedComplex({a: d for a, d in terms.items() if d}, diffs,
-                             {a: l for a, l in labels.items() if l})
+        return self._s_part(2 * p, range(0, self.dim + 1), 1)
 
     def r_complex(self, p: int) -> GradedComplex:
         """R^{a,2p} = ST^{a,2p,-a} with the Gysin differential."""
-        b = 2 * p
-        terms = {}
+        return self._s_part(2 * p, range(-self.dim, 1), -1)
+
+    def _s_part(self, b: int, degrees: range, sgn: int) -> GradedComplex:
+        """The blocks s = sgn * a of row b, labelled (face, basis position),
+        with the sub-blocks of the row differential between them.  d maps
+        s = a only to s = a+1 (by i*) and s = -a only to s = -a-1 (by Gys),
+        so these sub-blocks form a complex."""
+        labels = {a: self.block_labels(a, b, sgn * a) for a in degrees}
+        labels = {a: lab for a, lab in labels.items() if lab}
+        row = self.row_complex(b)
         diffs = {}
-        labels = {}
-        for a in range(-self.dim, 1):
-            terms[a] = self.block_dim(a, b, -a)
-            labels[a] = self.block_labels(a, b, -a)
-        for a in range(-self.dim, 0):
-            if not terms.get(a) or not terms.get(a + 1):
+        for a, lab in labels.items():
+            if a + 1 not in labels:
                 continue
-            src = labels[a]
-            dst_pos = {lab: i for i, lab in enumerate(labels[a + 1])}
-            out = RationalMatrix(len(labels[a + 1]), len(src))
-            k = (a + b - (-a)) // 2
-            for j, (f, i) in enumerate(src):
-                for gamma in self.x.covered_by(f):
-                    fg = self.x.faces[gamma]
-                    if fg.sedentarity or fg.rays:
-                        continue
-                    sign = self.x.sign(gamma, f)
-                    m = self.gysin_matrix(gamma, f, k)
-                    for (r, c), v in m.entries.items():
-                        if c == i:
-                            out[dst_pos[(gamma, r)], j] = out[dst_pos[(gamma, r)], j] + sign * v
-            diffs[a] = out
-        return GradedComplex({a: d for a, d in terms.items() if d}, diffs,
-                             {a: l for a, l in labels.items() if l})
+            col0 = self.term_index(a, b)[(sgn * a,) + lab[0]]
+            row0 = self.term_index(a + 1, b)[(sgn * (a + 1),) + labels[a + 1][0]]
+            m = RationalMatrix(len(labels[a + 1]), len(lab))
+            for (r, c), v in row.differential(a).entries.items():
+                if 0 <= r - row0 < m.rows and 0 <= c - col0 < m.cols:
+                    m.entries[r - row0, c - col0] = v
+            diffs[a] = m
+        return GradedComplex({a: len(lab) for a, lab in labels.items()}, diffs, labels)
 
     # -- psi --------------------------------------------------------------
 
@@ -284,25 +258,21 @@ class SteenbrinkPage:
         return total
 
     def _term_slice(self, a: int, b: int, s: int, vec: Sequence[Fraction]):
-        labels = self.term_labels(a, b)
-        idx = [i for i, (ss, _, _) in enumerate(labels) if ss == s]
+        idx = [i for (ss, _, _), i in self.term_index(a, b).items() if ss == s]
         if not idx:
             return None
         return [vec[i] for i in idx]
 
     def block_to_term(self, a: int, b: int, s: int, vec: Sequence[Fraction]) -> list[Fraction]:
-        labels = self.term_labels(a, b)
-        block = self.block_labels(a, b, s)
-        out = [Fraction(0)] * len(labels)
-        by_label = {(s, f, i): v for (f, i), v in zip(block, vec)}
-        for idx, lab in enumerate(labels):
-            if lab in by_label:
-                out[idx] = by_label[lab]
+        index = self.term_index(a, b)
+        out = [Fraction(0)] * len(index)
+        for (f, i), v in zip(self.block_labels(a, b, s), vec):
+            out[index[(s, f, i)]] = v
         return out
 
     def term_to_blocks(self, a: int, b: int, vec: Sequence[Fraction]) -> dict[int, list[Fraction]]:
         out: dict[int, list[Fraction]] = {}
-        for lab, v in zip(self.term_labels(a, b), vec):
+        for lab, v in zip(self.term_index(a, b), vec):
             out.setdefault(lab[0], []).append(v)
         return {s: v for s, v in out.items() if any(c != 0 for c in v)}
 
@@ -310,7 +280,7 @@ class SteenbrinkPage:
         out: Element = {}
         for (a, b, s), vec in x.items():
             t = self.block_to_term(a, b, s, vec)
-            dt = self.d_matrix(a, b).mul_vec(t)
+            dt = self.row_complex(b).differential(a).mul_vec(t)
             for s2, sl in self.term_to_blocks(a + 1, b, dt).items():
                 key = (a + 1, b, s2)
                 if key in out:
@@ -396,11 +366,7 @@ def n_power_h_matrix(st: SteenbrinkPage, k: int, b: int, a: int) -> RationalMatr
     dst_h = st.h_basis(b - 2 * k, a + 2 * k)
     out = RationalMatrix(dst_h.dim, src_h.dim)
     for j, rep in enumerate(src_h.representatives):
-        vec = list(rep)
-        aa, bb = a, b
-        for _ in range(k):
-            vec = st.n_matrix(aa, bb).mul_vec(vec)
-            aa, bb = aa + 2, bb - 2
+        vec = _n_power_vec(st, a, b, rep, k)
         for i, c in enumerate(dst_h.coordinates(vec)):
             out[i, j] = c
     return out
@@ -441,10 +407,7 @@ def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
     h = st.h_basis(b, -a)
     if h.dim == 0:
         return []
-    m = n_power_h_matrix(st, a + 1, b, -a)
-    from .linalg import kernel_basis as qkernel
-
-    kern = qkernel(m).basis
+    kern = kernel_basis(n_power_h_matrix(st, a + 1, b, -a)).basis
     out = []
     for coeffs in kern:
         vec = [Fraction(0)] * st.term_dim(-a, b)
@@ -456,6 +419,7 @@ def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
 
 
 def _n_power_vec(st: SteenbrinkPage, a: int, b: int, vec, k: int):
+    """N^k of a full-term vector of ST^{a,b}."""
     v = list(vec)
     aa, bb = a, b
     for _ in range(k):
@@ -471,12 +435,19 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
     if not hl["all"]:
         raise HLFailureError("Hard Lefschetz fails; no primitive decomposition")
     d = st.dim
+    prim: dict[tuple[int, int], list[list[Fraction]]] = {}
+
+    def primitive(a: int, b: int) -> list[list[Fraction]]:
+        if (a, b) not in prim:
+            prim[(a, b)] = primitive_basis(st, a, b)
+        return prim[(a, b)]
+
     dims: dict[tuple[int, int], int] = {}
     decomposition_ok: dict[tuple[int, int], bool] = {}
     orthogonal_ok: dict[tuple[int, int], bool] = {}
     for a in range(0, d + 1):
         for b in range(0, 2 * d + 1, 2):
-            p_dim = len(primitive_basis(st, a, b))
+            p_dim = len(primitive(a, b))
             if p_dim or st.h_basis(b, -a).dim:
                 dims[(-a, b)] = p_dim
     for a in range(0, d + 1):
@@ -489,7 +460,7 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             for s in range(0, d + 1):
                 bb = b + 2 * s
                 vecs = [_n_power_vec(st, -(a + 2 * s), bb, v, s)
-                        for v in primitive_basis(st, a + 2 * s, bb)]
+                        for v in primitive(a + 2 * s, bb)]
                 if vecs:
                     summands.append((s, vecs))
                 for v in vecs:
@@ -497,23 +468,23 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             got = rank(RationalMatrix.from_rows(rows)) if rows else 0
             decomposition_ok[(-a, b)] = (got == h.dim == len(rows))
             # Orthogonality: N^s P (in row b) against N^s' P' (in the psi-dual
-            # row) pair to zero under psi(., N^a .) whenever s != s'.
+            # row) pair to zero under psi(., N^a .) whenever s != s'.  The
+            # dual summands are stored as N^(s'+a) P', the N^a already applied.
             bdual = 2 * d - b + 2 * a
             dual_summands = []
             for s2 in range(0, d + 1):
                 bb2 = bdual + 2 * s2
-                vecs2 = [_n_power_vec(st, -(a + 2 * s2), bb2, v, s2)
-                         for v in primitive_basis(st, a + 2 * s2, bb2)]
-                if vecs2:
-                    dual_summands.append((s2, vecs2))
+                nvecs2 = [_n_power_vec(st, -(a + 2 * s2), bb2, v, s2 + a)
+                          for v in primitive(a + 2 * s2, bb2)]
+                if nvecs2:
+                    dual_summands.append((s2, nvecs2))
             ok = True
             for s, vecs in summands:
-                for s2, vecs2 in dual_summands:
+                for s2, nvecs2 in dual_summands:
                     if s == s2:
                         continue
                     for vx in vecs:
-                        for vy in vecs2:
-                            ny = _n_power_vec(st, -a, bdual, vy, a)
+                        for ny in nvecs2:
                             if st.psi_term(-a, b, vx, ny) != 0:
                                 ok = False
             orthogonal_ok[(-a, b)] = ok

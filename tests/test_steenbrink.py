@@ -3,8 +3,10 @@ from fractions import Fraction
 
 from trophodge.cohomology import hodge_diamond
 from trophodge.linalg import RationalMatrix, rank
+from trophodge.polyhedral import FaceComplex
 from trophodge.steenbrink import (
     SteenbrinkPage,
+    build_steenbrink,
     cohomology_pairing_matrix,
     primitive_parts,
     random_homogeneous,
@@ -182,3 +184,116 @@ def test_psi_nondegenerate_on_cohomology(st_e, st_f):
 def test_cohomology_pairing_matrix_shape(st_c):
     mat = cohomology_pairing_matrix(st_c, 1, 1)
     assert len(mat) == 4 and rank(RationalMatrix.from_rows(mat)) == 4
+
+
+# -- the one stitch of d, checked against the per-column stitching it replaced
+
+def _oracle_d(st, a, b):
+    """d: ST^{a,b} -> ST^{a+1,b}, one source column at a time."""
+    src = st.term_labels(a, b)
+    dst_pos = {lab: i for i, lab in enumerate(st.term_labels(a + 1, b))}
+    out = RationalMatrix(len(dst_pos), len(src))
+    for j, (s, f, i) in enumerate(src):
+        k = (a + b - s) // 2
+        if st.block_exists(a + 1, b, s + 1):
+            for delta in st.x.covers_of(f):
+                if st.x.faces[delta].sedentarity or st.x.faces[delta].rays:
+                    continue
+                sign = st.x.sign(f, delta)
+                for (r, c), v in st.restriction_matrix(f, delta, k).entries.items():
+                    if c == i:
+                        out[dst_pos[(s + 1, delta, r)], j] = out[dst_pos[(s + 1, delta, r)], j] + sign * v
+        if st.block_exists(a + 1, b, s - 1):
+            for gamma in st.x.covered_by(f):
+                if st.x.faces[gamma].sedentarity or st.x.faces[gamma].rays:
+                    continue
+                sign = st.x.sign(gamma, f)
+                for (r, c), v in st.gysin_matrix(gamma, f, k).entries.items():
+                    if c == i:
+                        out[dst_pos[(s - 1, gamma, r)], j] = out[dst_pos[(s - 1, gamma, r)], j] + sign * v
+    return out
+
+
+def _oracle_kr(st, p, kernel):
+    """K^{.,2p} (s = a, restriction) or R^{.,2p} (s = -a, Gysin), block by block."""
+    b = 2 * p
+    degrees = range(0, st.dim + 1) if kernel else range(-st.dim, 1)
+    sof = (lambda a: a) if kernel else (lambda a: -a)
+    labels = {a: st.block_labels(a, b, sof(a)) for a in degrees}
+    diffs = {}
+    for a in degrees:
+        if not labels[a] or not labels.get(a + 1):
+            continue
+        dst_pos = {lab: i for i, lab in enumerate(labels[a + 1])}
+        out = RationalMatrix(len(labels[a + 1]), len(labels[a]))
+        for j, (f, i) in enumerate(labels[a]):
+            if kernel:
+                pairs = [(f, delta, delta) for delta in st.x.covers_of(f)]
+                get, k = st.restriction_matrix, p
+            else:
+                pairs = [(gamma, f, gamma) for gamma in st.x.covered_by(f)]
+                get, k = st.gysin_matrix, a + p
+            for lo, hi, tgt in pairs:
+                if st.x.faces[tgt].sedentarity or st.x.faces[tgt].rays:
+                    continue
+                sign = st.x.sign(lo, hi)
+                for (r, c), v in get(lo, hi, k).entries.items():
+                    if c == i:
+                        out[dst_pos[(tgt, r)], j] = out[dst_pos[(tgt, r)], j] + sign * v
+        diffs[a] = out
+    labels = {a: lab for a, lab in labels.items() if lab}
+    return {a: len(lab) for a, lab in labels.items()}, diffs, labels
+
+
+def test_stitch_matches_per_column_oracle(st_a, st_c, st_d, st_e, st_f, st_grid1):
+    for st in (st_a, st_c, st_d, st_e, st_f, st_grid1):
+        for b in range(0, 2 * st.dim + 1):
+            row = st.row_complex(b)
+            assert row.diffs == {a: _oracle_d(st, a, b) for a in row.terms if row.terms.get(a + 1)}
+        for p in range(st.dim + 1):
+            for got, kernel in ((st.k_complex(p), True), (st.r_complex(p), False)):
+                terms, diffs, labels = _oracle_kr(st, p, kernel)
+                assert (got.terms, got.diffs, got.labels) == (terms, diffs, labels)
+
+
+def test_grid_plane_has_two_cell_blocks(st_grid1):
+    st = st_grid1
+    assert st.block_dim(0, 2, 2) == 2  # one copy of A^0 per bounded triangle
+    # d on ST^{0,2} maps the s = 2 blocks into s = 1 by Gysin.
+    two_cells = {j for (s, _, _), j in st.term_index(0, 2).items() if s == 2}
+    assert any(c in two_cells for _, c in st.row_complex(2).differential(0).entries)
+
+
+def test_sign_computed_once_per_bounded_cover_pair(comp_grid1, monkeypatch):
+    calls = []
+    original = FaceComplex.sign
+
+    def counting(self, gamma, delta):
+        calls.append((gamma, delta))
+        return original(self, gamma, delta)
+
+    monkeypatch.setattr(FaceComplex, "sign", counting)
+    st = build_steenbrink(comp_grid1)
+    for b in range(0, 2 * st.dim + 1):
+        st.row_complex(b)
+    for p in range(st.dim + 1):
+        st.k_complex(p)
+        st.r_complex(p)
+    # 4 sides and 1 diagonal, each over 2 vertices; 2 triangles over 3 edges.
+    assert len(calls) == len(set(calls)) == 16
+
+
+def test_apply_d_equals_d_matrix_on_full_term(st_e, st_f, st_grid1):
+    rng = random.Random(7)
+    for st in (st_e, st_f, st_grid1):
+        for _ in range(40):
+            (a, b, s), vec = random_homogeneous(st, rng)
+            block = dict(zip(st.block_labels(a, b, s), vec))
+            full = [block.get((f, i), F(0)) if ss == s else F(0)
+                    for ss, f, i in st.term_labels(a, b)]
+            image = st.d_matrix(a, b).mul_vec(full)
+            expected = {}
+            for (s2, _, _), v in zip(st.term_labels(a + 1, b), image):
+                expected.setdefault((a + 1, b, s2), []).append(v)
+            expected = {k: v for k, v in expected.items() if any(v)}
+            assert st.apply_d({(a, b, s): vec}) == expected
