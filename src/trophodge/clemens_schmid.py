@@ -196,20 +196,20 @@ def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
     # Uniqueness certificate for the L-preimage step.
     if lift.relations:
         raise ChaseFailureError("L-preimage not unique in degree -1")
+    shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [Fraction(0)] * t.D.dim(0)
+    d_d0, d_cm1, l_0 = t.D.differential(0), t.C.differential(-1), t.l_matrix(0)
+    qreps = [[(i, v) for i, v in enumerate(dvec) if v] for dvec in qb0.representatives]
     for j, rep in enumerate(h_r0.representatives):
-        c = [Fraction(0)] * t.D.dim(0)
-        for coeff, dvec in zip(rep, qb0.representatives):
-            for i, v in enumerate(dvec):
-                c[i] += coeff * v
-        if lift_shift is not None:
-            shifted = t.l_matrix(-2).mul_vec(lift_shift)
-            c = [a + b for a, b in zip(c, shifted)]
-        c_prime = t.D.differential(0).mul_vec(c)
-        b_prime = lift.coordinates(c_prime, range(t.C.dim(-1)))
+        c = list(shift)
+        for coeff, dvec in zip(rep, qreps):
+            if coeff:
+                for i, v in dvec:
+                    c[i] += coeff * v
+        b_prime = lift.coordinates(d_d0.mul_vec(c), range(t.C.dim(-1)))
         if b_prime is None:
             raise ChaseFailureError("no L-preimage for the pushed lift")
-        b_second = t.C.differential(-1).mul_vec(b_prime)
-        if any(v != 0 for v in t.l_matrix(0).mul_vec(b_second)):
+        b_second = d_cm1.mul_vec(b_prime)
+        if any(v != 0 for v in l_0.mul_vec(b_second)):
             raise ChaseFailureError("chase output is not in ker L")
         coords = h_k0.coordinates(kc._coords(0, b_second))
         for i, v in enumerate(coords):

@@ -18,8 +18,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
-from typing import TYPE_CHECKING, Optional, Sequence
+from math import gcd, lcm, prod
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from .lattice import (
@@ -30,7 +30,7 @@ from .lattice import (
     saturate,
     spans_unimodularly,
 )
-from .linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, rat, solve
+from .linalg import Echelon, RationalMatrix, rat, solve
 
 if TYPE_CHECKING:
     from .chow import ChowRing
@@ -44,34 +44,57 @@ SedKey = tuple[IntVec, ...]
 # ---------------------------------------------------------------------------
 # Exact feasibility checking (Fourier-Motzkin)
 
-def fm_feasible(constraints: list[tuple[tuple[Fraction, ...], Fraction, bool]], nvars: int) -> bool:
-    """Whether a system of linear constraints coeffs.x + const >= 0 (or > 0
-    when the strict flag is set) has a solution.  Exact, small systems only."""
-    cons = [(tuple(rat(c) for c in coeffs), rat(const), strict) for coeffs, const, strict in constraints]
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, const, strict in cons:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, const, strict))
-            elif c < 0:
-                neg.append((coeffs, const, strict))
-            else:
-                rest.append((coeffs, const, strict))
-        new = rest
-        for cp, kp, sp in pos:
-            for cn, kn, sn in neg:
-                # cp.x + kp >= 0 and cn.x + kn >= 0; eliminate x_var.
-                a, b = cp[var], -cn[var]
-                coeffs = tuple(b * cp[j] + a * cn[j] for j in range(nvars))
-                new.append((coeffs, b * kp + a * kn, sp or sn))
-        cons = new
-    for coeffs, const, strict in cons:
-        if strict:
-            if const <= 0:
+def fm_feasible(equalities: Iterable[IntVec], inequalities: Iterable[tuple[IntVec, bool]]) -> bool:
+    """Whether integer linear constraints have a rational solution.  A row
+    (c_1, ..., c_n, k) is c.x + k: = 0 in an equality, >= 0 in an inequality,
+    > 0 when its flag is set.  Variables in some equality go by exact
+    substitution, the rest by Fourier-Motzkin; rows are kept primitive (divided
+    by the gcd of their entries) and without duplicates.  For small systems."""
+    eqs = [_primitive_row(r) for r in equalities]
+    rows: dict[IntVec, bool] = {}
+    if not all(_add_row(rows, r, strict) for r, strict in inequalities):
+        return False
+    while eqs:
+        e = eqs.pop()
+        j = next((j for j, c in enumerate(e[:-1]) if c), None)
+        if j is None:
+            if e[-1]:
                 return False
-        elif const < 0:
+            continue
+        eqs = [_eliminate(r, e, j) for r in eqs]
+        old, rows = rows, {}
+        if not all(_add_row(rows, _eliminate(r, e, j), strict) for r, strict in old.items()):
             return False
+    while rows:
+        j = next(j for j, c in enumerate(next(iter(rows))[:-1]) if c)
+        pos = [(r, s) for r, s in rows.items() if r[j] > 0]
+        neg = [(r, s) for r, s in rows.items() if r[j] < 0]
+        rows = {r: s for r, s in rows.items() if not r[j]}
+        if not all(_add_row(rows, _eliminate(rp, rn, j), sp or sn)
+                   for (rp, sp), (rn, sn) in itertools.product(pos, neg)):
+            return False
+    return True
+
+
+def _primitive_row(row: IntVec) -> IntVec:
+    g = gcd(*row)
+    return row if g <= 1 else tuple(x // g for x in row)
+
+
+def _eliminate(r: IntVec, e: IntVec, j: int) -> IntVec:
+    """|e_j| r - sign(e_j) r_j e: r without x_j, in its own direction."""
+    if not r[j]:
+        return r
+    a, c = abs(e[j]), r[j] if e[j] > 0 else -r[j]
+    return _primitive_row(tuple(a * x - c * y for x, y in zip(r, e)))
+
+
+def _add_row(rows: dict[IntVec, bool], r: IntVec, strict: bool) -> bool:
+    """Add an inequality; False when it has no variable left and fails."""
+    r = _primitive_row(r)
+    if not any(r[:-1]):
+        return r[-1] > 0 or (r[-1] == 0 and not strict)
+    rows[r] = rows.get(r, False) or strict
     return True
 
 
@@ -110,8 +133,6 @@ def _int_vec(v: Sequence) -> IntVec:
 
 
 def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
-    from math import gcd
-
     vertices = tuple(sorted({tuple(rat(x) for x in v) for v in vertices}))
     rays = tuple(sorted({tuple(int(x) for x in r) for r in rays}))
     rank = len(vertices[0])
@@ -120,9 +141,7 @@ def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
     integral = True
     for v in vertices[1:]:
         diff = [a - b for a, b in zip(v, v0)]
-        scale = 1
-        for x in diff:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
+        scale = lcm(*(x.denominator for x in diff))
         if scale != 1:
             integral = False
         gens.append(tuple(int(x * scale) for x in diff))
@@ -407,48 +426,26 @@ def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
 
 
 def _check_pair_intersection(rank, v1, r1, v2, r2, shared_v, shared_r) -> None:
-    """Exact check that P1 and P2 meet exactly in their shared-generator face."""
-    g1 = [("v", v) for v in v1] + [("r", tuple(map(Fraction, r))) for r in r1]
-    g2 = [("v", v) for v in v2] + [("r", tuple(map(Fraction, r))) for r in r2]
-    nv = len(g1) + len(g2)
-    eqs: list[tuple[list[Fraction], Fraction]] = []
-    for c in range(rank):
-        row = [g[1][c] for g in g1] + [-g[1][c] for g in g2]
-        eqs.append((row, Fraction(0)))
-    row = [Fraction(1) if g[0] == "v" else Fraction(0) for g in g1] + [Fraction(0)] * len(g2)
-    eqs.append((row, Fraction(-1)))
-    row = [Fraction(0)] * len(g1) + [Fraction(1) if g[0] == "v" else Fraction(0) for g in g2]
-    eqs.append((row, Fraction(-1)))
-    system = column_echelon(RationalMatrix.from_rows([e[0] for e in eqs]))
-    part = system.coordinates([-e[1] for e in eqs], range(nv))
-    if part is None:
-        return  # empty intersection
-    kern = kernel_vectors(system, nv)
-    npar = len(kern)
-
-    def coord_expr(idx):
-        coeffs = tuple(Fraction(k[idx]) for k in kern)
-        return coeffs, part[idx]
-
-    shared_vset = {tuple(v) for v in shared_v}
-    shared_rset = {tuple(map(Fraction, r)) for r in shared_r}
-    extra_coords = []
-    for pos, (kind, vec) in enumerate(g1 + g2):
-        ok = (kind == "v" and tuple(vec) in shared_vset) or (kind == "r" and tuple(vec) in shared_rset)
-        if not ok:
-            extra_coords.append(pos)
-    base = []
-    for pos in range(nv):
-        coeffs, const = coord_expr(pos)
-        base.append((coeffs, const, False))
-    if not shared_vset:
-        if fm_feasible(base, npar):
-            raise InputFormatError("intersection axiom violated: disjoint faces overlap")
-        return
-    for pos in extra_coords:
-        coeffs, const = coord_expr(pos)
-        if fm_feasible(base + [(coeffs, const, True)], npar):
-            raise InputFormatError("intersection axiom violated: overlap beyond common face")
+    """Exact check that P1 and P2 meet exactly in their shared-generator face:
+    one Fourier-Motzkin run over the generator weights (equal points, vertex
+    weights summing to 1 per cell, all >= 0; one lcm makes the rows integral)
+    asks whether the non-shared weights can sum to > 0, i.e. whether one can
+    be > 0; without a shared vertex, whether the cells meet at all."""
+    gens = [("v", tuple(v)) for v in v1] + [("r", tuple(r)) for r in r1]
+    n1 = len(gens)
+    gens += [("v", tuple(v)) for v in v2] + [("r", tuple(r)) for r in r2]
+    scale = lcm(*(x.denominator for _, g in gens for x in g))
+    eqs = [tuple(g[c].numerator * (scale // g[c].denominator) * (1 if k < n1 else -1)
+                 for k, (_, g) in enumerate(gens)) + (0,) for c in range(rank)]
+    eqs += [tuple(int(kind == "v" and (k < n1) == first) for k, (kind, _) in enumerate(gens)) + (-1,)
+            for first in (True, False)]
+    ineqs = [(tuple(int(k == j) for k in range(len(gens))) + (0,), False) for j in range(len(gens))]
+    shared = {("v", tuple(v)) for v in shared_v} | {("r", tuple(r)) for r in shared_r}
+    extra = tuple(int(g not in shared) for g in gens) + (0,)
+    if not shared_v and fm_feasible(eqs, ineqs):
+        raise InputFormatError("intersection axiom violated: disjoint faces overlap")
+    if shared_v and fm_feasible(eqs, ineqs + [(extra, True)]):
+        raise InputFormatError("intersection axiom violated: overlap beyond common face")
 
 
 # ---------------------------------------------------------------------------

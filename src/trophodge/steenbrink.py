@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import HLFailureError, NotUnimodularError
 from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
@@ -54,6 +54,7 @@ class SteenbrinkPage:
         self._gys_cache: dict = {}
         self._row_cache: dict[int, GradedComplex] = {}
         self._h_cache: dict[tuple[int, int], QuotientBasis] = {}
+        self._nonempty_blocks: Optional[list[tuple[int, int, int, int]]] = None
 
     # -- blocks -------------------------------------------------------------
 
@@ -81,6 +82,14 @@ class SteenbrinkPage:
     def s_values(self, a: int, b: int) -> list[int]:
         return [s for s in sorted(self.finite_by_dim)
                 if self.block_dim(a, b, s) > 0]
+
+    def nonempty_blocks(self) -> list[tuple[int, int, int, int]]:
+        """(a, b, s, block_dim) of every nonempty block, by b, then a, then s."""
+        if self._nonempty_blocks is None:
+            d = self.dim
+            self._nonempty_blocks = [(a, b, s, n) for b in range(0, 2 * d + 1, 2) for a in range(-d, d + 1)
+                                     for s in range(d + 1) if (n := self.block_dim(a, b, s))]
+        return self._nonempty_blocks
 
     def term_index(self, a: int, b: int) -> dict[tuple[int, int, int], int]:
         """Position of each (s, face, basis position) label of the full ST^{a,b}
@@ -419,13 +428,14 @@ def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
 
 
 def _n_power_vec(st: SteenbrinkPage, a: int, b: int, vec, k: int):
-    """N^k of a full-term vector of ST^{a,b}."""
-    v = list(vec)
-    aa, bb = a, b
-    for _ in range(k):
-        v = st.n_matrix(aa, bb).mul_vec(v)
-        aa, bb = aa + 2, bb - 2
-    return v
+    """N^k of a full-term vector of ST^{a,b}: N is the identity on surviving labels, and
+    a label of ST^{a,b} and ST^{a+2k,b-2k} survives each step (s >= |a+2i|, 0 <= i <= k)."""
+    src, dst = st.term_index(a, b), st.term_index(a + 2 * k, b - 2 * k)
+    out = [Fraction(0)] * len(dst)
+    for lab, j in src.items():
+        if lab in dst:
+            out[dst[lab]] = vec[j]
+    return out
 
 
 def primitive_parts(st: SteenbrinkPage) -> dict:
@@ -511,14 +521,7 @@ def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[F
 
 def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[tuple[int, int, int], list[Fraction]]:
     """A random nonzero homogeneous element in a random nonempty block."""
-    blocks = []
-    d = st.dim
-    for b in range(0, 2 * d + 1, 2):
-        for a in range(-d, d + 1):
-            for s in range(0, d + 1):
-                n = st.block_dim(a, b, s)
-                if n:
-                    blocks.append((a, b, s, n))
+    blocks = st.nonempty_blocks()
     if not blocks:
         return (0, 0, 0), []
     a, b, s, n = blocks[rng.randrange(len(blocks))]

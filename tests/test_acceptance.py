@@ -88,9 +88,9 @@ def test_criterion_3_steenbrink_comparison(st_d, st_e, st_f, st_a, st_c,
                 vec = [F(0)] * row.dim(q - p)
                 # kernel complex terms embed as the s = a block
                 labels = kc.labels.get(q - p, [])
-                term = st.term_labels(q - p, 2 * p)
+                index = st.term_index(q - p, 2 * p)
                 for (f, i), v in zip(labels, rep):
-                    vec[term.index((q - p, f, i))] = v
+                    vec[index[(q - p, f, i)]] = v
                 rows.append(h_row.coordinates(vec))
             return rank(RationalMatrix.from_rows(rows)) if rows else 0
         kc = st.k_complex(p)

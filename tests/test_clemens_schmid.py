@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from trophodge import HLFailureError
 from trophodge.clemens_schmid import (
     LefschetzTriple,
+    _CokernelComplex,
+    _KernelComplex,
+    _chase_d0,
     check_hl,
     clemens_schmid_sequences,
     d0_boundary_compositions_zero,
@@ -15,7 +19,7 @@ from trophodge.clemens_schmid import (
     tropical_clemens_schmid,
 )
 from trophodge.cohomology import GradedComplex, induced_map
-from trophodge.linalg import RationalMatrix
+from trophodge.linalg import RationalMatrix, column_echelon
 from trophodge.steenbrink import SteenbrinkPage
 
 
@@ -124,3 +128,38 @@ def test_tropical_cs_fix_e_fix_f(st_e, st_f):
         result = tropical_clemens_schmid(st)
         assert result["all"]
         assert set(result["per_p"]) == set(range(st.dim + 1))
+
+
+def _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=None):
+    """The chase with every coordinate of every representative summed and
+    every matrix looked up inside the loop, as before it was made sparse."""
+    out = RationalMatrix(h_k0.dim, h_r0.dim)
+    if h_r0.dim == 0:
+        return out
+    lift = column_echelon(t.l_matrix(-1))
+    for j, rep in enumerate(h_r0.representatives):
+        c = [Fraction(0)] * t.D.dim(0)
+        for coeff, dvec in zip(rep, rc.quot[0].representatives):
+            for i, v in enumerate(dvec):
+                c[i] += coeff * v
+        if lift_shift is not None:
+            c = [a + b for a, b in zip(c, t.l_matrix(-2).mul_vec(lift_shift))]
+        b_prime = lift.coordinates(t.D.differential(0).mul_vec(c), range(t.C.dim(-1)))
+        b_second = t.C.differential(-1).mul_vec(b_prime)
+        for i, v in enumerate(h_k0.coordinates(kc._coords(0, b_second))):
+            out[i, j] = v
+    return out
+
+
+def test_chase_d0_equals_dense_chase():
+    rng = random.Random(41)
+    for _ in range(15):
+        t = random_lefschetz_triple(rng)
+        kc, rc = _KernelComplex(t), _CokernelComplex(t)
+        h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
+        shifts = [None]
+        if t.C.dim(-2):
+            shifts.append([Fraction(rng.randint(-2, 2)) for _ in range(t.C.dim(-2))])
+        for shift in shifts:
+            got = _chase_d0(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+            assert got == _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from trophodge import InputFormatError, NotAFanError, NotCodimOneError
+from trophodge.linalg import RationalMatrix, column_echelon, kernel_vectors
 from trophodge.matroids import bergman_fan, boolean_matroid
 from trophodge.polyhedral import (
+    _check_pair_intersection,
     build_complex,
     compactify,
     complex_from_json,
     complex_to_json,
+    fm_feasible,
     recession_fan,
 )
 
@@ -267,3 +271,128 @@ def test_recession_fan_rejects_cones_not_closed_under_faces():
                              validate=False)
     with pytest.raises(NotAFanError):
         recession_fan(quadrant)
+
+
+def test_intersections_take_one_fourier_motzkin_run_per_pair(monkeypatch):
+    # 24 maximal cones of the Bergman fan of B4 make 276 pairs; each pair is
+    # answered by one run, not one run per non-shared generator.
+    import trophodge.polyhedral as polyhedral
+
+    data = complex_to_json(bergman_fan(boolean_matroid(4)))
+    calls = []
+    run = polyhedral.fm_feasible
+    monkeypatch.setattr(polyhedral, "fm_feasible",
+                        lambda *args, **kw: calls.append(1) or run(*args, **kw))
+    complex_from_json(data)
+    assert len(calls) == 276
+
+
+# ---------------------------------------------------------------------------
+# Integer Fourier-Motzkin, and the pair check against the Fraction
+# parametrisation it replaced
+
+def test_fm_equality_with_nonzero_constant_is_infeasible():
+    # x - y = 0 and x - y + 1 = 0 leave 1 = 0 after substitution.
+    assert not fm_feasible([(1, -1, 0), (1, -1, 1)], [])
+    assert not fm_feasible([(0, 0, 3)], [])
+    assert fm_feasible([(0, 0, 0), (1, -1, 1)], [])
+
+
+def test_fm_strict_inequality_on_a_point():
+    both = [((1, 0), False), ((-1, 0), False)]  # x >= 0 and -x >= 0
+    assert fm_feasible([], both)
+    assert not fm_feasible([], both + [((1, 0), True)])  # and x > 0
+    assert fm_feasible([], [((1, 0), True), ((-1, 1), False)])  # 0 < x <= 1
+
+
+def test_fm_non_primitive_rows_give_the_reduced_answer():
+    reduced_eqs = [(1, 1, -1, 0)]  # x + y = z
+    reduced_ineqs = [((1, 0, 0, 0), False), ((0, 1, 0, 0), False),
+                     ((0, 0, -1, 2), False), ((1, -1, 0, -1), True)]
+    scaled_eqs = [tuple(6 * x for x in r) for r in reduced_eqs]
+    scaled_ineqs = [(tuple(k * x for x in r), st) for k, (r, st) in zip((2, 3, 4, 10), reduced_ineqs)]
+    for extra in ((), (((0, 0, 1, -3), False),)):  # z <= 2, then also z >= 3
+        want = fm_feasible(reduced_eqs, reduced_ineqs + list(extra))
+        got = fm_feasible(scaled_eqs, scaled_ineqs + [(tuple(5 * x for x in r), st) for r, st in extra])
+        assert got == want
+    assert fm_feasible(reduced_eqs, reduced_ineqs)
+    assert not fm_feasible(reduced_eqs, reduced_ineqs + [((0, 0, 1, -3), False)])
+
+
+def _fm_feasible_fraction(constraints, nvars):
+    """The Fourier-Motzkin run over Fractions that the integer one replaced."""
+    cons = [(tuple(Fraction(c) for c in coeffs), Fraction(const), strict)
+            for coeffs, const, strict in constraints]
+    for var in range(nvars):
+        pos = [c for c in cons if c[0][var] > 0]
+        neg = [c for c in cons if c[0][var] < 0]
+        new = [c for c in cons if c[0][var] == 0]
+        for cp, kp, sp in pos:
+            for cn, kn, sn in neg:
+                a, b = cp[var], -cn[var]
+                new.append((tuple(b * cp[j] + a * cn[j] for j in range(nvars)),
+                            b * kp + a * kn, sp or sn))
+        cons = new
+    return all(const > 0 if strict else const >= 0 for _, const, strict in cons)
+
+
+def _pair_oracle(rank, v1, r1, v2, r2, shared_v, shared_r):
+    """The Fraction parametrisation check the integer kernel replaced: solve
+    the equalities, then run Fourier-Motzkin once per non-shared generator."""
+    g1 = [("v", v) for v in v1] + [("r", tuple(map(Fraction, r))) for r in r1]
+    g2 = [("v", v) for v in v2] + [("r", tuple(map(Fraction, r))) for r in r2]
+    nv = len(g1) + len(g2)
+    eqs = [([g[1][c] for g in g1] + [-g[1][c] for g in g2], Fraction(0)) for c in range(rank)]
+    eqs.append(([Fraction(g[0] == "v") for g in g1] + [Fraction(0)] * len(g2), Fraction(-1)))
+    eqs.append(([Fraction(0)] * len(g1) + [Fraction(g[0] == "v") for g in g2], Fraction(-1)))
+    system = column_echelon(RationalMatrix.from_rows([e[0] for e in eqs]))
+    part = system.coordinates([-e[1] for e in eqs], range(nv))
+    if part is None:
+        return None
+    kern = kernel_vectors(system, nv)
+    base = [(tuple(Fraction(k[i]) for k in kern), part[i], False) for i in range(nv)]
+    shared_vset = {tuple(v) for v in shared_v}
+    shared_rset = {tuple(map(Fraction, r)) for r in shared_r}
+    if not shared_vset:
+        if _fm_feasible_fraction(base, len(kern)):
+            return "intersection axiom violated: disjoint faces overlap"
+        return None
+    for pos, (kind, vec) in enumerate(g1 + g2):
+        if vec in (shared_vset if kind == "v" else shared_rset):
+            continue
+        if _fm_feasible_fraction(base + [(base[pos][0], base[pos][1], True)], len(kern)):
+            return "intersection axiom violated: overlap beyond common face"
+    return None
+
+
+def _random_cell_pair(rng):
+    """Two cells in R^1..R^3 on small pools of half-integral vertices and
+    integer rays, sharing a random part of their generators."""
+    rank = rng.randint(1, 3)
+    verts = list({tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(rank)) for _ in range(5)})
+    rays = list({r for r in (tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(5)) if any(r)})
+    cells = []
+    for _ in range(2):
+        nv = rng.randint(1, min(len(verts), rank + 1))
+        nr = rng.randint(0, min(len(rays), rank + 1 - nv))
+        cells.append((rng.sample(verts, nv), rng.sample(rays, nr)))
+    (v1, r1), (v2, r2) = cells
+    return (rank, v1, r1, v2, r2,
+            [v for v in v1 if v in v2], [r for r in r1 if r in r2])
+
+
+def test_pair_check_agrees_with_fraction_parametrisation():
+    rng = random.Random(20201)
+    outcomes = {}
+    for _ in range(400):
+        args = _random_cell_pair(rng)
+        want = _pair_oracle(*args)
+        try:
+            _check_pair_intersection(*args)
+            got = None
+        except InputFormatError as exc:
+            got = str(exc)
+        assert got == want, args
+        outcomes[want] = outcomes.get(want, 0) + 1
+    assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
+                             "intersection axiom violated: overlap beyond common face"}

@@ -6,6 +6,7 @@ from trophodge.linalg import RationalMatrix, rank
 from trophodge.polyhedral import FaceComplex
 from trophodge.steenbrink import (
     SteenbrinkPage,
+    _n_power_vec,
     build_steenbrink,
     cohomology_pairing_matrix,
     primitive_parts,
@@ -297,3 +298,51 @@ def test_apply_d_equals_d_matrix_on_full_term(st_e, st_f, st_grid1):
                 expected.setdefault((a + 1, b, s2), []).append(v)
             expected = {k: v for k, v in expected.items() if any(v)}
             assert st.apply_d({(a, b, s): vec}) == expected
+
+
+def test_n_power_vec_equals_n_matrix_powers(st_a, comp_b, st_c, st_d, st_e, st_f, st_grid1):
+    rng = random.Random(11)
+    for st in (st_a, build_steenbrink(comp_b), st_c, st_d, st_e, st_f, st_grid1):
+        for b in range(0, 2 * st.dim + 1, 2):
+            for a in range(-st.dim - 1, st.dim + 2):
+                vec = [F(rng.randint(-3, 3)) for _ in range(st.term_dim(a, b))]
+                for k in range(st.dim + 1):
+                    v, aa, bb = list(vec), a, b
+                    for _ in range(k):
+                        v = st.n_matrix(aa, bb).mul_vec(v)
+                        aa, bb = aa + 2, bb - 2
+                    assert _n_power_vec(st, a, b, vec, k) == v
+
+
+def _random_homogeneous_oracle(st, rng):
+    """The draw with the block list rebuilt on every call."""
+    blocks = []
+    d = st.dim
+    for b in range(0, 2 * d + 1, 2):
+        for a in range(-d, d + 1):
+            for s in range(0, d + 1):
+                n = st.block_dim(a, b, s)
+                if n:
+                    blocks.append((a, b, s, n))
+    if not blocks:
+        return (0, 0, 0), []
+    a, b, s, n = blocks[rng.randrange(len(blocks))]
+    vec = [F(rng.randint(-3, 3)) for _ in range(n)]
+    if all(v == 0 for v in vec):
+        vec[rng.randrange(n)] = F(1)
+    return (a, b, s), vec
+
+
+def test_random_homogeneous_lists_blocks_once(comp_grid1, comp_d, monkeypatch):
+    for comp in (comp_grid1, comp_d):
+        st, oracle_st = build_steenbrink(comp), build_steenbrink(comp)
+        rng, oracle_rng = random.Random(3), random.Random(3)
+        calls = []
+        original = SteenbrinkPage.block_labels
+        monkeypatch.setattr(SteenbrinkPage, "block_labels",
+                            lambda self, *args: calls.append(self is st) or original(self, *args))
+        for _ in range(50):
+            assert random_homogeneous(st, rng) == _random_homogeneous_oracle(oracle_st, oracle_rng)
+        d = st.dim
+        assert calls.count(True) == (d + 1) * (2 * d + 1) * (d + 1)  # one listing of (a, b, s)
+        monkeypatch.undo()
