@@ -20,6 +20,7 @@ from . import (
     NotCodimOneError,
     NotUnimodularError,
     RankDeficientError,
+    cached,
 )
 from .linalg import Echelon, RationalMatrix, kernel_basis, rank, solve
 from .polyhedral import FaceComplex, StarFan
@@ -56,23 +57,14 @@ class ChowRing:
         self.rank = star.rank
         self.nrays = len(star.ray_labels)
         self.top = star.dim
-        self._monomials: dict[int, list[frozenset]] = {}
-        self._relations: dict[int, Echelon] = {}
-        self._basis: dict[int, list[frozenset]] = {}
-        self._reduce_memo: dict[tuple, dict] = {}
-        self._functional_memo: dict[tuple, list[Fraction]] = {}
-        self._deg_norm: Optional[Fraction] = None
 
     # -- presentation ---------------------------------------------------
 
+    @cached
     def monomials(self, p: int) -> list[frozenset]:
-        if p not in self._monomials:
-            self._monomials[p] = [rays for _, rays in self.star.cones_of_dim(p)]
-        return self._monomials[p]
+        return [rays for _, rays in self.star.cones_of_dim(p)]
 
-    def _ray_vec(self, pos: int) -> Vec:
-        return tuple(Fraction(x) for x in self.star.ray_vectors[pos])
-
+    @cached
     def adapted_functional(self, rho: int, zero_on: frozenset, tweak: int = 0) -> list[Fraction]:
         """A covector with value 1 on e_rho and 0 on the listed ray positions.
 
@@ -80,10 +72,7 @@ class ChowRing:
         span of {rho} | zero_on, when that span is proper; restriction
         classes must not depend on this.
         """
-        key = (rho, tuple(sorted(zero_on)), tweak)
-        if key in self._functional_memo:
-            return self._functional_memo[key]
-        cols = [self._ray_vec(rho)] + [self._ray_vec(i) for i in sorted(zero_on)]
+        cols = [self.star.ray_vectors[i] for i in [rho] + sorted(zero_on)]
         m = RationalMatrix(len(cols), self.rank)
         for i, c in enumerate(cols):
             for j, v in enumerate(c):
@@ -96,50 +85,45 @@ class ChowRing:
             kern = kernel_basis(m).basis
             if kern:
                 f = [a + tweak * b for a, b in zip(f, kern[0])]
-        self._functional_memo[key] = f
         return f
 
     def pair(self, functional: Sequence[Fraction], pos: int) -> Fraction:
-        return sum(Fraction(f) * v for f, v in zip(functional, self._ray_vec(pos)))
+        return sum(Fraction(f) * v for f, v in zip(functional, self.star.ray_vectors[pos]))
 
     def reduce_monomial(self, ms: tuple[int, ...]) -> dict[frozenset, Fraction]:
         """Rewrite a ray multiset into squarefree cone monomials."""
-        ms = tuple(sorted(ms))
-        if ms in self._reduce_memo:
-            return self._reduce_memo[ms]
+        return self._reduce_sorted(tuple(sorted(ms)))
+
+    @cached
+    def _reduce_sorted(self, ms: tuple[int, ...]) -> dict[frozenset, Fraction]:
         supp = frozenset(ms)
         if not self.star.is_cone(supp):
-            result: dict[frozenset, Fraction] = {}
-        elif len(supp) == len(ms):
-            result = {supp: Fraction(1)}
-        else:
-            rho = next(x for x in ms if ms.count(x) > 1)
-            rest = list(ms)
-            rest.remove(rho)
-            f = self.adapted_functional(rho, supp - {rho})
-            result = {}
-            for other in range(self.nrays):
-                if other in supp:
-                    continue
-                c = self.pair(f, other)
-                if c == 0:
-                    continue
-                for mono, coeff in self.reduce_monomial(tuple(rest + [other])).items():
-                    result[mono] = result.get(mono, Fraction(0)) - c * coeff
-            result = {k: v for k, v in result.items() if v != 0}
-        self._reduce_memo[ms] = result
-        return result
+            return {}
+        if len(supp) == len(ms):
+            return {supp: Fraction(1)}
+        rho = next(x for x in ms if ms.count(x) > 1)
+        rest = list(ms)
+        rest.remove(rho)
+        f = self.adapted_functional(rho, supp - {rho}, 0)
+        result: dict[frozenset, Fraction] = {}
+        for other in range(self.nrays):
+            if other in supp:
+                continue
+            c = self.pair(f, other)
+            if c == 0:
+                continue
+            for mono, coeff in self.reduce_monomial(tuple(rest + [other])).items():
+                result[mono] = result.get(mono, Fraction(0)) - c * coeff
+        return {k: v for k, v in result.items() if v != 0}
 
     def _relation_rows(self, p: int) -> list[dict[frozenset, Fraction]]:
         rows = []
         for tau in self.monomials(p - 1):
             base = tuple(sorted(tau))
             for i in range(self.rank):
-                m = [Fraction(0)] * self.rank
-                m[i] = Fraction(1)
                 row: dict[frozenset, Fraction] = {}
                 for pos in range(self.nrays):
-                    c = self.pair(m, pos)
+                    c = self.star.ray_vectors[pos][i]
                     if c == 0:
                         continue
                     for mono, coeff in self.reduce_monomial(base + (pos,)).items():
@@ -149,21 +133,20 @@ class ChowRing:
                     rows.append(row)
         return rows
 
-    def _ensure_degree(self, p: int) -> None:
-        if p in self._basis:
-            return
+    @cached
+    def _presentation(self, p: int) -> tuple[Echelon, list[frozenset]]:
+        """The relations of degree p over the monomial positions, and the
+        basis: the monomials at no pivot of the relations."""
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
         rows = self._relation_rows(p) if p > 0 else []
         relations = Echelon({index[mono]: c for mono, c in row.items()} for row in rows)
-        self._relations[p] = relations
-        self._basis[p] = [m for i, m in enumerate(monos) if i not in relations.pivots]
+        return relations, [m for i, m in enumerate(monos) if i not in relations.pivots]
 
     def basis(self, p: int) -> list[frozenset]:
         if p < 0 or p > self.top:
             return []
-        self._ensure_degree(p)
-        return self._basis[p]
+        return self._presentation(p)[1]
 
     def dim(self, p: int) -> int:
         return len(self.basis(p))
@@ -179,7 +162,7 @@ class ChowRing:
             if any(v != 0 for v in combo.values()):
                 raise DegreeMismatchError(f"degree {p} out of range")
             return ChowClass(p, ())
-        self._ensure_degree(p)
+        relations, basis = self._presentation(p)
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
         vec: dict[int, Fraction] = {}
@@ -187,8 +170,8 @@ class ChowRing:
             vec[index[mono]] = vec.get(index[mono], 0) + c
         # The remainder modulo the relations is zero on every pivot column,
         # so it is the class's expansion over the basis monomials.
-        rem, _ = self._relations[p].reduce(vec)
-        return ChowClass(p, tuple(Fraction(rem.get(index[m], 0)) for m in self._basis[p]))
+        rem, _ = relations.reduce(vec)
+        return ChowClass(p, tuple(Fraction(rem.get(index[m], 0)) for m in basis))
 
     def class_from_monomial(self, mono: frozenset) -> ChowClass:
         p = len(mono)
@@ -219,19 +202,15 @@ class ChowRing:
 
     # -- degree and pairings ----------------------------------------------
 
+    @cached
     def _degree_normalization(self) -> Fraction:
-        if self._deg_norm is None:
-            d = self.top
-            if self.dim(d) != 1:
-                raise RankDeficientError(f"top Chow group has rank {self.dim(d)}, not 1")
-            vals = []
-            for eta in self.monomials(d):
-                cls = self.class_from_monomial(eta)
-                vals.append(cls.coeffs[0])
-            if len(set(vals)) != 1 or vals[0] == 0:
-                raise RankDeficientError("x_eta classes of maximal cones disagree")
-            self._deg_norm = vals[0]
-        return self._deg_norm
+        d = self.top
+        if self.dim(d) != 1:
+            raise RankDeficientError(f"top Chow group has rank {self.dim(d)}, not 1")
+        vals = [self.class_from_monomial(eta).coeffs[0] for eta in self.monomials(d)]
+        if len(set(vals)) != 1 or vals[0] == 0:
+            raise RankDeficientError("x_eta classes of maximal cones disagree")
+        return vals[0]
 
     def degree(self, cls: ChowClass) -> Fraction:
         if cls.degree != self.top:
@@ -246,10 +225,9 @@ class ChowRing:
         return self.degree(self.multiply(a, b))
 
 
+@cached
 def ring_of(star: StarFan) -> ChowRing:
-    if star._chow_ring is None:
-        star._chow_ring = ChowRing(star)
-    return star._chow_ring
+    return ChowRing(star)
 
 
 def fan_star(f: FaceComplex) -> StarFan:
@@ -347,7 +325,7 @@ def restriction(y: FaceComplex, gamma: int, delta: int, a: ChowClass,
                 acc[mb] = acc.get(mb, Fraction(0)) + coeff * c
         else:
             rest = mono - {rho}
-            f = rg.adapted_functional(rho, rest, tweak=tweak)
+            f = rg.adapted_functional(rho, rest, tweak)
             for other in range(rg.nrays):
                 if other in mono:
                     continue

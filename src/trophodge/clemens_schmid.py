@@ -85,14 +85,12 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
             raise HLFailureError(f"L not surjective onto degree {k + 2}")
     if not on_cohomology:
         return
-    hC = {k: t.C.h_basis(k) for k in t.degrees()}
-    hD = {k: t.D.h_basis(k) for k in set(t.D.terms) | {k + 2 for k in t.degrees()}}
     for k in t.degrees():
-        m = induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, hC[k], hD[k + 2], shift=2)
+        m = induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
         r = rank(m)
-        if k <= -1 and r != hC[k].dim:
+        if k <= -1 and r != t.C.h_basis(k).dim:
             raise HLFailureError(f"L not injective on cohomology in degree {k}")
-        if k >= -1 and r != hD[k + 2].dim:
+        if k >= -1 and r != t.D.h_basis(k + 2).dim:
             raise HLFailureError(f"L not surjective on cohomology onto degree {k + 2}")
 
 
@@ -186,8 +184,9 @@ class _CokernelComplex:
 
 
 def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
-              h_r0, h_k0, lift_shift: Optional[list[Fraction]] = None) -> RationalMatrix:
+              lift_shift: Optional[list[Fraction]] = None) -> RationalMatrix:
     """The connecting map H^0(R) -> H^0(K) by certified diagram chase."""
+    h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
     out = RationalMatrix(h_k0.dim, h_r0.dim)
     if h_r0.dim == 0:
         return out
@@ -226,19 +225,15 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     kmin = min(degrees) - 2 if degrees else 0
     kmax = max(degrees) + 4 if degrees else 0
 
-    hK = {k: kc.gc.h_basis(k) for k in range(kmin, kmax + 1)}
-    hC = {k: t.C.h_basis(k) for k in range(kmin, kmax + 1)}
-    hD = {k: t.D.h_basis(k) for k in range(kmin, kmax + 1)}
-    hR = {k: rc.gc.h_basis(k) for k in range(kmin, kmax + 1)}
-
-    incl = {k: induced_map(kc.gc, t.C, {k: kc.inclusion(k)}, k, hK[k], hC[k])
+    incl = {k: induced_map(kc.gc, t.C, {k: kc.inclusion(k)}, k)
             for k in range(kmin, kmax + 1)}
-    lmap = {k: induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, hC[k], hD[k + 2], shift=2)
+    lmap = {k: induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
             for k in range(kmin, kmax - 1)}
-    proj = {k: induced_map(t.D, rc.gc, {k: rc.projection(k)}, k, hD[k], hR[k])
+    proj = {k: induced_map(t.D, rc.gc, {k: rc.projection(k)}, k)
             for k in range(kmin, kmax + 1)}
-    conn = {k: RationalMatrix(hK[k].dim, hR[k].dim) for k in range(kmin, kmax + 1)}
-    conn[0] = _chase_d0(t, kc, rc, hR[0], hK[0])
+    conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
+            for k in range(kmin, kmax + 1)}
+    conn[0] = _chase_d0(t, kc, rc)
 
     report = ExactnessReport()
 
@@ -264,14 +259,12 @@ def d0_lift_independent(t: LefschetzTriple) -> bool:
     """Recompute d0 with shifted lifts; the class must not change."""
     kc = _KernelComplex(t)
     rc = _CokernelComplex(t)
-    h_r0 = rc.gc.h_basis(0)
-    h_k0 = kc.gc.h_basis(0)
-    base = _chase_d0(t, kc, rc, h_r0, h_k0)
+    base = _chase_d0(t, kc, rc)
     n = t.C.dim(-2)
     if n == 0:
         return True
     shift = [Fraction(1 + (i % 3)) for i in range(n)]
-    other = _chase_d0(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+    other = _chase_d0(t, kc, rc, lift_shift=shift)
     return base == other
 
 
@@ -279,18 +272,9 @@ def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
     """d0 . d^{-1} = 0 and d^1 . d0 = 0 on cohomology."""
     kc = _KernelComplex(t)
     rc = _CokernelComplex(t)
-    hK: dict = {}
-    hC: dict = {}
-    hD: dict = {}
-    hR: dict = {}
-    for k in (-1, 0, 1):
-        hK[k] = kc.gc.h_basis(k)
-        hC[k] = t.C.h_basis(k)
-        hD[k] = t.D.h_basis(k)
-        hR[k] = rc.gc.h_basis(k)
-    d0 = _chase_d0(t, kc, rc, hR[0], hK[0])
-    dminus = induced_map(t.D, rc.gc, {0: rc.projection(0)}, 0, hD[0], hR[0])
-    dplus = induced_map(kc.gc, t.C, {0: kc.inclusion(0)}, 0, hK[0], hC[0])
+    d0 = _chase_d0(t, kc, rc)
+    dminus = induced_map(t.D, rc.gc, {0: rc.projection(0)}, 0)
+    dplus = induced_map(kc.gc, t.C, {0: kc.inclusion(0)}, 0)
     return d0.matmul(dminus).is_zero() and dplus.matmul(d0).is_zero()
 
 
@@ -474,15 +458,13 @@ def mapping_cone_check(st, p: int) -> dict:
         right = rc.differential(a).matmul(proj[a])
         if left != right:
             raise ChaseFailureError("cone projection is not a chain map")
-    hT = {a: total.h_basis(a) for a in range(min(terms, default=0) - 1, max(terms, default=0) + 2)}
-    hR = {a: rc.h_basis(a) for a in hT}
     result = {}
-    for a in hT:
-        m = induced_map(total, rc, {a: proj.get(a, RationalMatrix(rc.dim(a), total.dim(a)))},
-                        a, hT[a], hR[a])
-        ok = (hT[a].dim == hR[a].dim == rank(m)) if (hT[a].dim or hR[a].dim) else True
-        if hT[a].dim or hR[a].dim:
-            result[a] = {"h_total": hT[a].dim, "h_coker": hR[a].dim, "iso": ok}
+    for a in range(min(terms, default=0) - 1, max(terms, default=0) + 2):
+        h_total, h_coker = total.h_basis(a).dim, rc.h_basis(a).dim
+        if h_total or h_coker:
+            m = induced_map(total, rc, {a: proj.get(a, RationalMatrix(rc.dim(a), total.dim(a)))}, a)
+            result[a] = {"h_total": h_total, "h_coker": h_coker,
+                         "iso": h_total == h_coker == rank(m)}
     return {"degrees": result, "all": all(v["iso"] for v in result.values())}
 
 

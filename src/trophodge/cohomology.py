@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import comb
+from typing import Sequence
 
-from . import DegeneratePairingError, NotAComplexError
+from . import DegeneratePairingError, NotAComplexError, cached
 from .lattice import det_int
 from .linalg import Echelon, RationalMatrix, kernel_basis, rank
 from .polyhedral import FaceComplex, _compose
@@ -69,13 +70,11 @@ class GradedComplex:
     """A bounded cochain complex of finite-dimensional Q vector spaces.
 
     diffs[k] maps degree k to degree k+1 and has shape (dim_{k+1}, dim_k).
-    ranks caches the rank of each differential once it is computed.
     """
 
     terms: dict[int, int]
     diffs: dict[int, RationalMatrix]
     labels: dict[int, list] = field(default_factory=dict)
-    ranks: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def dim(self, k: int) -> int:
         return self.terms.get(k, 0)
@@ -110,13 +109,13 @@ class GradedComplex:
         d = self.differential(k - 1)
         return [d.column(j) for j in range(d.cols)] if self.dim(k) else []
 
+    @cached
     def h_basis(self, k: int) -> QuotientBasis:
         return QuotientBasis(self.dim(k), self.cocycle_rows(k), self.coboundary_rows(k))
 
+    @cached
     def d_rank(self, k: int) -> int:
-        if k not in self.ranks:
-            self.ranks[k] = rank(self.differential(k))
-        return self.ranks[k]
+        return rank(self.differential(k))
 
     def h_dim(self, k: int) -> int:
         """dim C^k - rank d_k - rank d_{k-1}; builds no basis."""
@@ -124,15 +123,10 @@ class GradedComplex:
 
 
 def induced_map(src: GradedComplex, dst: GradedComplex,
-                chain_maps: dict[int, RationalMatrix], k: int,
-                src_h: Optional[QuotientBasis] = None,
-                dst_h: Optional[QuotientBasis] = None, shift: int = 0) -> RationalMatrix:
+                chain_maps: dict[int, RationalMatrix], k: int, shift: int = 0) -> RationalMatrix:
     """Matrix of the induced map H^k(src) -> H^(k+shift)(dst) of a chain map
     of degree shift; chain_maps[k] maps src^k to dst^(k+shift)."""
-    if src_h is None:
-        src_h = src.h_basis(k)
-    if dst_h is None:
-        dst_h = dst.h_basis(k + shift)
+    src_h, dst_h = src.h_basis(k), dst.h_basis(k + shift)
     cm = chain_maps.get(k)
     out = RationalMatrix(dst_h.dim, src_h.dim)
     for j, rep in enumerate(src_h.representatives):
@@ -176,7 +170,7 @@ class CoefficientSpace:
         face = complex_.faces[face_idx]
         m, _, _ = complex_.stratum(face.sedentarity)
         self.stratum_rank = m
-        self.ambient_dim = _binom(m, p)
+        self.ambient_dim = comb(m, p)
         rows = []
         for eta in sorted({face_idx} | {
                 j for j in complex_.cofaces(face_idx)
@@ -203,23 +197,13 @@ class CoefficientSpace:
         return [Fraction(mult.get(k, 0)) for k in self._leads]
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def coefficient_space(x: FaceComplex, delta_idx: int, p: int) -> CoefficientSpace:
     return _fp_spaces(x, p)[delta_idx]
 
 
+@cached
 def _fp_spaces(x: FaceComplex, p: int) -> dict[int, CoefficientSpace]:
-    if p not in x._fp_cache:
-        x._fp_cache[p] = {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
-    return x._fp_cache[p]
+    return {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
 
 
 def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> RationalMatrix:
@@ -247,10 +231,9 @@ def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> Rational
     return out
 
 
+@cached
 def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     """The cellular cochain complex C^{p,*} with signed dual differentials."""
-    if p in x._cochain_cache:
-        return x._cochain_cache[p]
     spaces = _fp_spaces(x, p)
     by_dim: dict[int, list[int]] = {}
     for f in x.faces:
@@ -288,7 +271,6 @@ def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     gc = GradedComplex(terms, diffs, labels)
     if not gc.check():
         raise NotAComplexError(f"cellular differential of C^{{{p},*}} does not square to zero")
-    x._cochain_cache[p] = gc
     return gc
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
+from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError, cached
 from .lattice import (
     apply_rows,
     det_int,
@@ -31,10 +31,6 @@ from .lattice import (
     spans_unimodularly,
 )
 from .linalg import Echelon, RationalMatrix, rat, solve
-
-if TYPE_CHECKING:
-    from .chow import ChowRing
-    from .cohomology import CoefficientSpace, GradedComplex
 
 Point = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -169,13 +165,6 @@ class FaceComplex:
         for a, b in self.order:
             self._below[b].add(a)
             self._above[a].add(b)
-        self._strata: dict[SedKey, tuple[int, list[IntVec], list[IntVec]]] = {}
-        for f in faces:
-            if f.sedentarity not in self._strata:
-                self._strata[f.sedentarity] = _stratum_presentation(rank, f.sedentarity)
-        self._star_cache: dict[int, "StarFan"] = {}
-        self._fp_cache: dict[int, dict[int, "CoefficientSpace"]] = {}  # p -> face -> F_p
-        self._cochain_cache: dict[int, "GradedComplex"] = {}  # p -> C^{p,*}
 
     # -- basic queries ------------------------------------------------------
 
@@ -196,11 +185,14 @@ class FaceComplex:
         d = self.faces[idx].dim
         return sorted(j for j in self._below[idx] if self.faces[j].dim == d - 1)
 
+    @cached
     def stratum(self, sed: SedKey) -> tuple[int, list[IntVec], list[IntVec]]:
         """(rank, projection rows, section rows) for a sedentarity stratum."""
-        if sed not in self._strata:
-            self._strata[sed] = _stratum_presentation(self.rank, sed)
-        return self._strata[sed]
+        if not sed:
+            eye = [tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank)]
+            return self.rank, eye, eye
+        proj, section = quotient_presentation([list(r) for r in sed], self.rank)
+        return self.rank - len(sed), [tuple(r) for r in proj], [tuple(s) for s in section]
 
     def is_pure(self, d: Optional[int] = None) -> bool:
         d = self.dim if d is None else d
@@ -293,10 +285,9 @@ class FaceComplex:
         u = self.direction_into(gamma, delta)
         return primitive(apply_rows(proj, u))
 
+    @cached
     def star_fan(self, idx: int) -> "StarFan":
-        if idx not in self._star_cache:
-            self._star_cache[idx] = _build_star_fan(self, idx)
-        return self._star_cache[idx]
+        return _build_star_fan(self, idx)
 
 
 def _compose(a_rows: Sequence[Sequence[int]], b_section: Sequence[Sequence[int]]):
@@ -334,14 +325,6 @@ def _det_in_basis(rows: list[list[Fraction]], basis: tuple[IntVec, ...]) -> Frac
     # det(C) = det(D C) / det(D) for the diagonal D that makes each row integral.
     scales = [lcm(*(c.denominator for c in row)) for row in coords]
     return Fraction(det_int([[int(c * s) for c in row] for row, s in zip(coords, scales)]), prod(scales))
-
-
-def _stratum_presentation(rank: int, sed: SedKey):
-    if not sed:
-        eye = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-        return rank, eye, eye
-    proj, section = quotient_presentation([list(r) for r in sed], rank)
-    return rank - len(sed), [tuple(r) for r in proj], [tuple(s) for s in section]
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +378,10 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
 
     faces: list[Face] = []
     for i, (vs, rs) in enumerate(specs):
-        verts = [vpool[j] for j in vs]
-        ras = [rpool[j] for j in rs]
-        gens_matrix = []
-        v0 = verts[0]
-        for v in verts[1:]:
-            gens_matrix.append([rat(a) - rat(b) for a, b in zip(v, v0)])
-        gens_matrix.extend([[Fraction(x) for x in r] for r in ras])
-        if gens_matrix and Echelon(gens_matrix).rank != len(gens_matrix):
+        face = _make_face(i, [vpool[j] for j in vs], [rpool[j] for j in rs], (), [(i, ())])
+        if face.dim != len(vs) - 1 + len(rs):
             raise InputFormatError(f"face {vs}/{rs} is not simplicial")
-        faces.append(_make_face(i, verts, ras, (), [(i, ())]))
+        faces.append(face)
 
     cx = FaceComplex(rank, faces, order)
     if validate:
@@ -520,7 +497,7 @@ def compactify(y: FaceComplex) -> FaceComplex:
             for sub in itertools.combinations(sorted(ray_set), k):
                 sed: SedKey = tuple(sorted(sub))
                 _, proj, _ = y.stratum(sed)
-                pverts = {apply_rows_frac(proj, v) for v in f.vertices}
+                pverts = {apply_rows(proj, v) for v in f.vertices}
                 prays = set()
                 for r in f.rays:
                     img = apply_rows(proj, r)
@@ -558,10 +535,6 @@ def compactify(y: FaceComplex) -> FaceComplex:
     return FaceComplex(y.rank, faces, order, open_complex=y)
 
 
-def apply_rows_frac(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> Point:
-    return tuple(sum(Fraction(r[j]) * rat(vec[j]) for j in range(len(vec))) for r in rows)
-
-
 # ---------------------------------------------------------------------------
 # Star fans
 
@@ -579,7 +552,6 @@ class StarFan:
     ray_labels: tuple[int, ...]
     ray_vectors: tuple[IntVec, ...]
     cones: tuple[tuple[int, frozenset], ...]  # (coface label, ray positions)
-    _chow_ring: Optional["ChowRing"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._cone_by_rays = {rays: label for label, rays in self.cones}

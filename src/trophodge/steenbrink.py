@@ -23,9 +23,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from . import HLFailureError, NotUnimodularError
+from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
 from .cohomology import GradedComplex, QuotientBasis
 from .linalg import RationalMatrix, kernel_basis, rank
@@ -42,19 +42,11 @@ class SteenbrinkPage:
         self.finite_by_dim: dict[int, list[int]] = {}
         for i in self.finite:
             self.finite_by_dim.setdefault(x.faces[i].dim, []).append(i)
-        self.rings: dict[int, ChowRing] = {}
-        for i in self.finite:
-            self.rings[i] = ring_of(x.star_fan(i))
+        self.rings: dict[int, ChowRing] = {i: self.rings_for(i) for i in self.finite}
         finite_set = set(self.finite)
         # (f, g, sign of the pair, dim f) for each bounded g covering a bounded f.
         self._cover_pairs = [(f, g, x.sign(f, g), x.faces[f].dim)
                              for f in self.finite for g in x.covers_of(f) if g in finite_set]
-        self._term_index: dict[tuple[int, int], dict[tuple[int, int, int], int]] = {}
-        self._restr_cache: dict = {}
-        self._gys_cache: dict = {}
-        self._row_cache: dict[int, GradedComplex] = {}
-        self._h_cache: dict[tuple[int, int], QuotientBasis] = {}
-        self._nonempty_blocks: Optional[list[tuple[int, int, int, int]]] = None
 
     # -- blocks -------------------------------------------------------------
 
@@ -83,23 +75,20 @@ class SteenbrinkPage:
         return [s for s in sorted(self.finite_by_dim)
                 if self.block_dim(a, b, s) > 0]
 
+    @cached
     def nonempty_blocks(self) -> list[tuple[int, int, int, int]]:
         """(a, b, s, block_dim) of every nonempty block, by b, then a, then s."""
-        if self._nonempty_blocks is None:
-            d = self.dim
-            self._nonempty_blocks = [(a, b, s, n) for b in range(0, 2 * d + 1, 2) for a in range(-d, d + 1)
-                                     for s in range(d + 1) if (n := self.block_dim(a, b, s))]
-        return self._nonempty_blocks
+        d = self.dim
+        return [(a, b, s, n) for b in range(0, 2 * d + 1, 2) for a in range(-d, d + 1)
+                for s in range(d + 1) if (n := self.block_dim(a, b, s))]
 
+    @cached
     def term_index(self, a: int, b: int) -> dict[tuple[int, int, int], int]:
         """Position of each (s, face, basis position) label of the full ST^{a,b}
         term; the blocks follow each other by s, each face's block is contiguous."""
-        key = (a, b)
-        if key not in self._term_index:
-            labels = [(s, f, i) for s in sorted(self.finite_by_dim)
-                      for f, i in self.block_labels(a, b, s)]
-            self._term_index[key] = {lab: n for n, lab in enumerate(labels)}
-        return self._term_index[key]
+        labels = [(s, f, i) for s in sorted(self.finite_by_dim)
+                  for f, i in self.block_labels(a, b, s)]
+        return {lab: n for n, lab in enumerate(labels)}
 
     def term_labels(self, a: int, b: int) -> list[tuple[int, int, int]]:
         """(s, face, basis position) triples for the full ST^{a,b} term."""
@@ -113,36 +102,28 @@ class SteenbrinkPage:
 
     # -- component maps -------------------------------------------------------
 
+    @cached
     def restriction_matrix(self, gamma: int, delta: int, k: int) -> RationalMatrix:
-        key = (gamma, delta, k)
-        if key not in self._restr_cache:
-            rg, rd = self.rings_for(gamma), self.rings_for(delta)
-            m = RationalMatrix(rd.dim(k), rg.dim(k))
-            for j, mono in enumerate(rg.basis(k)):
-                img = restriction(self.x, gamma, delta,
-                                  rg.reduce_class(k, {mono: Fraction(1)}))
-                for i, c in enumerate(img.coeffs):
-                    m[i, j] = c
-            self._restr_cache[key] = m
-        return self._restr_cache[key]
+        rg, rd = self.rings_for(gamma), self.rings_for(delta)
+        m = RationalMatrix(rd.dim(k), rg.dim(k))
+        for j, mono in enumerate(rg.basis(k)):
+            img = restriction(self.x, gamma, delta, rg.reduce_class(k, {mono: Fraction(1)}))
+            for i, c in enumerate(img.coeffs):
+                m[i, j] = c
+        return m
 
+    @cached
     def gysin_matrix(self, gamma: int, delta: int, k: int) -> RationalMatrix:
-        key = (gamma, delta, k)
-        if key not in self._gys_cache:
-            rg, rd = self.rings_for(gamma), self.rings_for(delta)
-            m = RationalMatrix(rg.dim(k + 1), rd.dim(k))
-            for j, mono in enumerate(rd.basis(k)):
-                img = gysin(self.x, gamma, delta,
-                            rd.reduce_class(k, {mono: Fraction(1)}))
-                for i, c in enumerate(img.coeffs):
-                    m[i, j] = c
-            self._gys_cache[key] = m
-        return self._gys_cache[key]
+        rg, rd = self.rings_for(gamma), self.rings_for(delta)
+        m = RationalMatrix(rg.dim(k + 1), rd.dim(k))
+        for j, mono in enumerate(rd.basis(k)):
+            img = gysin(self.x, gamma, delta, rd.reduce_class(k, {mono: Fraction(1)}))
+            for i, c in enumerate(img.coeffs):
+                m[i, j] = c
+        return m
 
     def rings_for(self, face: int) -> ChowRing:
-        if face not in self.rings:
-            self.rings[face] = ring_of(self.x.star_fan(face))
-        return self.rings[face]
+        return ring_of(self.x.star_fan(face))
 
     # -- the differential and monodromy --------------------------------------
 
@@ -180,19 +161,16 @@ class SteenbrinkPage:
 
     # -- complexes ------------------------------------------------------------
 
+    @cached
     def row_complex(self, b: int) -> GradedComplex:
-        if b not in self._row_cache:
-            terms = {a: self.term_dim(a, b) for a in self.a_range(b)}
-            diffs = {a: self.d_matrix(a, b) for a in terms if terms.get(a + 1)}
-            labels = {a: self.term_labels(a, b) for a in terms}
-            self._row_cache[b] = GradedComplex(terms, diffs, labels)
-        return self._row_cache[b]
+        terms = {a: self.term_dim(a, b) for a in self.a_range(b)}
+        diffs = {a: self.d_matrix(a, b) for a in terms if terms.get(a + 1)}
+        labels = {a: self.term_labels(a, b) for a in terms}
+        return GradedComplex(terms, diffs, labels)
 
     def h_basis(self, b: int, a: int) -> QuotientBasis:
-        key = (b, a)
-        if key not in self._h_cache:
-            self._h_cache[key] = self.row_complex(b).h_basis(a)
-        return self._h_cache[key]
+        """H^a of row b, cached on the row complex."""
+        return self.row_complex(b).h_basis(a)
 
     def k_complex(self, p: int) -> GradedComplex:
         """K^{a,2p} = ST^{a,2p,a} with the restriction differential."""
@@ -202,6 +180,7 @@ class SteenbrinkPage:
         """R^{a,2p} = ST^{a,2p,-a} with the Gysin differential."""
         return self._s_part(2 * p, range(-self.dim, 1), -1)
 
+    @cached
     def _s_part(self, b: int, degrees: range, sgn: int) -> GradedComplex:
         """The blocks s = sgn * a of row b, labelled (face, basis position),
         with the sub-blocks of the row differential between them.  d maps
@@ -409,6 +388,7 @@ def verify_hl(st: SteenbrinkPage) -> dict:
             "all": all(page.values()) and all(coh.values())}
 
 
+@cached
 def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
     """Cocycle representatives spanning P^{-a,b} = ker N^{a+1} on H^{-a}(ST^{.,b})."""
     if a < 0:
@@ -445,19 +425,12 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
     if not hl["all"]:
         raise HLFailureError("Hard Lefschetz fails; no primitive decomposition")
     d = st.dim
-    prim: dict[tuple[int, int], list[list[Fraction]]] = {}
-
-    def primitive(a: int, b: int) -> list[list[Fraction]]:
-        if (a, b) not in prim:
-            prim[(a, b)] = primitive_basis(st, a, b)
-        return prim[(a, b)]
-
     dims: dict[tuple[int, int], int] = {}
     decomposition_ok: dict[tuple[int, int], bool] = {}
     orthogonal_ok: dict[tuple[int, int], bool] = {}
     for a in range(0, d + 1):
         for b in range(0, 2 * d + 1, 2):
-            p_dim = len(primitive(a, b))
+            p_dim = len(primitive_basis(st, a, b))
             if p_dim or st.h_basis(b, -a).dim:
                 dims[(-a, b)] = p_dim
     for a in range(0, d + 1):
@@ -470,7 +443,7 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             for s in range(0, d + 1):
                 bb = b + 2 * s
                 vecs = [_n_power_vec(st, -(a + 2 * s), bb, v, s)
-                        for v in primitive(a + 2 * s, bb)]
+                        for v in primitive_basis(st, a + 2 * s, bb)]
                 if vecs:
                     summands.append((s, vecs))
                 for v in vecs:
@@ -485,7 +458,7 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             for s2 in range(0, d + 1):
                 bb2 = bdual + 2 * s2
                 nvecs2 = [_n_power_vec(st, -(a + 2 * s2), bb2, v, s2 + a)
-                          for v in primitive(a + 2 * s2, bb2)]
+                          for v in primitive_basis(st, a + 2 * s2, bb2)]
                 if nvecs2:
                     dual_summands.append((s2, nvecs2))
             ok = True

@@ -43,12 +43,11 @@ def test_identity_collapse():
 
 
 def test_induced_map_of_degree_two_chain_map():
-    # L: C^0 -> D^2 induces H^0(C) -> H^2(D); the bases default to those degrees.
+    # L: C^0 -> D^2 induces H^0(C) -> H^2(D), over the bases of those degrees.
     t = LefschetzTriple(GradedComplex({0: 1}, {}), GradedComplex({2: 1}, {}),
                         {0: RationalMatrix.from_rows([[3]])})
     m = induced_map(t.C, t.D, t.L, 0, shift=2)
     assert (m.rows, m.cols, m[0, 0]) == (1, 1, 3)
-    assert induced_map(t.C, t.D, t.L, 0, t.C.h_basis(0), t.D.h_basis(2), shift=2) == m
 
 def test_hl_precondition_fails_loudly():
     # L = 0 from a nonzero degree -1 cannot be injective.
@@ -161,5 +160,5 @@ def test_chase_d0_equals_dense_chase():
         if t.C.dim(-2):
             shifts.append([Fraction(rng.randint(-2, 2)) for _ in range(t.C.dim(-2))])
         for shift in shifts:
-            got = _chase_d0(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+            got = _chase_d0(t, kc, rc, lift_shift=shift)
             assert got == _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)

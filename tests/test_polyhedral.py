@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from trophodge import InputFormatError, NotAFanError, NotCodimOneError
+from trophodge.cli import main
 from trophodge.linalg import RationalMatrix, column_echelon, kernel_vectors
 from trophodge.matroids import bergman_fan, boolean_matroid
 from trophodge.polyhedral import (
@@ -180,6 +182,32 @@ def test_primitive_normal_requires_codim_one(fixa):
 def test_closure_validation_rejects_missing_face():
     with pytest.raises(InputFormatError):
         build_complex(1, [[0], [1]], [], [([0, 1], []), ([0], [])])
+
+
+# (lattice rank, vertices, rays, faces); each is closed under faces and has
+# one face whose generators are dependent.
+NOT_SIMPLICIAL = {
+    "collinear-vertices": (2, [[0, 0], [1, 1], [2, 2]], [],
+                           [([0], []), ([1], []), ([2], []), ([0, 1], []), ([0, 2], []),
+                            ([1, 2], []), ([0, 1, 2], [])]),
+    "repeated-vertex": (2, [[0, 0], [0, 0]], [], [([0], []), ([1], []), ([0, 1], [])]),
+    "parallel-rays": (2, [[0, 0]], [[1, 0], [2, 0]],
+                      [([0], []), ([0], [0]), ([0], [1]), ([0], [0, 1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_SIMPLICIAL))
+def test_build_rejects_non_simplicial_face(name, tmp_path, capsys):
+    rank, vertices, rays, faces = NOT_SIMPLICIAL[name]
+    with pytest.raises(InputFormatError, match="not simplicial"):
+        build_complex(rank, vertices, rays, faces)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "lattice_rank": rank, "vertices": [[str(x) for x in v] for v in vertices], "rays": rays,
+        "faces": [{"vertices": vs, "rays": rs} for vs, rs in faces]}))
+    assert main(["cohomology", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "malformed-input" and "not simplicial" in out["detail"]
 
 
 def test_intersection_validation_rejects_overlap():
