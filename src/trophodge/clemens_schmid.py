@@ -151,10 +151,9 @@ class _CokernelComplex:
             n = t.D.dim(k)
             if n == 0:
                 continue
-            eye = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
             lm = t.l_matrix(k - 2)
             image = [lm.column(j) for j in range(lm.cols)]
-            qb = QuotientBasis(n, eye, image)
+            qb = QuotientBasis(n, [{j: 1} for j in range(n)], image)
             if qb.dim:
                 self.quot[k] = qb
                 terms[k] = qb.dim
@@ -177,8 +176,7 @@ class _CokernelComplex:
         m = RationalMatrix(qb.dim if qb else 0, n)
         if qb:
             for j in range(n):
-                e = [Fraction(1 if i == j else 0) for i in range(n)]
-                for i, c in enumerate(qb.coordinates(e)):
+                for i, c in enumerate(qb.coordinates({j: 1})):
                     m[i, j] = c
         return m
 

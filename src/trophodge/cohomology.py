@@ -34,11 +34,11 @@ class QuotientBasis:
     The representatives are the rows of Z that are independent modulo B
     and the rows of Z before them.  One echelon form holds B unkeyed and Z
     keyed by position, so a vector's class coordinates are its tracked
-    coefficients on the representatives.
+    coefficients on the representatives.  Rows of Z are dense sequences or
+    sparse {column: value} dicts; only the kept ones are made dense.
     """
 
-    def __init__(self, ambient_dim: int, zrows: Sequence[Sequence[Fraction]],
-                 brows: Sequence[Sequence[Fraction]]):
+    def __init__(self, ambient_dim: int, zrows: Sequence, brows: Sequence[Sequence[Fraction]]):
         self.ambient_dim = ambient_dim
         self._span = Echelon(keyed=True)
         for r in brows:
@@ -48,14 +48,16 @@ class QuotientBasis:
         for i, r in enumerate(zrows):
             if self._span.add(r, i):
                 self._keys.append(i)
-                self.representatives.append([Fraction(x) for x in r])
+                rep = [r.get(j, 0) for j in range(ambient_dim)] if isinstance(r, dict) else r
+                self.representatives.append([Fraction(x) for x in rep])
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Coordinates of a vector's class over the representative basis."""
+    def coordinates(self, vec) -> list[Fraction]:
+        """Coordinates of a vector's class (dense, or a sparse dict) over the
+        representative basis."""
         coords = self._span.coordinates(vec, self._keys)
         if coords is None:
             raise DegeneratePairingError("vector is not a cocycle of this space")

@@ -26,6 +26,7 @@ from . import (
     GluingConflictError,
     IncompatibleClassError,
     ZigzagInconsistentError,
+    cached,
 )
 from .chow import ChowClass, MinkowskiWeight, gysin as chow_gysin, mw_evaluate, ring_of
 from .cohomology import cochain_complex, coefficient_space, wedge_vector
@@ -76,6 +77,7 @@ def _block_vector_to_class(st: SteenbrinkPage, p: int, vec: Sequence[Fraction]) 
     return HodgeClass(p, classes)
 
 
+@cached
 def k_cocycle_vectors(st: SteenbrinkPage, p: int) -> list[list[Fraction]]:
     """Basis of the cocycles of K^{0,2p} (the compatibility condition)."""
     kc = st.k_complex(p)
@@ -94,6 +96,7 @@ def is_cocycle(st: SteenbrinkPage, alpha: HodgeClass) -> bool:
     return all(v == 0 for v in kc.differential(0).mul_vec(vec))
 
 
+@cached
 def hodge_locus_basis(st: SteenbrinkPage, p: int) -> list[HodgeClass]:
     """Cocycles of K^{0,2p} whose classes span ker N inside H^{p,p}."""
     b = 2 * p
@@ -200,6 +203,7 @@ def verify_class(st: SteenbrinkPage, alpha: HodgeClass, cyc: TropicalCycle) -> b
 # ---------------------------------------------------------------------------
 # Numerical versus homological equivalence
 
+@cached
 def numerical_vs_homological(st: SteenbrinkPage, p: int) -> dict:
     """The psi pairing between ker N in H^{p,p} and in H^{q,q}, plus the
     rank-level decomposition H^{p,p} = ker N + Im N and orthogonality."""

@@ -116,11 +116,15 @@ class RationalMatrix:
         return out
 
     def mul_vec(self, vec: Sequence) -> list[Fraction]:
+        """The product with a vector of int/Fraction values, skipping its zeros."""
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
+        nonzero = {j: x for j, x in enumerate(vec) if x}
         out = [Fraction(0)] * self.rows
         for (i, j), v in self.entries.items():
-            out[i] += v * rat(vec[j])
+            x = nonzero.get(j)
+            if x is not None:
+                out[i] += v * x
         return out
 
     def is_zero(self) -> bool:

@@ -7,9 +7,10 @@ sedentarity cone; each stratum carries a deterministic integer presentation
 
 The sign function on codimension-one face pairs is derived from stored
 orientation bases: each face is oriented by the HNF-reduced basis of its
-tangent lattice.  For incidences that raise sedentarity the normal direction
-is taken pointing inward (away from infinity); the d^2 = 0 tests pin this
-convention.
+tangent lattice, and each sign is an integer determinant divided by a Gram
+determinant, with no rational arithmetic.  For incidences that raise
+sedentarity the normal direction is taken pointing inward (away from
+infinity); the d^2 = 0 tests pin this convention.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError, cached
@@ -30,7 +31,7 @@ from .lattice import (
     saturate,
     spans_unimodularly,
 )
-from .linalg import Echelon, RationalMatrix, rat, solve
+from .linalg import rat
 
 Point = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -228,24 +229,25 @@ class FaceComplex:
         raise NotCodimOneError(f"no direction from face {gamma.index} into {delta.index}")
 
     def sign(self, gamma_idx: int, delta_idx: int) -> int:
-        """Orientation sign for a same-sedentarity codimension-one pair."""
+        """Orientation sign for a same-sedentarity codimension-one pair: the
+        determinant of gamma's tangent and the direction into delta over
+        delta's tangent T, which is det(rows . T^T) / det(T . T^T)."""
         gamma, delta = self.faces[gamma_idx], self.faces[delta_idx]
         if gamma.sedentarity != delta.sedentarity:
             raise NotCodimOneError("faces have different sedentarity")
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
             raise NotCodimOneError("not a codimension-one face pair")
-        u = self.direction_into(gamma, delta)
-        rows = [list(map(Fraction, b)) for b in gamma.tangent] + [list(map(Fraction, u))]
-        det = _det_in_basis(rows, delta.tangent)
-        if det not in (1, -1):
-            raise NotUnimodularError("sign undefined: pair is not unimodular")
-        return det
+        rows = gamma.tangent + (self.direction_into(gamma, delta),)
+        tangent = delta.tangent
+        return _unit_sign(det_int(_dots(rows, tangent)), det_int(_dots(tangent, tangent)), "sign")
 
     def infinity_sign(self, gamma_idx: int, delta_idx: int) -> int:
         """Orientation sign for a sedentarity-raising codimension-one pair.
 
         gamma sits in a deeper stratum; the normal is taken pointing inward,
-        i.e. away from infinity.
+        i.e. away from infinity.  Q kills rho, so the rows G . Q . T^T and
+        -rho . T^T have determinant det(G . G^T) |rho|^2 / det C, where C
+        holds the coordinates over T of G's lifts through Q and of -rho.
         """
         gamma, delta = self.faces[gamma_idx], self.faces[delta_idx]
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
@@ -259,14 +261,10 @@ class FaceComplex:
         rho = primitive(apply_rows(p_delta, ray_amb))
         # Map from delta's stratum to gamma's: Q = P_gamma . S_delta.
         q_rows = _compose(p_gamma, s_delta)
-        lifts = []
-        for b in gamma.tangent:
-            lifts.append(_lift_through(q_rows, delta.tangent, b))
-        rows = lifts + [[-Fraction(x) for x in rho]]
-        det = _det_in_basis(rows, delta.tangent)
-        if det not in (1, -1):
-            raise NotUnimodularError("infinity sign undefined: pair is not unimodular")
-        return det
+        images = [apply_rows(q_rows, t) for t in delta.tangent]
+        rows = _dots(gamma.tangent, images) + _dots([tuple(-x for x in rho)], delta.tangent)
+        gram = det_int(_dots(gamma.tangent, gamma.tangent)) * sum(x * x for x in rho)
+        return _unit_sign(det_int(rows), gram, "infinity sign")
 
     def incidence_sign(self, gamma_idx: int, delta_idx: int) -> int:
         if self.faces[gamma_idx].sedentarity == self.faces[delta_idx].sedentarity:
@@ -280,10 +278,8 @@ class FaceComplex:
             raise NotCodimOneError("faces have different sedentarity")
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
             raise NotCodimOneError("not a codimension-one face pair")
-        srank, _, _ = self.stratum(gamma.sedentarity)
-        proj, _ = quotient_presentation([list(b) for b in gamma.tangent], srank)
-        u = self.direction_into(gamma, delta)
-        return primitive(apply_rows(proj, u))
+        star = self.star_fan(gamma_idx)
+        return star.ray_vectors[star.ray_position(delta_idx)]
 
     @cached
     def star_fan(self, idx: int) -> "StarFan":
@@ -295,36 +291,16 @@ def _compose(a_rows: Sequence[Sequence[int]], b_section: Sequence[Sequence[int]]
     return [tuple(sum(ar[j] * bs[j] for j in range(len(bs))) for bs in b_section) for ar in a_rows]
 
 
-def _lift_through(q_rows, delta_tangent, target) -> list[Fraction]:
-    """Some w in span(delta_tangent) with Q.w = target (rational)."""
-    cols = len(delta_tangent)
-    m = RationalMatrix(len(q_rows), cols)
-    for j, t in enumerate(delta_tangent):
-        img = apply_rows(q_rows, t)
-        for i, v in enumerate(img):
-            m[i, j] = Fraction(v)
-    c = solve(m, [Fraction(x) for x in target])
-    if c is None:
-        raise NotCodimOneError("tangent lift failed")
-    n = len(delta_tangent[0])
-    return [sum(c[j] * Fraction(delta_tangent[j][i]) for j in range(cols)) for i in range(n)]
+def _dots(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix of dot products rows[i] . cols[j]."""
+    return [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
 
 
-def _det_in_basis(rows: list[list[Fraction]], basis: tuple[IntVec, ...]) -> Fraction:
-    """Determinant of the coordinate matrix of rows over the given basis."""
-    k = len(basis)
-    if len(rows) != k:
-        raise NotCodimOneError("dimension mismatch in orientation computation")
-    span = Echelon(basis, keyed=True)
-    coords = []
-    for r in rows:
-        c = span.coordinates(r, range(k))
-        if c is None:
-            raise NotCodimOneError("vector outside face tangent space")
-        coords.append(c)
-    # det(C) = det(D C) / det(D) for the diagonal D that makes each row integral.
-    scales = [lcm(*(c.denominator for c in row)) for row in coords]
-    return Fraction(det_int([[int(c * s) for c in row] for row, s in zip(coords, scales)]), prod(scales))
+def _unit_sign(det: int, gram: int, what: str) -> int:
+    """The sign of det, which must be +-gram for a unimodular pair."""
+    if abs(det) != gram:
+        raise NotUnimodularError(f"{what} undefined: pair is not unimodular")
+    return 1 if det > 0 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
-from trophodge import InputFormatError, NotAFanError, NotCodimOneError
+from trophodge import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from trophodge.cli import main
-from trophodge.linalg import RationalMatrix, column_echelon, kernel_vectors
+from trophodge.lattice import apply_rows, det_int, primitive, quotient_presentation
+from trophodge.linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, solve
 from trophodge.matroids import bergman_fan, boolean_matroid
 from trophodge.polyhedral import (
     _check_pair_intersection,
+    _compose,
     build_complex,
     compactify,
     complex_from_json,
@@ -424,3 +427,97 @@ def test_pair_check_agrees_with_fraction_parametrisation():
         outcomes[want] = outcomes.get(want, 0) + 1
     assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
                              "intersection axiom violated: overlap beyond common face"}
+
+
+# ---------------------------------------------------------------------------
+# Orientation signs against the rational computation they replaced
+
+def _lift_through(q_rows, delta_tangent, target):
+    """Some w in span(delta_tangent) with Q.w = target (rational)."""
+    m = RationalMatrix(len(q_rows), len(delta_tangent))
+    for j, t in enumerate(delta_tangent):
+        for i, v in enumerate(apply_rows(q_rows, t)):
+            m[i, j] = v
+    c = solve(m, list(target))
+    return [sum(c[j] * delta_tangent[j][i] for j in range(len(delta_tangent)))
+            for i in range(len(delta_tangent[0]))]
+
+
+def _det_in_basis(rows, basis):
+    """Determinant of the coordinate matrix of rows over the given basis."""
+    span = Echelon(basis, keyed=True)
+    coords = [span.coordinates(r, range(len(basis))) for r in rows]
+    scales = [lcm(*(c.denominator for c in row)) for row in coords]
+    return Fraction(det_int([[int(c * s) for c in row] for row, s in zip(coords, scales)]), prod(scales))
+
+
+def _sign_oracle(x, g, d):
+    """The Fraction determinant of a codimension-one pair: gamma's tangent
+    (lifted to delta's stratum) and the inward direction, over delta's tangent."""
+    gamma, delta = x.faces[g], x.faces[d]
+    if gamma.sedentarity == delta.sedentarity:
+        rows = [list(map(Fraction, b)) for b in gamma.tangent + (x.direction_into(gamma, delta),)]
+    else:
+        ray = next(iter(set(gamma.sedentarity) - set(delta.sedentarity)))
+        _, p_delta, s_delta = x.stratum(delta.sedentarity)
+        _, p_gamma, _ = x.stratum(gamma.sedentarity)
+        q_rows = _compose(p_gamma, s_delta)
+        rows = [_lift_through(q_rows, delta.tangent, b) for b in gamma.tangent]
+        rows.append([-Fraction(v) for v in primitive(apply_rows(p_delta, ray))])
+    return _det_in_basis(rows, delta.tangent)
+
+
+def _primitive_normal_oracle(x, g, d):
+    """The direction into delta in a quotient presentation of gamma's tangent."""
+    gamma = x.faces[g]
+    srank, _, _ = x.stratum(gamma.sedentarity)
+    proj, _ = quotient_presentation([list(b) for b in gamma.tangent], srank)
+    return primitive(apply_rows(proj, x.direction_into(gamma, x.faces[d])))
+
+
+SIGN_INPUTS = ["comp_a", "comp_b", "comp_c", "comp_d", "comp_e", "comp_f", "comp_grid1", "comp_u34"]
+
+
+def _cover_pairs(x):
+    return [(g.index, d) for g in x.faces for d in x.covers_of(g.index)]
+
+
+@pytest.mark.parametrize("name", SIGN_INPUTS)
+def test_incidence_signs_match_rational_oracle(name, request):
+    x = request.getfixturevalue(name)
+    pairs = _cover_pairs(x)
+    assert any(x.faces[g].sedentarity != x.faces[d].sedentarity for g, d in pairs)
+    for g, d in pairs:
+        s = x.incidence_sign(g, d)
+        assert type(s) is int and s == _sign_oracle(x, g, d), (g, d)
+
+
+def _wide_triangle():
+    """The triangle (0,0), (1,0), (0,2), of lattice area 2."""
+    return build_complex(2, [[0, 0], [1, 0], [0, 2]], [],
+                         [([0], []), ([1], []), ([2], []),
+                          ([0, 1], []), ([0, 2], []), ([1, 2], []), ([0, 1, 2], [])])
+
+
+def test_sign_of_non_unimodular_pair_raises():
+    tri = _wide_triangle()
+    top = next(f.index for f in tri.faces if f.dim == 2)
+
+    def edge(a, b):
+        ends = {tuple(map(Fraction, a)), tuple(map(Fraction, b))}
+        return next(f.index for f in tri.faces if f.dim == 1 and set(f.vertices) == ends)
+
+    # The opposite vertex lies at lattice distance 2 from these two edges.
+    for a, b in (((0, 0), (1, 0)), ((0, 2), (1, 0))):
+        with pytest.raises(NotUnimodularError, match="sign undefined: pair is not unimodular"):
+            tri.sign(edge(a, b), top)
+    assert tri.sign(edge((0, 0), (0, 2)), top) == -1
+
+
+@pytest.mark.parametrize("name", SIGN_INPUTS + ["wide_triangle"])
+def test_primitive_normal_matches_quotient_oracle(name, request):
+    x = _wide_triangle() if name == "wide_triangle" else request.getfixturevalue(name)
+    pairs = [(g, d) for g, d in _cover_pairs(x) if x.faces[g].sedentarity == x.faces[d].sedentarity]
+    assert pairs
+    for g, d in pairs:
+        assert x.primitive_normal(g, d) == _primitive_normal_oracle(x, g, d), (g, d)
