@@ -88,7 +88,7 @@ class ChowRing:
         return f
 
     def pair(self, functional: Sequence[Fraction], pos: int) -> Fraction:
-        return sum(Fraction(f) * v for f, v in zip(functional, self.star.ray_vectors[pos]))
+        return sum(f * v for f, v in zip(functional, self.star.ray_vectors[pos]) if v)
 
     def reduce_monomial(self, ms: tuple[int, ...]) -> dict[frozenset, Fraction]:
         """Rewrite a ray multiset into squarefree cone monomials."""

@@ -151,9 +151,7 @@ class _CokernelComplex:
             n = t.D.dim(k)
             if n == 0:
                 continue
-            lm = t.l_matrix(k - 2)
-            image = [lm.column(j) for j in range(lm.cols)]
-            qb = QuotientBasis(n, [{j: 1} for j in range(n)], image)
+            qb = QuotientBasis(n, [{j: 1} for j in range(n)], t.l_matrix(k - 2).columns())
             if qb.dim:
                 self.quot[k] = qb
                 terms[k] = qb.dim

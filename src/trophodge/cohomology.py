@@ -19,7 +19,8 @@ from typing import Sequence
 
 from . import DegeneratePairingError, NotAComplexError, cached
 from .lattice import det_int
-from .linalg import Echelon, RationalMatrix, kernel_basis, rank
+from .linalg import Echelon, RationalMatrix, column_echelon, rank
+from .linalg import kernel_basis  # noqa: F401  (perfbench/test_bench.py reads it here)
 from .polyhedral import FaceComplex, _compose
 
 Vec = list[Fraction]
@@ -34,11 +35,12 @@ class QuotientBasis:
     The representatives are the rows of Z that are independent modulo B
     and the rows of Z before them.  One echelon form holds B unkeyed and Z
     keyed by position, so a vector's class coordinates are its tracked
-    coefficients on the representatives.  Rows of Z are dense sequences or
-    sparse {column: value} dicts; only the kept ones are made dense.
+    coefficients on the representatives.  Rows of Z and B are dense
+    sequences or sparse {column: value} dicts; only the kept rows of Z are
+    made dense.
     """
 
-    def __init__(self, ambient_dim: int, zrows: Sequence, brows: Sequence[Sequence[Fraction]]):
+    def __init__(self, ambient_dim: int, zrows: Sequence, brows: Sequence):
         self.ambient_dim = ambient_dim
         self._span = Echelon(keyed=True)
         for r in brows:
@@ -98,18 +100,13 @@ class GradedComplex:
                 return False
         return True
 
-    def cocycle_rows(self, k: int) -> list[list[Fraction]]:
-        n = self.dim(k)
-        if n == 0:
-            return []
-        d = self.differential(k)
-        if d.is_zero():
-            return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return [list(v) for v in kernel_basis(d).basis]
+    def cocycle_rows(self, k: int) -> list[dict[int, Fraction]]:
+        """The canonical kernel of d_k as sparse rows: the relations of its
+        column echelon ({i: 1} for each column of a zero differential)."""
+        return [combo for _, combo in column_echelon(self.differential(k)).relations]
 
-    def coboundary_rows(self, k: int) -> list[list[Fraction]]:
-        d = self.differential(k - 1)
-        return [d.column(j) for j in range(d.cols)] if self.dim(k) else []
+    def coboundary_rows(self, k: int) -> list[dict[int, Fraction]]:
+        return self.differential(k - 1).columns() if self.dim(k) else []
 
     @cached
     def h_basis(self, k: int) -> QuotientBasis:

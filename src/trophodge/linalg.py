@@ -20,6 +20,7 @@ from . import NotASubspaceError
 
 Rational = Fraction
 Row = dict[int, Fraction]
+_ZERO = Fraction(0)
 
 
 def rat(value) -> Fraction:
@@ -71,7 +72,7 @@ class RationalMatrix:
         return m
 
     def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, Fraction(0))
+        return self.entries.get(key, _ZERO)
 
     def __setitem__(self, key, value) -> None:
         i, j = key
@@ -84,10 +85,15 @@ class RationalMatrix:
             self.entries[key] = v
 
     def row(self, i: int) -> list[Fraction]:
-        return [self[i, j] for j in range(self.cols)]
+        get = self.entries.get
+        return [get((i, j), _ZERO) for j in range(self.cols)]
 
-    def column(self, j: int) -> list[Fraction]:
-        return [self[i, j] for i in range(self.rows)]
+    def columns(self) -> list[Row]:
+        """Every column as a sparse {row: value} dict, from one pass over the entries."""
+        cols: list[Row] = [{} for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
@@ -276,10 +282,7 @@ def column_echelon(m: RationalMatrix, keyed: bool = True) -> Echelon:
     """The echelon of m's columns, added left to right with column j keyed
     by j.  Its kept keys are the pivot columns of m, its relations the
     canonical kernel of m, and its coordinates solve m.x = b."""
-    cols: list[Row] = [{} for _ in range(m.cols)]
-    for (i, j), v in m.entries.items():
-        cols[j][i] = v
-    return Echelon(cols, keyed)
+    return Echelon(m.columns(), keyed)
 
 
 def kernel_vectors(e: Echelon, n: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -160,6 +160,7 @@ class FaceComplex:
         self.faces = faces
         self.order = frozenset(order)  # strict relations (sub, super)
         self.open_complex = open_complex
+        self.validated = False  # set by build_complex once the axioms are checked
         self.dim = max((f.dim for f in faces), default=0)
         self._below: dict[int, set[int]] = {f.index: set() for f in faces}
         self._above: dict[int, set[int]] = {f.index: set() for f in faces}
@@ -362,43 +363,58 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
     cx = FaceComplex(rank, faces, order)
     if validate:
         _validate_intersections(cx, specs, vpool, rpool)
+        cx.validated = True
     return cx
 
 
 def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
     """Each pair of maximal cells must meet exactly in the face spanned by
-    their shared generators (in the complex by closure under faces)."""
+    their shared generators (in the complex by closure under faces).  Every
+    generator is lifted to an integer row once per complex."""
     # Maximal pairs suffice: faces of one simplicial cell meet properly, and so do faces of two cells that do.
     top = [i for i in range(len(specs)) if not cx.cofaces(i)]
+    vrows, rrows = _lifted_rows(vpool, rpool)
     for i, j in itertools.combinations(top, 2):
-        (vs1, rs1), (vs2, rs2) = specs[i], specs[j]
-        _check_pair_intersection(cx.rank, [vpool[k] for k in vs1], [rpool[k] for k in rs1],
-                                 [vpool[k] for k in vs2], [rpool[k] for k in rs2],
-                                 shared_v=[vpool[k] for k in set(vs1) & set(vs2)],
-                                 shared_r=[rpool[k] for k in set(rs1) & set(rs2)])
+        _check_pair_intersection(vrows, rrows, specs[i], specs[j])
 
 
-def _check_pair_intersection(rank, v1, r1, v2, r2, shared_v, shared_r) -> None:
-    """Exact check that P1 and P2 meet exactly in their shared-generator face:
-    one Fourier-Motzkin run over the generator weights (equal points, vertex
-    weights summing to 1 per cell, all >= 0; one lcm makes the rows integral)
-    asks whether the non-shared weights can sum to > 0, i.e. whether one can
-    be > 0; without a shared vertex, whether the cells meet at all."""
-    gens = [("v", tuple(v)) for v in v1] + [("r", tuple(r)) for r in r1]
-    n1 = len(gens)
-    gens += [("v", tuple(v)) for v in v2] + [("r", tuple(r)) for r in r2]
-    scale = lcm(*(x.denominator for _, g in gens for x in g))
-    eqs = [tuple(g[c].numerator * (scale // g[c].denominator) * (1 if k < n1 else -1)
-                 for k, (_, g) in enumerate(gens)) + (0,) for c in range(rank)]
-    eqs += [tuple(int(kind == "v" and (k < n1) == first) for k, (kind, _) in enumerate(gens)) + (-1,)
-            for first in (True, False)]
-    ineqs = [(tuple(int(k == j) for k in range(len(gens))) + (0,), False) for j in range(len(gens))]
-    shared = {("v", tuple(v)) for v in shared_v} | {("r", tuple(r)) for r in shared_r}
-    extra = tuple(int(g not in shared) for g in gens) + (0,)
-    if not shared_v and fm_feasible(eqs, ineqs):
-        raise InputFormatError("intersection axiom violated: disjoint faces overlap")
-    if shared_v and fm_feasible(eqs, ineqs + [(extra, True)]):
-        raise InputFormatError("intersection axiom violated: overlap beyond common face")
+def _lifted_rows(vpool, rpool) -> tuple[list[IntVec], list[IntVec]]:
+    """The integer rows (s v, s) of the vertices, s the lcm of all their
+    denominators, and (r, 0) of the rays."""
+    scale = lcm(*(x.denominator for v in vpool for x in v))
+    vrows = [tuple(x.numerator * (scale // x.denominator) for x in v) + (scale,) for v in vpool]
+    return vrows, [tuple(r) + (0,) for r in rpool]
+
+
+def _check_pair_intersection(vrows, rrows, cell1, cell2) -> None:
+    """Exact check that two cells, given as (vertex, ray) index lists into
+    the lifted rows, meet exactly in their shared-generator face: one
+    Fourier-Motzkin run over the generator weights.  The lifted rows of the
+    two cells agree, which equates the points and the vertex-weight sums;
+    each shared generator is one weight of free sign (its weight in one cell
+    minus that in the other), every other weight is >= 0.  With a shared
+    vertex the question is homogeneous: can the other weights sum to > 0?
+    Then a point lies off the shared face, since adding the same weight at a
+    shared vertex to both cells makes the vertex weights positive, and scaling
+    makes them sum to 1.  Without one, the vertex weights of the first cell
+    sum to 1, and the question is whether the cells meet at all."""
+    (vs1, rs1), (vs2, rs2) = cell1, cell2
+    shared_v, shared_r = set(vs1) & set(vs2), set(rs1) & set(rs2)
+    own = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
+    own += [tuple(-x for x in vrows[k]) for k in vs2 if k not in shared_v]
+    own += [tuple(-x for x in rrows[k]) for k in rs2 if k not in shared_r]
+    cols = own + [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
+    eqs = [row + (0,) for row in zip(*cols)]
+    n, m = len(cols), len(own)
+    ineqs = [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(m)]
+    if shared_v:
+        strict = tuple(int(k < m) for k in range(n)) + (0,)
+        if fm_feasible(eqs, ineqs + [(strict, True)]):
+            raise InputFormatError("intersection axiom violated: overlap beyond common face")
+    else:
+        eqs.append(tuple(int(k < len(vs1)) for k in range(n)) + (-1,))
+        if fm_feasible(eqs, ineqs):
+            raise InputFormatError("intersection axiom violated: disjoint faces overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +450,9 @@ def recession_fan(y: FaceComplex) -> FaceComplex:
 
     The cones must be closed under faces (checked here, since y may have been
     built without validation) and must meet properly (checked by the
-    validated fan build on pairs of maximal cones).
+    validated fan build on pairs of maximal cones).  A validated y with one
+    vertex is a translate of its recession fan, so its cones were checked
+    already and the fan is built without a second check.
     """
     if any(f.sedentarity != () for f in y.faces):
         raise NotAFanError("recession fan needs a complex in a single R^n")
@@ -444,8 +462,9 @@ def recession_fan(y: FaceComplex) -> FaceComplex:
             for sub in itertools.combinations(c, k):
                 if sub not in cone_sets:
                     raise NotAFanError("recession cones are not closed under faces")
+    checked = y.validated and len({v for f in y.faces for v in f.vertices}) == 1
     try:
-        return make_fan(y.rank, [list(c) for c in sorted(cone_sets)])
+        return make_fan(y.rank, [list(c) for c in sorted(cone_sets)], validate=not checked)
     except InputFormatError as exc:
         raise NotAFanError(f"recession cones overlap improperly: {exc}") from exc
 

@@ -13,11 +13,13 @@ from trophodge.matroids import bergman_fan, boolean_matroid
 from trophodge.polyhedral import (
     _check_pair_intersection,
     _compose,
+    _lifted_rows,
     build_complex,
     compactify,
     complex_from_json,
     complex_to_json,
     fm_feasible,
+    make_fan,
     recession_fan,
 )
 
@@ -296,6 +298,43 @@ def test_intersections_checked_on_maximal_cells_only(monkeypatch):
     assert len(calls) == 24 * 23 // 2
 
 
+def _count_pair_checks(monkeypatch):
+    import trophodge.polyhedral as polyhedral
+
+    calls = []
+    check = polyhedral._check_pair_intersection
+    monkeypatch.setattr(polyhedral, "_check_pair_intersection",
+                        lambda *args, **kw: calls.append(1) or check(*args, **kw))
+    return calls
+
+
+def test_compactify_does_not_check_a_validated_fan_again(monkeypatch):
+    # The recession fan of a validated fan is the fan itself.
+    data = complex_to_json(bergman_fan(boolean_matroid(4)))
+    calls = _count_pair_checks(monkeypatch)
+    fan = complex_from_json(data)
+    assert fan.validated and len(calls) == 276
+    compactify(fan)
+    assert len(calls) == 276
+
+
+def test_compactify_checks_the_cones_of_an_unvalidated_fan(monkeypatch):
+    fan = bergman_fan(boolean_matroid(4))
+    calls = _count_pair_checks(monkeypatch)
+    assert not fan.validated
+    compactify(fan)
+    assert len(calls) == 276
+
+
+def test_compactify_rejects_unvalidated_one_apex_overlap():
+    # Two unimodular cones sharing the ray (1, 1): (2, 1) = (1, 0) + (1, 1)
+    # lies inside the first, so the second overlaps it beyond their common ray.
+    fan = make_fan(2, [[(1, 0), (1, 1)], [(2, 1), (1, 1)]], validate=False)
+    assert len({v for f in fan.faces for v in f.vertices}) == 1
+    with pytest.raises(NotAFanError):
+        compactify(fan)
+
+
 def test_recession_fan_rejects_cones_not_closed_under_faces():
     # A quadrant given without its boundary rays, accepted only unvalidated.
     quadrant = build_complex(2, [[0, 0]], [[1, 0], [0, 1]], [([0], []), ([0], [0, 1])],
@@ -412,21 +451,32 @@ def _random_cell_pair(rng):
             [v for v in v1 if v in v2], [r for r in r1 if r in r2])
 
 
+def _check_pair_by_vectors(rank, v1, r1, v2, r2, shared_v, shared_r):
+    """_check_pair_intersection on two cells given by their generators: the
+    pools hold each generator once, the cells index into their lifted rows."""
+    vpool = sorted(set(v1) | set(v2))
+    rpool = sorted(set(r1) | set(r2))
+    cells = [([vpool.index(v) for v in vs], [rpool.index(r) for r in rs])
+             for vs, rs in ((v1, r1), (v2, r2))]
+    _check_pair_intersection(*_lifted_rows(vpool, rpool), *cells)
+
+
 def test_pair_check_agrees_with_fraction_parametrisation():
-    rng = random.Random(20201)
-    outcomes = {}
-    for _ in range(400):
-        args = _random_cell_pair(rng)
-        want = _pair_oracle(*args)
-        try:
-            _check_pair_intersection(*args)
-            got = None
-        except InputFormatError as exc:
-            got = str(exc)
-        assert got == want, args
-        outcomes[want] = outcomes.get(want, 0) + 1
-    assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
-                             "intersection axiom violated: overlap beyond common face"}
+    for seed, pairs in ((20201, 400), (7, 2000)):
+        rng = random.Random(seed)
+        outcomes = {}
+        for _ in range(pairs):
+            args = _random_cell_pair(rng)
+            want = _pair_oracle(*args)
+            try:
+                _check_pair_by_vectors(*args)
+                got = None
+            except InputFormatError as exc:
+                got = str(exc)
+            assert got == want, (seed, args)
+            outcomes[want] = outcomes.get(want, 0) + 1
+        assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
+                                 "intersection axiom violated: overlap beyond common face"}
 
 
 # ---------------------------------------------------------------------------
