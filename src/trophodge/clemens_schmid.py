@@ -222,32 +222,39 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     kmax = max(degrees) + 4 if degrees else 0
 
     incl = {k: induced_map(kc.gc, t.C, {k: kc.inclusion(k)}, k)
-            for k in range(kmin, kmax + 1)}
+            for k in range(kmin, kmax - 1)}
     lmap = {k: induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
             for k in range(kmin, kmax - 1)}
     proj = {k: induced_map(t.D, rc.gc, {k: rc.projection(k)}, k)
-            for k in range(kmin, kmax + 1)}
+            for k in range(kmin + 2, kmax + 1)}
     conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
             for k in range(kmin, kmax + 1)}
     conn[0] = _chase_d0(t, kc, rc)
+    # Each map is the outgoing map of one junction and the incoming map of
+    # the next, so it is ranked once, here (most of them are zero).
+    maps = {"incl": incl, "lmap": lmap, "proj": proj, "conn": conn}
+    ranks = {kind: {k: 0 if m.is_zero() else rank(m) for k, m in by_k.items()}
+             for kind, by_k in maps.items()}
 
     report = ExactnessReport()
 
-    def junction(node: str, incoming: RationalMatrix, outgoing: RationalMatrix):
-        dim = incoming.rows
-        if dim == 0 and incoming.cols == 0 and outgoing.rows == 0:
+    def junction(node: str, incoming: tuple[str, int], outgoing: tuple[str, int]):
+        """Exactness at node between two maps, each named by (kind, degree)."""
+        m_in, m_out = maps[incoming[0]][incoming[1]], maps[outgoing[0]][outgoing[1]]
+        dim = m_in.rows
+        if dim == 0 and m_in.cols == 0 and m_out.rows == 0:
             return
-        rk_in = rank(incoming)
-        ker_out = dim - rank(outgoing)
-        comp = outgoing.matmul(incoming)
+        rk_in = ranks[incoming[0]][incoming[1]]
+        ker_out = dim - ranks[outgoing[0]][outgoing[1]]
+        comp = m_out.matmul(m_in)
         report.junctions.append(Junction(node, rk_in, ker_out,
                                          rk_in == ker_out, comp.is_zero()))
 
     for k in range(kmin, kmax - 1):
-        junction(f"H^{k}(K)", conn[k], incl[k])
-        junction(f"H^{k}(C)", incl[k], lmap[k])
-        junction(f"H^{k + 2}(D)", lmap[k], proj[k + 2])
-        junction(f"H^{k + 2}(R)", proj[k + 2], conn[k + 2])
+        junction(f"H^{k}(K)", ("conn", k), ("incl", k))
+        junction(f"H^{k}(C)", ("incl", k), ("lmap", k))
+        junction(f"H^{k + 2}(D)", ("lmap", k), ("proj", k + 2))
+        junction(f"H^{k + 2}(R)", ("proj", k + 2), ("conn", k + 2))
     return report
 
 

@@ -161,14 +161,18 @@ def cmd_cs_check(args) -> int:
     return 0 if result["all"] else 1
 
 
-def _parse_class(st, path: str) -> HodgeClass:
+def _parse_class(st, path: str, p: int) -> HodgeClass:
+    """A Hodge class of degree p: one star Chow class per finite vertex."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        p = int(data["p"])
+        if int(data["p"]) != p:
+            raise InputFormatError(f"class file has p = {data['p']}, but --p is {p}")
         classes = {}
         for vid_s, monos in data.get("vertices", {}).items():
             vid = int(vid_s)
+            if vid not in st.finite_by_dim.get(0, []):
+                raise InputFormatError(f"class file names face {vid_s}, which is not a finite vertex")
             ring = st.rings_for(vid)
             combo = {}
             for label_s, coeff in monos.items():
@@ -190,7 +194,7 @@ def cmd_hodge_cycle(args) -> int:
     st = build_steenbrink(compactify(y))
     p = args.p
     if args.klass:
-        classes = [_parse_class(st, args.klass)]
+        classes = [_parse_class(st, args.klass, p)]
     else:
         classes = hodge_locus_basis(st, p)
     out = {}
@@ -240,9 +244,7 @@ def cmd_check_all(args) -> int:
 
     ok_psi = True
     for _ in range(100):
-        key, xv = random_homogeneous(st, rng)
-        key2, yv = random_homogeneous(st, rng)
-        ex, ey = {key: xv}, {key2: yv}
+        ex, ey = random_homogeneous(st, rng), random_homogeneous(st, rng)
         if st.psi(ex, ey) != (-1) ** d * st.psi(ey, ex):
             ok_psi = False
         if st.psi(st.apply_n(ex), ey) + st.psi(ex, st.apply_n(ey)) != 0:

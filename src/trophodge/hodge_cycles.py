@@ -46,10 +46,13 @@ class HodgeClass:
             return self.classes[v]
         return st.rings_for(v).zero(self.p)
 
-    def block_vector(self, st: SteenbrinkPage) -> list[Fraction]:
-        out = []
-        for f, i in st.block_labels(0, 2 * self.p, 0):
-            out.append(self.component(st, f).coeffs[i])
+    def term_vector(self, st: SteenbrinkPage) -> list[Fraction]:
+        """The class as a full-term vector of ST^{0,2p}, zero outside the s = 0 block."""
+        index = st.term_index(0, 2 * self.p)
+        out = [Fraction(0)] * len(index)
+        for (s, f, i), j in index.items():
+            if s == 0:
+                out[j] = self.component(st, f).coeffs[i]
         return out
 
     def is_zero(self) -> bool:
@@ -65,16 +68,11 @@ class TropicalCycle:
 
 
 def _block_vector_to_class(st: SteenbrinkPage, p: int, vec: Sequence[Fraction]) -> HodgeClass:
-    classes: dict[int, ChowClass] = {}
-    labels = st.block_labels(0, 2 * p, 0)
-    for v in st.finite_by_dim.get(0, []):
-        ring = st.rings[v]
-        coeffs = [Fraction(0)] * ring.dim(p)
-        for (f, i), val in zip(labels, vec):
-            if f == v:
-                coeffs[i] = val
-        classes[v] = ChowClass(p, tuple(coeffs))
-    return HodgeClass(p, classes)
+    """The class of a vector of K^{0,2p}, labelled by the block ST^{0,2p,0}."""
+    coeffs = {v: [Fraction(0)] * st.rings[v].dim(p) for v in st.finite_by_dim.get(0, [])}
+    for (f, i), val in zip(st.block_labels(0, 2 * p, 0), vec):
+        coeffs[f][i] = val
+    return HodgeClass(p, {v: ChowClass(p, tuple(c)) for v, c in coeffs.items()})
 
 
 @cached
@@ -89,11 +87,9 @@ def k_cocycle_vectors(st: SteenbrinkPage, p: int) -> list[list[Fraction]]:
 
 
 def is_cocycle(st: SteenbrinkPage, alpha: HodgeClass) -> bool:
-    kc = st.k_complex(alpha.p)
-    vec = alpha.block_vector(st)
-    if not vec:
-        return True
-    return all(v == 0 for v in kc.differential(0).mul_vec(vec))
+    """d alpha = 0; on the s = 0 block, d is the restriction differential of K."""
+    _, _, dvec = st.apply_d((0, 2 * alpha.p, alpha.term_vector(st)))
+    return all(v == 0 for v in dvec)
 
 
 @cached
@@ -104,17 +100,18 @@ def hodge_locus_basis(st: SteenbrinkPage, p: int) -> list[HodgeClass]:
     nmat = n_power_h_matrix(st, 1, b, 0)
     ker_coords = kernel_basis(nmat).basis
     target_rank = len(ker_coords)
-    chosen: list[list[Fraction]] = []
+    chosen: list[HodgeClass] = []
     chosen_span = Echelon()
     for vec in k_cocycle_vectors(st, p):
-        if chosen_span.add(h0.coordinates(st.block_to_term(0, b, 0, vec))):
-            chosen.append(vec)
+        alpha = _block_vector_to_class(st, p, vec)
+        if chosen_span.add(h0.coordinates(alpha.term_vector(st))):
+            chosen.append(alpha)
         if len(chosen) == target_rank:
             break
     if len(chosen) != target_rank:
         raise DegeneratePairingError(
             "kernel cocycles do not span ker N; Clemens-Schmid violated")
-    return [_block_vector_to_class(st, p, v) for v in chosen]
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +206,17 @@ def numerical_vs_homological(st: SteenbrinkPage, p: int) -> dict:
     rank-level decomposition H^{p,p} = ker N + Im N and orthogonality."""
     d = st.dim
     q = d - p
-    basis_p = hodge_locus_basis(st, p)
-    basis_q = hodge_locus_basis(st, q)
-    matrix = []
-    for a in basis_p:
-        xa = {(0, 2 * p, 0): a.block_vector(st)}
-        row = []
-        for b in basis_q:
-            yb = {(0, 2 * q, 0): b.block_vector(st)}
-            row.append(st.psi(xa, yb))
-        matrix.append(row)
+    basis_p = [(0, 2 * p, a.term_vector(st)) for a in hodge_locus_basis(st, p)]
+    basis_q = [(0, 2 * q, b.term_vector(st)) for b in hodge_locus_basis(st, q)]
+    matrix = [[st.psi(x, y) for y in basis_q] for x in basis_p]
     square = len(basis_p) == len(basis_q)
     nondeg = square and (not basis_p or rank(RationalMatrix.from_rows(matrix)) == len(basis_p))
 
     # Rank-level splitting of H^{p,p} into ker N and Im N.
     h0 = st.h_basis(2 * p, 0)
-    ker_coords = [h0.coordinates(st.block_to_term(0, 2 * p, 0, a.block_vector(st)))
-                  for a in basis_p]
-    im_coords = []
-    hminus = st.h_basis(2 * p + 2, -2)
-    for rep in hminus.representatives:
-        img = st.n_matrix(-2, 2 * p + 2).mul_vec(rep)
-        im_coords.append(h0.coordinates(img))
+    ker_coords = [h0.coordinates(x) for _, _, x in basis_p]
+    im_coords = [h0.coordinates(st.apply_n((-2, 2 * p + 2, rep))[2])
+                 for rep in st.h_basis(2 * p + 2, -2).representatives]
     im_rank = rank(RationalMatrix.from_rows(im_coords)) if im_coords else 0
     ker_rank = rank(RationalMatrix.from_rows(ker_coords)) if ker_coords else 0
     both = ker_coords + im_coords
@@ -238,15 +224,8 @@ def numerical_vs_homological(st: SteenbrinkPage, p: int) -> dict:
     splits = ker_rank + im_rank == h0.dim and direct
 
     # ker N (p side) is psi-orthogonal to Im N (q side).
-    ortho = True
-    hq_minus = st.h_basis(2 * q + 2, -2)
-    for a in basis_p:
-        xa = a.block_vector(st)
-        xa_term = st.block_to_term(0, 2 * p, 0, xa)
-        for rep in hq_minus.representatives:
-            img = st.n_matrix(-2, 2 * q + 2).mul_vec(rep)
-            if st.psi_term(0, 2 * p, xa_term, img) != 0:
-                ortho = False
+    images_q = [st.apply_n((-2, 2 * q + 2, rep)) for rep in st.h_basis(2 * q + 2, -2).representatives]
+    ortho = all(st.psi(x, y) == 0 for x in basis_p for y in images_q)
     result = {
         "pairing": matrix,
         "square": square,

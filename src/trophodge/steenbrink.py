@@ -5,8 +5,11 @@ Hard Lefschetz checks, primitive parts, and the kernel/cokernel complexes.
 Block (a, b, s) holds one copy of the Chow group A^((a+b-s)/2) of the star
 fan of each bounded s-face; blocks exist only when s >= |a|, s = a mod 2,
 b is even, and the Chow degree fits the star dimension.  The basis of a
-block is the list of (face, Chow basis monomial) pairs, and one cached
-term index maps each (s, face, monomial) label of ST^{a,b} to its position.
+block is the list of (face, Chow basis monomial) pairs.  One cached term
+index maps each (s, face, monomial) label of the term ST^{a,b}, the sum of
+its blocks, to its position; it alone knows the layout of the blocks.  An
+element of the page is (a, b, vec) with vec one full-term vector of ST^{a,b},
+and psi, d (`apply_d`) and N (`apply_n`) act on such elements directly.
 
 The differential is stitched in one place, `d_matrix`, once per bounded
 cover pair f < g: a restriction block from f into g and a Gysin block from
@@ -30,8 +33,6 @@ from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
 from .cohomology import GradedComplex, QuotientBasis
 from .linalg import RationalMatrix, kernel_basis, rank
 from .polyhedral import FaceComplex
-
-Element = dict[tuple[int, int, int], list[Fraction]]
 
 
 class SteenbrinkPage:
@@ -59,21 +60,11 @@ class SteenbrinkPage:
         return k2 // 2 <= self.dim - s
 
     def block_labels(self, a: int, b: int, s: int) -> list[tuple[int, int]]:
-        """(face, basis position) pairs indexing the block's coordinates."""
-        if not self.block_exists(a, b, s):
-            return []
-        k = (a + b - s) // 2
-        out = []
-        for f in self.finite_by_dim.get(s, []):
-            out.extend((f, i) for i in range(self.rings[f].dim(k)))
-        return out
+        """(face, basis position) pairs of the block's coordinates, in term order."""
+        return [(f, i) for ss, f, i in self.term_index(a, b) if ss == s]
 
     def block_dim(self, a: int, b: int, s: int) -> int:
         return len(self.block_labels(a, b, s))
-
-    def s_values(self, a: int, b: int) -> list[int]:
-        return [s for s in sorted(self.finite_by_dim)
-                if self.block_dim(a, b, s) > 0]
 
     @cached
     def nonempty_blocks(self) -> list[tuple[int, int, int, int]]:
@@ -86,8 +77,8 @@ class SteenbrinkPage:
     def term_index(self, a: int, b: int) -> dict[tuple[int, int, int], int]:
         """Position of each (s, face, basis position) label of the full ST^{a,b}
         term; the blocks follow each other by s, each face's block is contiguous."""
-        labels = [(s, f, i) for s in sorted(self.finite_by_dim)
-                  for f, i in self.block_labels(a, b, s)]
+        labels = [(s, f, i) for s in sorted(self.finite_by_dim) if self.block_exists(a, b, s)
+                  for f in self.finite_by_dim[s] for i in range(self.rings[f].dim((a + b - s) // 2))]
         return {lab: n for n, lab in enumerate(labels)}
 
     def term_labels(self, a: int, b: int) -> list[tuple[int, int, int]]:
@@ -202,91 +193,42 @@ class SteenbrinkPage:
             diffs[a] = m
         return GradedComplex({a: len(lab) for a, lab in labels.items()}, diffs, labels)
 
-    # -- psi --------------------------------------------------------------
+    # -- psi, d and N on elements ---------------------------------------------
 
     def epsilon(self, a: int, b: int) -> int:
         if b % 2:
             return 1
         return -1 if (a + b // 2) % 2 else 1
 
-    def psi_homogeneous(self, a: int, b: int, s: int, xv: Sequence[Fraction],
-                        a2: int, b2: int, s2: int, yv: Sequence[Fraction]) -> Fraction:
-        if a + a2 != 0 or b + b2 != 2 * self.dim or s != s2:
+    def psi(self, x: tuple[int, int, list[Fraction]], y: tuple[int, int, list[Fraction]]) -> Fraction:
+        """psi of x in ST^{a,b} and y in ST^{a',b'}: zero unless a + a' = 0 and
+        b + b' = 2d, else epsilon(a, b) times the sum over the (s, face) groups
+        of both terms of the star-fan Chow pairing of the two groups."""
+        (a, b, xv), (a2, b2, yv) = x, y
+        if a + a2 != 0 or b + b2 != 2 * self.dim:
             return Fraction(0)
-        labels_x = self.block_labels(a, b, s)
-        labels_y = self.block_labels(a2, b2, s2)
-        kx = (a + b - s) // 2
-        ky = (a2 + b2 - s) // 2
+        gy = self._face_groups(a2, b2, yv)
         total = Fraction(0)
-        for f in self.finite_by_dim.get(s, []):
-            ring = self.rings[f]
-            cx = ChowClass(kx, tuple(v for (ff, _), v in zip(labels_x, xv) if ff == f))
-            cy = ChowClass(ky, tuple(v for (ff, _), v in zip(labels_y, yv) if ff == f))
-            if cx.coeffs and cy.coeffs:
-                total += ring.pairing(cx, cy)
+        for (s, f), cx in self._face_groups(a, b, xv).items():
+            if (s, f) in gy:
+                total += self.rings[f].pairing(ChowClass((a + b - s) // 2, tuple(cx)),
+                                               ChowClass((a2 + b2 - s) // 2, tuple(gy[s, f])))
         return self.epsilon(a, b) * total
 
-    def psi(self, x: Element, y: Element) -> Fraction:
-        total = Fraction(0)
-        for (a, b, s), xv in x.items():
-            for (a2, b2, s2), yv in y.items():
-                total += self.psi_homogeneous(a, b, s, xv, a2, b2, s2, yv)
-        return total
-
-    def psi_term(self, a: int, b: int, xv: Sequence[Fraction],
-                 yv: Sequence[Fraction]) -> Fraction:
-        """psi of two full-term vectors in ST^{a,b} and ST^{-a,2d-b}."""
-        b2 = 2 * self.dim - b
-        total = Fraction(0)
-        for s in self.s_values(a, b):
-            sl_x = self._term_slice(a, b, s, xv)
-            sl_y = self._term_slice(-a, b2, s, yv)
-            if sl_x is not None and sl_y is not None:
-                total += self.psi_homogeneous(a, b, s, sl_x, -a, b2, s, sl_y)
-        return total
-
-    def _term_slice(self, a: int, b: int, s: int, vec: Sequence[Fraction]):
-        idx = [i for (ss, _, _), i in self.term_index(a, b).items() if ss == s]
-        if not idx:
-            return None
-        return [vec[i] for i in idx]
-
-    def block_to_term(self, a: int, b: int, s: int, vec: Sequence[Fraction]) -> list[Fraction]:
-        index = self.term_index(a, b)
-        out = [Fraction(0)] * len(index)
-        for (f, i), v in zip(self.block_labels(a, b, s), vec):
-            out[index[(s, f, i)]] = v
+    def _face_groups(self, a: int, b: int, vec: Sequence[Fraction]) -> dict[tuple[int, int], list[Fraction]]:
+        """The coordinates of a vector of ST^{a,b}, grouped by (s, face) in basis order."""
+        out: dict[tuple[int, int], list[Fraction]] = {}
+        for (s, f, _), v in zip(self.term_index(a, b), vec):
+            out.setdefault((s, f), []).append(v)
         return out
 
-    def term_to_blocks(self, a: int, b: int, vec: Sequence[Fraction]) -> dict[int, list[Fraction]]:
-        out: dict[int, list[Fraction]] = {}
-        for lab, v in zip(self.term_index(a, b), vec):
-            out.setdefault(lab[0], []).append(v)
-        return {s: v for s, v in out.items() if any(c != 0 for c in v)}
+    def apply_d(self, x: tuple[int, int, list[Fraction]]) -> tuple[int, int, list[Fraction]]:
+        a, b, vec = x
+        return a + 1, b, self.row_complex(b).differential(a).mul_vec(vec)
 
-    def apply_d(self, x: Element) -> Element:
-        out: Element = {}
-        for (a, b, s), vec in x.items():
-            t = self.block_to_term(a, b, s, vec)
-            dt = self.row_complex(b).differential(a).mul_vec(t)
-            for s2, sl in self.term_to_blocks(a + 1, b, dt).items():
-                key = (a + 1, b, s2)
-                if key in out:
-                    out[key] = [u + v for u, v in zip(out[key], sl)]
-                else:
-                    out[key] = sl
-        return {k: v for k, v in out.items() if any(c != 0 for c in v)}
-
-    def apply_n(self, x: Element) -> Element:
-        out: Element = {}
-        for (a, b, s), vec in x.items():
-            if self.block_exists(a + 2, b - 2, s):
-                key = (a + 2, b - 2, s)
-                if key in out:
-                    out[key] = [u + v for u, v in zip(out[key], vec)]
-                else:
-                    out[key] = list(vec)
-        return {k: v for k, v in out.items() if any(c != 0 for c in v)}
+    def apply_n(self, x: tuple[int, int, list[Fraction]]) -> tuple[int, int, list[Fraction]]:
+        a, b, vec = x
+        return a + 2, b - 2, _n_power_vec(self, a, b, vec, 1)
 
 
 def build_steenbrink(x: FaceComplex) -> SteenbrinkPage:
@@ -468,7 +410,7 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
                         continue
                     for vx in vecs:
                         for ny in nvecs2:
-                            if st.psi_term(-a, b, vx, ny) != 0:
+                            if st.psi((-a, b, vx), (a, 2 * d - b, ny)) != 0:
                                 ok = False
             orthogonal_ok[(-a, b)] = ok
     return {"dims": dims, "decomposition": decomposition_ok,
@@ -487,18 +429,23 @@ def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[F
     for rx in hx.representatives:
         row = []
         for ry in hy.representatives:
-            row.append(st.psi_term(a, 2 * p, rx, ry))
+            row.append(st.psi((a, 2 * p, rx), (-a, 2 * (d - p), ry)))
         out.append(row)
     return out
 
 
-def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[tuple[int, int, int], list[Fraction]]:
-    """A random nonzero homogeneous element in a random nonempty block."""
+def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[int, int, list[Fraction]]:
+    """A random nonzero element (a, b, vec) of ST^{a,b}, supported in one random
+    nonempty block ST^{a,b,s}."""
     blocks = st.nonempty_blocks()
     if not blocks:
-        return (0, 0, 0), []
+        return 0, 0, []
     a, b, s, n = blocks[rng.randrange(len(blocks))]
     vec = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
     if all(v == 0 for v in vec):
         vec[rng.randrange(n)] = Fraction(1)
-    return (a, b, s), vec
+    index = st.term_index(a, b)
+    start = next(j for (ss, _, _), j in index.items() if ss == s)
+    out = [Fraction(0)] * len(index)
+    out[start:start + n] = vec
+    return a, b, out

@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import grid_plane
+
 from trophodge import HLFailureError
+from trophodge.cli import main
 from trophodge.clemens_schmid import (
     LefschetzTriple,
     _CokernelComplex,
@@ -20,6 +24,7 @@ from trophodge.clemens_schmid import (
 )
 from trophodge.cohomology import GradedComplex, induced_map
 from trophodge.linalg import RationalMatrix, column_echelon
+from trophodge.polyhedral import complex_to_json
 from trophodge.steenbrink import SteenbrinkPage
 
 
@@ -162,3 +167,21 @@ def test_chase_d0_equals_dense_chase():
         for shift in shifts:
             got = _chase_d0(t, kc, rc, lift_shift=shift)
             assert got == _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+
+
+def test_cs_check_ranks_each_matrix_once(tmp_path, capsys, monkeypatch):
+    from trophodge import clemens_schmid
+
+    seen = []  # keeps each matrix alive, so its id() stays unique
+    original = clemens_schmid.rank
+
+    def recording_rank(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(clemens_schmid, "rank", recording_rank)
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["cs-check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_exact"]
+    assert seen and len({id(m) for m in seen}) == len(seen)

@@ -139,6 +139,9 @@ PAYLOADS = {
     "zero_denominator": {**LINE, "vertices": [["1/0"]]},
     "bad_label": {"p": 1, "vertices": {"0": {"a,b": "1"}}},
     "bad_coefficient": {"p": 1, "vertices": {"0": {"": "1/0"}}},
+    # fixD: the p = 1 class x_4 at vertex 0, and face 3, an unbounded edge
+    "p_mismatch": {"p": 1, "vertices": {"0": {"4": "1"}}},
+    "not_a_vertex": {"p": 0, "vertices": {"0": {"": "1"}, "3": {"": "5"}}},
 }
 
 
@@ -148,7 +151,10 @@ PAYLOADS = {
     ["cohomology", "{zero_denominator}"],
     ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_label}"],
     ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_coefficient}"],
-], ids=["degrees", "zero-ray", "zero-denominator", "class-label", "class-coefficient"])
+    ["hodge-cycle", "fixD", "--p", "0", "--class", "{p_mismatch}"],
+    ["hodge-cycle", "fixD", "--p", "0", "--class", "{not_a_vertex}"],
+], ids=["degrees", "zero-ray", "zero-denominator", "class-label", "class-coefficient",
+        "class-p-mismatch", "class-not-a-vertex"])
 def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
     paths = {}
     for name, payload in PAYLOADS.items():

@@ -132,3 +132,12 @@ def test_poincare_pairing_nondegenerate_all_fixtures(comp_d, comp_e, comp_f, com
 
 def test_triangulation_independence_d_vs_e(comp_d, comp_e):
     assert hodge_diamond(comp_d) == hodge_diamond(comp_e)
+
+
+def test_hodge_diamond_symmetries(comp_a, comp_b, comp_c, comp_d, comp_e, comp_f, comp_grid1):
+    # h^{p,q} = h^{q,p} = h^{d-p,d-q} on each compactification
+    for comp in (comp_a, comp_b, comp_c, comp_d, comp_e, comp_f, comp_grid1):
+        h, d = hodge_diamond(comp), comp.dim
+        for p in range(d + 1):
+            for q in range(d + 1):
+                assert h[p][q] == h[q][p] == h[d - p][d - q]

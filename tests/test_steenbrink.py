@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from trophodge.chow import ChowClass
 from trophodge.cohomology import hodge_diamond
 from trophodge.linalg import RationalMatrix, rank
 from trophodge.polyhedral import FaceComplex
@@ -59,26 +60,19 @@ def test_monodromy_commutes_with_differential(st_e, st_f):
     rng = random.Random(31)
     for st in (st_e, st_f):
         for _ in range(50):
-            key, vec = random_homogeneous(st, rng)
-            x = {key: vec}
-            nd = st.apply_d(st.apply_n(x))
-            dn = st.apply_n(st.apply_d(x))
-            keys = set(nd) | set(dn)
-            for k in keys:
-                va = nd.get(k, [F(0)] * len(dn.get(k, [])))
-                vb = dn.get(k, [F(0)] * len(nd.get(k, [])))
-                assert va == vb
+            x = random_homogeneous(st, rng)
+            assert st.apply_d(st.apply_n(x)) == st.apply_n(st.apply_d(x))
 
 
 def test_psi_tridegree_selection(st_e):
-    x = {(0, 0, 0): [F(1), F(0)]}
-    y = {(0, 0, 0): [F(1), F(0)]}
+    x = (0, 0, [F(1), F(0)])
+    y = (0, 0, [F(1), F(0)])
     assert st_e.psi(x, y) == 0  # b + b' != 2d
 
 
 def test_psi_fix_d_unit_against_ray_class(st_d):
-    x = {(0, 0, 0): [F(1)]}
-    y = {(0, 2, 0): [F(1)]}
+    x = (0, 0, [F(1)])
+    y = (0, 2, [F(1)])
     assert st_d.psi(x, y) == 1
 
 
@@ -87,9 +81,7 @@ def test_psi_identities_on_random_pairs(st_d, st_e, st_f):
         rng = random.Random(99)
         d = st.dim
         for _ in range(100):
-            k1, v1 = random_homogeneous(st, rng)
-            k2, v2 = random_homogeneous(st, rng)
-            x, y = {k1: v1}, {k2: v2}
+            x, y = random_homogeneous(st, rng), random_homogeneous(st, rng)
             assert st.psi(x, y) == (-1) ** d * st.psi(y, x)
             assert st.psi(st.apply_n(x), y) + st.psi(x, st.apply_n(y)) == 0
             assert st.psi(st.apply_d(x), y) + st.psi(x, st.apply_d(y)) == 0
@@ -177,7 +169,7 @@ def test_psi_nondegenerate_on_cohomology(st_e, st_f):
                         for _ in range(a):
                             v = st.n_matrix(aa, bb).mul_vec(v)
                             aa, bb = aa + 2, bb - 2
-                        row.append(st.psi_term(-a, b, r1, v))
+                        row.append(st.psi((-a, b, r1), (a, 2 * d - b, v)))
                     mat.append(row)
                 assert rank(RationalMatrix.from_rows(mat)) == h1.dim
 
@@ -288,16 +280,8 @@ def test_apply_d_equals_d_matrix_on_full_term(st_e, st_f, st_grid1):
     rng = random.Random(7)
     for st in (st_e, st_f, st_grid1):
         for _ in range(40):
-            (a, b, s), vec = random_homogeneous(st, rng)
-            block = dict(zip(st.block_labels(a, b, s), vec))
-            full = [block.get((f, i), F(0)) if ss == s else F(0)
-                    for ss, f, i in st.term_labels(a, b)]
-            image = st.d_matrix(a, b).mul_vec(full)
-            expected = {}
-            for (s2, _, _), v in zip(st.term_labels(a + 1, b), image):
-                expected.setdefault((a + 1, b, s2), []).append(v)
-            expected = {k: v for k, v in expected.items() if any(v)}
-            assert st.apply_d({(a, b, s): vec}) == expected
+            a, b, full = random_homogeneous(st, rng)
+            assert st.apply_d((a, b, full)) == (a + 1, b, st.d_matrix(a, b).mul_vec(full))
 
 
 def test_n_power_vec_equals_n_matrix_powers(st_a, comp_b, st_c, st_d, st_e, st_f, st_grid1):
@@ -315,7 +299,7 @@ def test_n_power_vec_equals_n_matrix_powers(st_a, comp_b, st_c, st_d, st_e, st_f
 
 
 def _random_homogeneous_oracle(st, rng):
-    """The draw with the block list rebuilt on every call."""
+    """The draw with the block list rebuilt on every call, placed in its term."""
     blocks = []
     d = st.dim
     for b in range(0, 2 * d + 1, 2):
@@ -325,12 +309,13 @@ def _random_homogeneous_oracle(st, rng):
                 if n:
                     blocks.append((a, b, s, n))
     if not blocks:
-        return (0, 0, 0), []
+        return 0, 0, []
     a, b, s, n = blocks[rng.randrange(len(blocks))]
     vec = [F(rng.randint(-3, 3)) for _ in range(n)]
     if all(v == 0 for v in vec):
         vec[rng.randrange(n)] = F(1)
-    return (a, b, s), vec
+    block = dict(zip(st.block_labels(a, b, s), vec))
+    return a, b, [block.get((f, i), F(0)) if ss == s else F(0) for ss, f, i in st.term_labels(a, b)]
 
 
 def test_random_homogeneous_lists_blocks_once(comp_grid1, comp_d, monkeypatch):
@@ -346,3 +331,61 @@ def test_random_homogeneous_lists_blocks_once(comp_grid1, comp_d, monkeypatch):
         d = st.dim
         assert calls.count(True) == (d + 1) * (2 * d + 1) * (d + 1)  # one listing of (a, b, s)
         monkeypatch.undo()
+
+
+# -- psi on full-term vectors, checked against the blockwise psi it replaced
+
+def _psi_homogeneous_oracle(st, a, b, s, xv, a2, b2, s2, yv):
+    if a + a2 != 0 or b + b2 != 2 * st.dim or s != s2:
+        return F(0)
+    labels_x = st.block_labels(a, b, s)
+    labels_y = st.block_labels(a2, b2, s2)
+    kx = (a + b - s) // 2
+    ky = (a2 + b2 - s) // 2
+    total = F(0)
+    for f in st.finite_by_dim.get(s, []):
+        ring = st.rings[f]
+        cx = ChowClass(kx, tuple(v for (ff, _), v in zip(labels_x, xv) if ff == f))
+        cy = ChowClass(ky, tuple(v for (ff, _), v in zip(labels_y, yv) if ff == f))
+        if cx.coeffs and cy.coeffs:
+            total += ring.pairing(cx, cy)
+    return st.epsilon(a, b) * total
+
+
+def _blocks(st, x):
+    """{(a, b, s): block vector} of an element (a, b, vec)."""
+    a, b, vec = x
+    out = {}
+    for (s, _, _), v in zip(st.term_labels(a, b), vec):
+        out.setdefault((a, b, s), []).append(v)
+    return out
+
+
+def _psi_blocks_oracle(st, x, y):
+    total = F(0)
+    for (a, b, s), xv in _blocks(st, x).items():
+        for (a2, b2, s2), yv in _blocks(st, y).items():
+            total += _psi_homogeneous_oracle(st, a, b, s, xv, a2, b2, s2, yv)
+    return total
+
+
+def test_psi_equals_blockwise_oracle(st_a, comp_b, st_c, st_d, st_e, st_f, st_grid1):
+    rng = random.Random(2024)
+    for st in (st_a, build_steenbrink(comp_b), st_c, st_d, st_e, st_f, st_grid1):
+        d = st.dim
+        matched = mismatched = 0
+        for _ in range(30):
+            x, y = random_homogeneous(st, rng), random_homogeneous(st, rng)
+            a, b, _ = x
+            # an element of the psi-dual term, spread over all of its blocks
+            dual = (-a, 2 * d - b, [F(rng.randint(-3, 3)) for _ in range(st.term_dim(-a, 2 * d - b))])
+            for u, v in ((x, y), (x, dual), (dual, x), (st.apply_d(x), y), (x, st.apply_d(y)),
+                         (st.apply_n(x), y), (x, st.apply_n(y)), (st.apply_d(x), st.apply_n(dual))):
+                got = st.psi(u, v)
+                assert got == _psi_blocks_oracle(st, u, v)
+                if u[0] + v[0] == 0 and u[1] + v[1] == 2 * d:
+                    matched += 1
+                else:
+                    mismatched += 1
+                    assert got == 0
+        assert matched and mismatched
