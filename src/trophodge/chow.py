@@ -22,10 +22,10 @@ from . import (
     RankDeficientError,
     cached,
 )
-from .linalg import Echelon, RationalMatrix, kernel_basis, rank, solve
+from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, normal, rank, solve
 from .polyhedral import FaceComplex, StarFan
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Rational, ...]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ChowClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def scale(self, c: Fraction) -> "ChowClass":
+    def scale(self, c: Rational) -> "ChowClass":
         return ChowClass(self.degree, tuple(c * x for x in self.coeffs))
 
     def add(self, other: "ChowClass") -> "ChowClass":
@@ -65,7 +65,7 @@ class ChowRing:
         return [rays for _, rays in self.star.cones_of_dim(p)]
 
     @cached
-    def adapted_functional(self, rho: int, zero_on: frozenset, tweak: int = 0) -> list[Fraction]:
+    def adapted_functional(self, rho: int, zero_on: frozenset, tweak: int = 0) -> list[Rational]:
         """A covector with value 1 on e_rho and 0 on the listed ray positions.
 
         tweak != 0 shifts the choice by a functional vanishing on the whole
@@ -77,7 +77,7 @@ class ChowRing:
         for i, c in enumerate(cols):
             for j, v in enumerate(c):
                 m[i, j] = v
-        target = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
+        target = [1] + [0] * (len(cols) - 1)
         f = solve(m, target)
         if f is None:
             raise NotUnimodularError("no adapted functional; fan is not simplicial here")
@@ -87,25 +87,25 @@ class ChowRing:
                 f = [a + tweak * b for a, b in zip(f, kern[0])]
         return f
 
-    def pair(self, functional: Sequence[Fraction], pos: int) -> Fraction:
+    def pair(self, functional: Sequence[Rational], pos: int) -> Rational:
         return sum(f * v for f, v in zip(functional, self.star.ray_vectors[pos]) if v)
 
-    def reduce_monomial(self, ms: tuple[int, ...]) -> dict[frozenset, Fraction]:
+    def reduce_monomial(self, ms: tuple[int, ...]) -> dict[frozenset, Rational]:
         """Rewrite a ray multiset into squarefree cone monomials."""
         return self._reduce_sorted(tuple(sorted(ms)))
 
     @cached
-    def _reduce_sorted(self, ms: tuple[int, ...]) -> dict[frozenset, Fraction]:
+    def _reduce_sorted(self, ms: tuple[int, ...]) -> dict[frozenset, Rational]:
         supp = frozenset(ms)
         if not self.star.is_cone(supp):
             return {}
         if len(supp) == len(ms):
-            return {supp: Fraction(1)}
+            return {supp: 1}
         rho = next(x for x in ms if ms.count(x) > 1)
         rest = list(ms)
         rest.remove(rho)
         f = self.adapted_functional(rho, supp - {rho}, 0)
-        result: dict[frozenset, Fraction] = {}
+        result: dict[frozenset, Rational] = {}
         for other in range(self.nrays):
             if other in supp:
                 continue
@@ -113,21 +113,21 @@ class ChowRing:
             if c == 0:
                 continue
             for mono, coeff in self.reduce_monomial(tuple(rest + [other])).items():
-                result[mono] = result.get(mono, Fraction(0)) - c * coeff
+                result[mono] = result.get(mono, 0) - c * coeff
         return {k: v for k, v in result.items() if v != 0}
 
-    def _relation_rows(self, p: int) -> list[dict[frozenset, Fraction]]:
+    def _relation_rows(self, p: int) -> list[dict[frozenset, Rational]]:
         rows = []
         for tau in self.monomials(p - 1):
             base = tuple(sorted(tau))
             for i in range(self.rank):
-                row: dict[frozenset, Fraction] = {}
+                row: dict[frozenset, Rational] = {}
                 for pos in range(self.nrays):
                     c = self.star.ray_vectors[pos][i]
                     if c == 0:
                         continue
                     for mono, coeff in self.reduce_monomial(base + (pos,)).items():
-                        row[mono] = row.get(mono, Fraction(0)) + c * coeff
+                        row[mono] = row.get(mono, 0) + c * coeff
                 row = {k: v for k, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
@@ -156,7 +156,7 @@ class ChowRing:
 
     # -- classes ----------------------------------------------------------
 
-    def reduce_class(self, p: int, combo: dict[frozenset, Fraction]) -> ChowClass:
+    def reduce_class(self, p: int, combo: dict[frozenset, Rational]) -> ChowClass:
         """Class of a squarefree-cone-monomial combination, in basis coords."""
         if p < 0 or p > self.top:
             if any(v != 0 for v in combo.values()):
@@ -165,31 +165,31 @@ class ChowRing:
         relations, basis = self._presentation(p)
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
-        vec: dict[int, Fraction] = {}
+        vec: dict[int, Rational] = {}
         for mono, c in combo.items():
             vec[index[mono]] = vec.get(index[mono], 0) + c
         # The remainder modulo the relations is zero on every pivot column,
         # so it is the class's expansion over the basis monomials.
         rem, _ = relations.reduce(vec)
-        return ChowClass(p, tuple(Fraction(rem.get(index[m], 0)) for m in basis))
+        return ChowClass(p, tuple(normal(rem.get(index[m], 0)) for m in basis))
 
     def class_from_monomial(self, mono: frozenset) -> ChowClass:
         p = len(mono)
-        return self.reduce_class(p, {mono: Fraction(1)})
+        return self.reduce_class(p, {mono: 1})
 
     def unit(self) -> ChowClass:
-        return self.reduce_class(0, {frozenset(): Fraction(1)})
+        return self.reduce_class(0, {frozenset(): 1})
 
     def zero(self, p: int) -> ChowClass:
-        return ChowClass(p, tuple(Fraction(0) for _ in self.basis(p)))
+        return ChowClass(p, (0,) * self.dim(p))
 
-    def monomial_representative(self, cls: ChowClass) -> dict[frozenset, Fraction]:
+    def monomial_representative(self, cls: ChowClass) -> dict[frozenset, Rational]:
         """A squarefree representative: the basis expansion itself."""
         return {m: c for m, c in zip(self.basis(cls.degree), cls.coeffs) if c != 0}
 
     def multiply(self, a: ChowClass, b: ChowClass) -> ChowClass:
         p = a.degree + b.degree
-        acc: dict[frozenset, Fraction] = {}
+        acc: dict[frozenset, Rational] = {}
         for ma, ca in zip(self.basis(a.degree), a.coeffs):
             if ca == 0:
                 continue
@@ -197,13 +197,13 @@ class ChowRing:
                 if cb == 0:
                     continue
                 for mono, c in self.reduce_monomial(tuple(sorted(ma)) + tuple(sorted(mb))).items():
-                    acc[mono] = acc.get(mono, Fraction(0)) + ca * cb * c
+                    acc[mono] = acc.get(mono, 0) + ca * cb * c
         return self.reduce_class(p, acc)
 
     # -- degree and pairings ----------------------------------------------
 
     @cached
-    def _degree_normalization(self) -> Fraction:
+    def _degree_normalization(self) -> Rational:
         d = self.top
         if self.dim(d) != 1:
             raise RankDeficientError(f"top Chow group has rank {self.dim(d)}, not 1")
@@ -212,14 +212,14 @@ class ChowRing:
             raise RankDeficientError("x_eta classes of maximal cones disagree")
         return vals[0]
 
-    def degree(self, cls: ChowClass) -> Fraction:
+    def degree(self, cls: ChowClass) -> Rational:
         if cls.degree != self.top:
             raise DegreeMismatchError("degree map needs a top-degree class")
         if not cls.coeffs:
-            return Fraction(0)
-        return cls.coeffs[0] / self._degree_normalization()
+            return 0
+        return normal(Fraction(cls.coeffs[0], self._degree_normalization()))
 
-    def pairing(self, a: ChowClass, b: ChowClass) -> Fraction:
+    def pairing(self, a: ChowClass, b: ChowClass) -> Rational:
         if a.degree + b.degree != self.top:
             raise DegreeMismatchError("pairing needs complementary degrees")
         return self.degree(self.multiply(a, b))
@@ -254,11 +254,11 @@ def chow_ring(f, p: int) -> dict:
     }
 
 
-def degree(f, cls: ChowClass) -> Fraction:
+def degree(f, cls: ChowClass) -> Rational:
     return fan_ring(f).degree(cls)
 
 
-def pairing(f, a: ChowClass, b: ChowClass) -> Fraction:
+def pairing(f, a: ChowClass, b: ChowClass) -> Rational:
     return fan_ring(f).pairing(a, b)
 
 
@@ -306,7 +306,7 @@ def restriction(y: FaceComplex, gamma: int, delta: int, a: ChowClass,
         eta = sg.cone_label(pair)
         return sd.ray_position(eta)
 
-    def restrict_squarefree(mono: frozenset) -> dict[frozenset, Fraction]:
+    def restrict_squarefree(mono: frozenset) -> dict[frozenset, Rational]:
         imgs = []
         for pos in sorted(mono):
             ir = image_ray(pos)
@@ -315,14 +315,14 @@ def restriction(y: FaceComplex, gamma: int, delta: int, a: ChowClass,
             imgs.append(ir)
         return rd.reduce_monomial(tuple(imgs))
 
-    acc: dict[frozenset, Fraction] = {}
+    acc: dict[frozenset, Rational] = {}
     for mono, coeff in zip(rg.basis(a.degree), a.coeffs):
         if coeff == 0:
             continue
         if rho not in mono:
             parts = restrict_squarefree(mono)
             for mb, c in parts.items():
-                acc[mb] = acc.get(mb, Fraction(0)) + coeff * c
+                acc[mb] = acc.get(mb, 0) + coeff * c
         else:
             rest = mono - {rho}
             f = rg.adapted_functional(rho, rest, tweak)
@@ -334,7 +334,7 @@ def restriction(y: FaceComplex, gamma: int, delta: int, a: ChowClass,
                     continue
                 parts = restrict_squarefree(rest | {other})
                 for mb, c in parts.items():
-                    acc[mb] = acc.get(mb, Fraction(0)) - coeff * lam * c
+                    acc[mb] = acc.get(mb, 0) - coeff * lam * c
     return rd.reduce_class(a.degree, acc)
 
 
@@ -347,7 +347,7 @@ def gysin(y: FaceComplex, gamma: int, delta: int, a: ChowClass) -> ChowClass:
     rg = ring_of(sg)
     rd = ring_of(sd)
     rho = sg.ray_position(delta)
-    acc: dict[frozenset, Fraction] = {}
+    acc: dict[frozenset, Rational] = {}
     for mono, coeff in zip(rd.basis(a.degree), a.coeffs):
         if coeff == 0:
             continue
@@ -359,7 +359,7 @@ def gysin(y: FaceComplex, gamma: int, delta: int, a: ChowClass) -> ChowClass:
         target = frozenset(lifted)
         if len(target) != len(mono) + 1 or not sg.is_cone(target):
             raise NotCodimOneError("gysin image is not a cone; fan data corrupt")
-        acc[target] = acc.get(target, Fraction(0)) + coeff
+        acc[target] = acc.get(target, 0) + coeff
     return rg.reduce_class(a.degree + 1, acc)
 
 
@@ -371,18 +371,18 @@ class MinkowskiWeight:
     """A rational weight on the k-faces of a complex satisfying balancing."""
 
     dim: int
-    weights: tuple[tuple[int, Fraction], ...]  # (face index, weight)
+    weights: tuple[tuple[int, Rational], ...]  # (face index, weight)
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict[int, Rational]:
         return dict(self.weights)
 
-    def value(self, face_idx: int) -> Fraction:
-        return dict(self.weights).get(face_idx, Fraction(0))
+    def value(self, face_idx: int) -> Rational:
+        return dict(self.weights).get(face_idx, 0)
 
 
 def _balancing_matrix(y: FaceComplex, k: int) -> tuple[RationalMatrix, list[int]]:
     k_faces = [f.index for f in y.faces_of_dim(k) if f.sedentarity == ()]
-    rows: list[list[Fraction]] = []
+    rows: list[list[Rational]] = []
     for g in y.faces_of_dim(k - 1):
         if g.sedentarity != ():
             continue
@@ -393,14 +393,11 @@ def _balancing_matrix(y: FaceComplex, k: int) -> tuple[RationalMatrix, list[int]
         normals = {d: y.primitive_normal(g.index, d) for d in covers}
         ncoords = len(next(iter(normals.values())))
         for c in range(ncoords):
-            row = [Fraction(0)] * len(k_faces)
+            row = [0] * len(k_faces)
             for d in covers:
-                row[k_faces.index(d)] = Fraction(normals[d][c])
+                row[k_faces.index(d)] = normals[d][c]
             rows.append(row)
-    if rows:
-        mat = RationalMatrix.from_rows(rows)
-    else:
-        mat = RationalMatrix(0, len(k_faces))
+    mat = RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, len(k_faces))
     return mat, k_faces
 
 
@@ -431,19 +428,19 @@ def _star_minkowski_weights(star: StarFan, k: int) -> list[MinkowskiWeight]:
     """MW basis on a star fan, with weights indexed by cone labels."""
     k_cones = star.cones_of_dim(k)
     labels = [lbl for lbl, _ in k_cones]
-    rows: list[list[Fraction]] = []
+    rows: list[list[Rational]] = []
     for lbl_g, rays_g in star.cones_of_dim(k - 1):
         covers = [(lbl, rays) for lbl, rays in k_cones if rays_g < rays]
         if not covers:
             continue
         proj, _ = _cone_quotient(star, rays_g)
         for c in range(len(proj)):
-            row = [Fraction(0)] * len(labels)
+            row = [0] * len(labels)
             for lbl, rays in covers:
                 extra = next(iter(rays - rays_g))
                 from .lattice import apply_rows, primitive
                 img = primitive(apply_rows(proj, star.ray_vectors[extra]))
-                row[labels.index(lbl)] = Fraction(img[c])
+                row[labels.index(lbl)] = img[c]
             rows.append(row)
     mat = RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, len(labels))
     basis = kernel_basis(mat).basis
@@ -467,13 +464,13 @@ def weight_from_class(ring: ChowRing, cls: ChowClass) -> MinkowskiWeight:
     k = d - cls.degree
     weights = []
     for lbl, rays in ring.star.cones_of_dim(k):
-        val = ring.degree(ring.multiply(cls, ring.reduce_class(k, {rays: Fraction(1)})))
+        val = ring.degree(ring.multiply(cls, ring.reduce_class(k, {rays: 1})))
         if val != 0:
             weights.append((lbl, val))
     return MinkowskiWeight(k, tuple(weights))
 
 
-def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Fraction:
+def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Rational:
     """Evaluation pairing: sum of monomial coefficients against weights.
 
     The class degree must equal the weight dimension; well-definedness on
@@ -482,14 +479,14 @@ def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Fraction:
     if cls.degree != w.dim:
         raise DegreeMismatchError("evaluation pairing needs matching degrees")
     wd = w.as_dict()
-    total = Fraction(0)
+    total = 0
     for mono, c in ring.monomial_representative(cls).items():
         lbl = ring.star.cone_label(mono)
-        total += c * wd.get(lbl, Fraction(0))
+        total += c * wd.get(lbl, 0)
     return total
 
 
-def chow_mw_duality(f, p: int) -> list[list[Fraction]]:
+def chow_mw_duality(f, p: int) -> list[list[Rational]]:
     """The pairing matrix between A^p and MW_(d-p); raises when degenerate."""
     ring = fan_ring(f)
     d = ring.top
@@ -497,7 +494,7 @@ def chow_mw_duality(f, p: int) -> list[list[Fraction]]:
     a_basis = ring.basis(p)
     matrix = []
     for mono in a_basis:
-        cls = ring.reduce_class(p, {mono: Fraction(1)})
+        cls = ring.reduce_class(p, {mono: 1})
         wcls = weight_from_class(ring, cls)
         row = []
         for w in mw_basis:
@@ -511,10 +508,10 @@ def chow_mw_duality(f, p: int) -> list[list[Fraction]]:
     return matrix
 
 
-def mw_evaluate_weights(wa: MinkowskiWeight, wb: MinkowskiWeight) -> Fraction:
+def mw_evaluate_weights(wa: MinkowskiWeight, wb: MinkowskiWeight) -> Rational:
     """Pair a class's canonical weight against a Minkowski weight by summing
     products over common faces (works because wa stores deg(a . x_sigma))."""
     if wa.dim != wb.dim:
         raise DegreeMismatchError("weights of different dimensions")
     db = wb.as_dict()
-    return sum((c * db.get(lbl, Fraction(0)) for lbl, c in wa.weights), Fraction(0))
+    return sum(c * db.get(lbl, 0) for lbl, c in wa.weights)

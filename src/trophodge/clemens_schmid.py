@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from . import ChaseFailureError, DegreeMismatchError, HLFailureError
+from . import ChaseFailureError, DegreeMismatchError, HLFailureError, cached
 from .cohomology import GradedComplex, QuotientBasis, induced_map
-from .linalg import Echelon, RationalMatrix, column_echelon, kernel_basis, rank
+from .linalg import Echelon, Rational, RationalMatrix, column_echelon, kernel_vectors, rank
 
 
 @dataclass
@@ -40,6 +39,12 @@ class LefschetzTriple:
         if k in self.L:
             return self.L[k]
         return RationalMatrix(self.D.dim(k + 2), self.C.dim(k))
+
+    @cached
+    def l_echelon(self, k: int) -> Echelon:
+        """The keyed column echelon of L in degree k, the one elimination of
+        it that its rank, its kernel and the chase's L-preimages are read from."""
+        return column_echelon(self.l_matrix(k))
 
     def degrees(self) -> list[int]:
         ks = set(self.C.terms) | {k - 2 for k in self.D.terms}
@@ -77,8 +82,7 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
     if not t.check_commutes():
         raise HLFailureError("L does not commute with the differentials")
     for k in t.degrees():
-        m = t.l_matrix(k)
-        r = rank(m)
+        r = t.l_echelon(k).rank
         if k <= -1 and r != t.C.dim(k):
             raise HLFailureError(f"L not injective in degree {k}")
         if k >= -1 and r != t.D.dim(k + 2):
@@ -99,13 +103,13 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
 
 class _KernelComplex:
     def __init__(self, t: LefschetzTriple):
-        self.basis: dict[int, list[list[Fraction]]] = {}
+        self.basis: dict[int, list[list[Rational]]] = {}
         self._spans: dict[int, Echelon] = {}
         terms = {}
         for k in t.degrees():
             if t.C.dim(k) == 0:
                 continue
-            kb = kernel_basis(t.l_matrix(k)).basis
+            kb = kernel_vectors(t.l_echelon(k), t.C.dim(k))
             if kb:
                 self.basis[k] = [list(v) for v in kb]
                 self._spans[k] = Echelon(kb, keyed=True)
@@ -114,19 +118,15 @@ class _KernelComplex:
         for k in list(terms):
             if k + 1 not in terms:
                 continue
-            cols = []
-            for v in self.basis[k]:
-                img = t.C.differential(k).mul_vec(v)
-                cols.append(self._coords(k + 1, img))
             m = RationalMatrix(terms[k + 1], terms[k])
-            for j, col in enumerate(cols):
-                for i, c in enumerate(col):
+            for j, v in enumerate(self.basis[k]):
+                for i, c in enumerate(self._coords(k + 1, t.C.differential(k).mul_vec(v))):
                     m[i, j] = c
             diffs[k] = m
         self.gc = GradedComplex(terms, diffs)
         self._t = t
 
-    def _coords(self, k: int, vec: list[Fraction]) -> list[Fraction]:
+    def _coords(self, k: int, vec: list[Rational]) -> list[Rational]:
         span = self._spans.get(k, Echelon())
         c = span.coordinates(vec, range(len(self.basis.get(k, []))))
         if c is None:
@@ -180,18 +180,18 @@ class _CokernelComplex:
 
 
 def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
-              lift_shift: Optional[list[Fraction]] = None) -> RationalMatrix:
+              lift_shift: Optional[list[Rational]] = None) -> RationalMatrix:
     """The connecting map H^0(R) -> H^0(K) by certified diagram chase."""
     h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
     out = RationalMatrix(h_k0.dim, h_r0.dim)
     if h_r0.dim == 0:
         return out
     qb0 = rc.quot.get(0)
-    lift = column_echelon(t.l_matrix(-1))
+    lift = t.l_echelon(-1)
     # Uniqueness certificate for the L-preimage step.
     if lift.relations:
         raise ChaseFailureError("L-preimage not unique in degree -1")
-    shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [Fraction(0)] * t.D.dim(0)
+    shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [0] * t.D.dim(0)
     d_d0, d_cm1, l_0 = t.D.differential(0), t.C.differential(-1), t.l_matrix(0)
     qreps = [[(i, v) for i, v in enumerate(dvec) if v] for dvec in qb0.representatives]
     for j, rep in enumerate(h_r0.representatives):
@@ -266,7 +266,7 @@ def d0_lift_independent(t: LefschetzTriple) -> bool:
     n = t.C.dim(-2)
     if n == 0:
         return True
-    shift = [Fraction(1 + (i % 3)) for i in range(n)]
+    shift = [1 + (i % 3) for i in range(n)]
     other = _chase_d0(t, kc, rc, lift_shift=shift)
     return base == other
 
@@ -291,7 +291,7 @@ def _rand_unimodular(rng: random.Random, n: int) -> tuple[RationalMatrix, Ration
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        c = Fraction(rng.randint(-2, 2))
+        c = rng.randint(-2, 2)
         if c == 0:
             continue
         # u <- E u where E adds c * row j to row i; uinv <- uinv E^{-1}.
@@ -307,7 +307,7 @@ def _rank_pattern_matrix(rng: random.Random, rows: int, cols: int, mode: str) ->
     m = RationalMatrix(rows, cols)
     r = min(rows, cols)
     for i in range(r):
-        m[i, i] = Fraction(1)
+        m[i, i] = 1
     u, _ = _rand_unimodular(rng, rows)
     v, _ = _rand_unimodular(rng, cols)
     return u.matmul(m).matmul(v)
@@ -348,7 +348,7 @@ def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
                 continue
             m = RationalMatrix(dims[k + 1], dims[k])
             for i in range(a.get(k, 0)):
-                m[h.get(k + 1, 0) + a.get(k + 1, 0) + i, h.get(k, 0) + i] = Fraction(1)
+                m[h.get(k + 1, 0) + a.get(k + 1, 0) + i, h.get(k, 0) + i] = 1
             diffs[k] = m
         return diffs
 
@@ -425,7 +425,7 @@ def mapping_cone_check(st, p: int) -> dict:
             # iota: embed the kernel block into the full term.
             index = st.term_index(a, p + 2)
             for j, (f, i) in enumerate(kc.labels.get(a, [])):
-                m[nk2 + index[(a, f, i)], j] = Fraction(1)
+                m[nk2 + index[(a, f, i)], j] = 1
         if nmid and nmid2:
             dmid = st.row_complex(p + 2).differential(a - 1)
             for (i, j), v in dmid.entries.items():
@@ -451,7 +451,7 @@ def mapping_cone_check(st, p: int) -> dict:
         if labels_r and nbot:
             index = st.term_index(a, p)
             for i, (f, ii) in enumerate(labels_r):
-                out[i, nk + nmid + index[(-a, f, ii)]] = Fraction(1)
+                out[i, nk + nmid + index[(-a, f, ii)]] = 1
         proj[a] = out
     # Chain map check.
     for a in terms:

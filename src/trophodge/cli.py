@@ -11,7 +11,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import CONVENTIONS, InputFormatError, TrophodgeError, __version__
 from .chow import fan_ring, is_balanced, minkowski_weights
@@ -178,7 +177,7 @@ def _parse_class(st, path: str, p: int) -> HodgeClass:
             for label_s, coeff in monos.items():
                 labels = tuple(int(t) for t in label_s.split(",")) if label_s else ()
                 rays = frozenset(ring.star.ray_position(l) for l in labels)
-                combo[rays] = combo.get(rays, Fraction(0)) + rat(coeff)
+                combo[rays] = combo.get(rays, 0) + rat(coeff)
             classes[vid] = ring.reduce_class(p, combo)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed class JSON: {exc!r}") from exc

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from . import DegeneratePairingError, NotAComplexError, cached
 from .lattice import det_int
-from .linalg import Echelon, RationalMatrix, column_echelon, rank
+from .linalg import Echelon, Rational, RationalMatrix, column_echelon, normal, rank
 from .linalg import kernel_basis  # noqa: F401  (perfbench/test_bench.py reads it here)
 from .polyhedral import FaceComplex, _compose
 
-Vec = list[Fraction]
+Vec = list[Rational]
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +45,18 @@ class QuotientBasis:
         for r in brows:
             self._span.add(r)
         self._keys: list[int] = []
-        self.representatives: list[list[Fraction]] = []
+        self.representatives: list[Vec] = []
         for i, r in enumerate(zrows):
             if self._span.add(r, i):
                 self._keys.append(i)
                 rep = [r.get(j, 0) for j in range(ambient_dim)] if isinstance(r, dict) else r
-                self.representatives.append([Fraction(x) for x in rep])
+                self.representatives.append([normal(x) for x in rep])
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def coordinates(self, vec) -> list[Fraction]:
+    def coordinates(self, vec) -> Vec:
         """Coordinates of a vector's class (dense, or a sparse dict) over the
         representative basis."""
         coords = self._span.coordinates(vec, self._keys)
@@ -100,21 +99,26 @@ class GradedComplex:
                 return False
         return True
 
-    def cocycle_rows(self, k: int) -> list[dict[int, Fraction]]:
+    @cached
+    def echelon(self, k: int) -> Echelon:
+        """The keyed column echelon of d_k, the one elimination of it that
+        its rank and its cocycles are read from."""
+        return column_echelon(self.differential(k))
+
+    def cocycle_rows(self, k: int) -> list[dict[int, Rational]]:
         """The canonical kernel of d_k as sparse rows: the relations of its
         column echelon ({i: 1} for each column of a zero differential)."""
-        return [combo for _, combo in column_echelon(self.differential(k)).relations]
+        return [combo for _, combo in self.echelon(k).relations]
 
-    def coboundary_rows(self, k: int) -> list[dict[int, Fraction]]:
+    def coboundary_rows(self, k: int) -> list[dict[int, Rational]]:
         return self.differential(k - 1).columns() if self.dim(k) else []
 
     @cached
     def h_basis(self, k: int) -> QuotientBasis:
         return QuotientBasis(self.dim(k), self.cocycle_rows(k), self.coboundary_rows(k))
 
-    @cached
     def d_rank(self, k: int) -> int:
-        return rank(self.differential(k))
+        return self.echelon(k).rank
 
     def h_dim(self, k: int) -> int:
         """dim C^k - rank d_k - rank d_{k-1}; builds no basis."""
@@ -129,7 +133,7 @@ def induced_map(src: GradedComplex, dst: GradedComplex,
     cm = chain_maps.get(k)
     out = RationalMatrix(dst_h.dim, src_h.dim)
     for j, rep in enumerate(src_h.representatives):
-        img = cm.mul_vec(rep) if cm is not None else [Fraction(0)] * dst.dim(k + shift)
+        img = cm.mul_vec(rep) if cm is not None else [0] * dst.dim(k + shift)
         for i, c in enumerate(dst_h.coordinates(img)):
             out[i, j] = c
     return out
@@ -140,11 +144,8 @@ def induced_map(src: GradedComplex, dst: GradedComplex,
 
 def wedge_vector(vectors: Sequence[Sequence], m: int) -> Vec:
     """Coordinates of v_1 ^ ... ^ v_p in the lex basis of Lambda^p(Q^m)."""
-    p = len(vectors)
-    coords = []
-    for idx in itertools.combinations(range(m), p):
-        coords.append(Fraction(det_int([[v[i] for i in idx] for v in vectors])))
-    return coords
+    return [det_int([[v[i] for i in idx] for v in vectors])
+            for idx in itertools.combinations(range(m), len(vectors))]
 
 
 def wedge_map_matrix(q_rows: Sequence[Sequence[int]], m_src: int, p: int) -> RationalMatrix:
@@ -181,19 +182,19 @@ class CoefficientSpace:
                 rows.append(wedge_vector(sub, m))
         self._span = Echelon(rows)
         self._leads = sorted(self._span.pivots)
-        self.basis: list[list[Fraction]] = [
-            [Fraction(self._span.pivots[k].get(j, 0)) for j in range(self.ambient_dim)]
+        self.basis: list[Vec] = [
+            [normal(self._span.pivots[k].get(j, 0)) for j in range(self.ambient_dim)]
             for k in self._leads]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def coordinates(self, vec: Sequence[Rational]) -> Vec:
         rem, mult = self._span.reduce(vec)
         if rem:
             raise DegeneratePairingError("vector outside coefficient space")
-        return [Fraction(mult.get(k, 0)) for k in self._leads]
+        return [normal(mult.get(k, 0)) for k in self._leads]
 
 
 def coefficient_space(x: FaceComplex, delta_idx: int, p: int) -> CoefficientSpace:
@@ -290,7 +291,7 @@ def euler_characteristics_match(x: FaceComplex, p: int) -> bool:
     return chain_side == h_side
 
 
-def poincare_pairing(x: FaceComplex, p: int) -> dict[int, list[list[Fraction]]]:
+def poincare_pairing(x: FaceComplex, p: int) -> dict[int, list[Vec]]:
     """Poincare pairing matrices H^{p,q} x H^{d-p,d-q} for all q.
 
     Realized through the Steenbrink polarization, which restricts to the

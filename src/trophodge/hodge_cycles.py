@@ -18,7 +18,6 @@ cochain does not depend on those choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import (
@@ -30,7 +29,7 @@ from . import (
 )
 from .chow import ChowClass, MinkowskiWeight, gysin as chow_gysin, mw_evaluate, ring_of
 from .cohomology import cochain_complex, coefficient_space, wedge_vector
-from .linalg import Echelon, RationalMatrix, kernel_basis, rank, solve
+from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, kernel_vectors, rank, solve
 from .steenbrink import SteenbrinkPage, n_power_h_matrix
 
 
@@ -46,10 +45,10 @@ class HodgeClass:
             return self.classes[v]
         return st.rings_for(v).zero(self.p)
 
-    def term_vector(self, st: SteenbrinkPage) -> list[Fraction]:
+    def term_vector(self, st: SteenbrinkPage) -> list[Rational]:
         """The class as a full-term vector of ST^{0,2p}, zero outside the s = 0 block."""
         index = st.term_index(0, 2 * self.p)
-        out = [Fraction(0)] * len(index)
+        out = [0] * len(index)
         for (s, f, i), j in index.items():
             if s == 0:
                 out[j] = self.component(st, f).coeffs[i]
@@ -67,23 +66,22 @@ class TropicalCycle:
     weight: MinkowskiWeight
 
 
-def _block_vector_to_class(st: SteenbrinkPage, p: int, vec: Sequence[Fraction]) -> HodgeClass:
+def _block_vector_to_class(st: SteenbrinkPage, p: int, vec: Sequence[Rational]) -> HodgeClass:
     """The class of a vector of K^{0,2p}, labelled by the block ST^{0,2p,0}."""
-    coeffs = {v: [Fraction(0)] * st.rings[v].dim(p) for v in st.finite_by_dim.get(0, [])}
+    coeffs = {v: [0] * st.rings[v].dim(p) for v in st.finite_by_dim.get(0, [])}
     for (f, i), val in zip(st.block_labels(0, 2 * p, 0), vec):
         coeffs[f][i] = val
     return HodgeClass(p, {v: ChowClass(p, tuple(c)) for v, c in coeffs.items()})
 
 
 @cached
-def k_cocycle_vectors(st: SteenbrinkPage, p: int) -> list[list[Fraction]]:
+def k_cocycle_vectors(st: SteenbrinkPage, p: int) -> list[list[Rational]]:
     """Basis of the cocycles of K^{0,2p} (the compatibility condition)."""
     kc = st.k_complex(p)
     n = kc.dim(0)
     if n == 0:
         return []
-    d0 = kc.differential(0)
-    return [list(v) for v in kernel_basis(d0).basis]
+    return [list(v) for v in kernel_vectors(kc.echelon(0), n)]
 
 
 def is_cocycle(st: SteenbrinkPage, alpha: HodgeClass) -> bool:
@@ -143,7 +141,7 @@ def hodge_to_cycle(st: SteenbrinkPage, alpha: HodgeClass) -> TropicalCycle:
         for v in verts:
             ring = st.rings_for(v)
             cone = ring.star.cone_rays(eta) if k > 0 else frozenset()
-            xcls = ring.reduce_class(k, {cone: Fraction(1)})
+            xcls = ring.reduce_class(k, {cone: 1})
             vals.append(ring.degree(ring.multiply(alpha.component(st, v), xcls)))
         if any(val != vals[0] for val in vals[1:]):
             raise GluingConflictError(
@@ -164,7 +162,7 @@ def local_weight(st: SteenbrinkPage, w: MinkowskiWeight, v: int) -> MinkowskiWei
     star_vals = []
     wd = w.as_dict()
     for lbl, _rays in ring.star.cones_of_dim(w.dim):
-        val = wd.get(lbl, Fraction(0))
+        val = wd.get(lbl, 0)
         if val != 0:
             star_vals.append((lbl, val))
     return MinkowskiWeight(w.dim, tuple(star_vals))
@@ -184,8 +182,8 @@ def verify_class(st: SteenbrinkPage, alpha: HodgeClass, cyc: TropicalCycle) -> b
         return False
     for bvec in k_cocycle_vectors(st, q):
         beta = _block_vector_to_class(st, q, bvec)
-        chow_side = Fraction(0)
-        mw_side = Fraction(0)
+        chow_side = 0
+        mw_side = 0
         for v in st.finite_by_dim.get(0, []):
             ring = st.rings[v]
             av = alpha.component(st, v)
@@ -247,7 +245,7 @@ def _same_sed_covers(x, gamma: int) -> list[int]:
 
 
 def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
-                          pivot_tweak: int = 0) -> dict[int, list[Fraction]]:
+                          pivot_tweak: int = 0) -> dict[int, list[Rational]]:
     """A cocycle in C^{p,p} representing the class of alpha via the zigzag.
 
     The zigzag constraints are solved as one deterministic linear system:
@@ -290,10 +288,10 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
         unknowns.append(key)
     nvars = len(unknowns)
 
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, Rational]] = []
+    rhs: list[Rational] = []
 
-    def add_row(row: dict[int, Fraction], val: Fraction):
+    def add_row(row: dict[int, Rational], val: Rational):
         rows.append(row)
         rhs.append(val)
 
@@ -304,21 +302,21 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
             gamma = f.index
             rg = rings[gamma]
             nr = rg.dim(p - k)
-            target = [Fraction(0)] * nr
+            target = [0] * nr
             if k == 0:
                 if not f.sedentarity and not f.rays and f.index in st.finite_by_dim.get(0, []):
                     target = list(alpha.component(st, gamma).coeffs)
-            row_entries: list[dict[int, Fraction]] = [dict() for _ in range(nr)]
+            row_entries: list[dict[int, Rational]] = [dict() for _ in range(nr)]
             for delta in _same_sed_covers(x, gamma):
                 rd = rings[delta]
                 sgn = x.sign(gamma, delta)
                 for i, mono in enumerate(rd.basis(p - k - 1)):
                     img = chow_gysin(x, gamma, delta,
-                                     rd.reduce_class(p - k - 1, {mono: Fraction(1)}))
+                                     rd.reduce_class(p - k - 1, {mono: 1}))
                     pos = upos[("y", k, gamma, delta, i)]
                     for r, v in enumerate(img.coeffs):
                         if v != 0:
-                            row_entries[r][pos] = row_entries[r].get(pos, Fraction(0)) + sgn * v
+                            row_entries[r][pos] = row_entries[r].get(pos, 0) + sgn * v
             if k > 0:
                 # Pushed values: right map from level k-1 into gamma.
                 for gprev in x.covered_by(gamma):
@@ -327,7 +325,7 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
                     sgn = x.sign(gprev, gamma)
                     for i in range(nr):
                         pos = upos[("y", k - 1, gprev, gamma, i)]
-                        row_entries[i][pos] = row_entries[i].get(pos, Fraction(0)) - sgn
+                        row_entries[i][pos] = row_entries[i].get(pos, 0) - sgn
             for r in range(nr):
                 add_row(row_entries[r], target[r])
     # Restriction of the cochain to orientation lines equals the last push,
@@ -340,7 +338,7 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
         if f.sedentarity:
             continue
         space = coefficient_space(x, f.index, p)
-        row: dict[int, Fraction] = {}
+        row: dict[int, Rational] = {}
         if space.dim:
             coords = space.coordinates(wedge_vector(f.tangent, space.stratum_rank))
             for j, v in enumerate(coords):
@@ -352,12 +350,12 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
                     continue
                 sgn = x.sign(gprev, f.index)
                 pos = upos[("y", p - 1, gprev, f.index, 0)]
-                row[pos] = row.get(pos, Fraction(0)) - sgn
-            add_row(row, Fraction(0))
+                row[pos] = row.get(pos, 0) - sgn
+            add_row(row, 0)
         else:
             val = alpha.component(st, f.index).coeffs[0] \
                 if (not f.rays and f.index in st.finite_by_dim.get(0, [])) \
-                else Fraction(0)
+                else 0
             add_row(row, val)
     # Closedness of the cochain.
     dmat = gc.differential(p)
@@ -366,7 +364,7 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
         for (r, jj), v in dmat.entries.items():
             if r == i:
                 row[c_offset + jj] = v
-        add_row(row, Fraction(0))
+        add_row(row, 0)
 
     order = list(range(nvars))
     if pivot_tweak and nvars:
@@ -380,10 +378,10 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
     sol_p = solve(mat, rhs)
     if sol_p is None:
         raise ZigzagInconsistentError("zigzag system is not solvable")
-    sol = [Fraction(0)] * nvars
+    sol = [0] * nvars
     for jj, oj in enumerate(order):
         sol[oj] = sol_p[jj]
-    cochain: dict[int, list[Fraction]] = {}
+    cochain: dict[int, list[Rational]] = {}
     for idx, (face, t) in enumerate(labels):
         cochain.setdefault(face, []).append(sol[c_offset + idx])
     for f in x.faces_of_dim(p):
@@ -391,11 +389,11 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
     return cochain
 
 
-def cochain_vector(x, p: int, cochain: dict[int, list[Fraction]]) -> list[Fraction]:
+def cochain_vector(x, p: int, cochain: dict[int, list[Rational]]) -> list[Rational]:
     """Embed a face-indexed cochain into the C^{p,p} term coordinates."""
     gc = cochain_complex(x, p)
     labels = gc.labels[p]
-    out = [Fraction(0)] * gc.dim(p)
+    out = [0] * gc.dim(p)
     for idx, (face, t) in enumerate(labels):
         vals = cochain.get(face)
         if vals:
@@ -403,24 +401,24 @@ def cochain_vector(x, p: int, cochain: dict[int, list[Fraction]]) -> list[Fracti
     return out
 
 
-def is_cochain_coboundary(x, p: int, vec: Sequence[Fraction]) -> bool:
+def is_cochain_coboundary(x, p: int, vec: Sequence[Rational]) -> bool:
     gc = cochain_complex(x, p)
     d_prev = gc.differential(p - 1)
     return solve(d_prev, list(vec)) is not None
 
 
-def cochain_is_cocycle(x, p: int, vec: Sequence[Fraction]) -> bool:
+def cochain_is_cocycle(x, p: int, vec: Sequence[Rational]) -> bool:
     gc = cochain_complex(x, p)
     return all(v == 0 for v in gc.differential(p).mul_vec(list(vec)))
 
 
-def pair_cochain_with_weight(x, p: int, cochain: dict[int, list[Fraction]],
-                             w: MinkowskiWeight) -> Fraction:
+def pair_cochain_with_weight(x, p: int, cochain: dict[int, list[Rational]],
+                             w: MinkowskiWeight) -> Rational:
     """<c, w> = sum over p-faces of w(eta) . c_eta(orientation multivector)."""
-    total = Fraction(0)
+    total = 0
     wd = w.as_dict()
     for f in x.faces_of_dim(p):
-        val = wd.get(f.index, Fraction(0))
+        val = wd.get(f.index, 0)
         if val == 0:
             continue
         vals = cochain.get(f.index)
@@ -433,9 +431,9 @@ def pair_cochain_with_weight(x, p: int, cochain: dict[int, list[Fraction]],
 
 
 def pair_class_with_weight(st: SteenbrinkPage, alpha: HodgeClass,
-                           w: MinkowskiWeight) -> Fraction:
+                           w: MinkowskiWeight) -> Rational:
     """Steenbrink-side pairing of a kernel cocycle with a Minkowski weight."""
-    total = Fraction(0)
+    total = 0
     for v in st.finite_by_dim.get(0, []):
         ring = st.rings[v]
         av = alpha.component(st, v)

@@ -8,6 +8,10 @@ and quotient coordinates are all read from it.  Results do not depend on
 the elimination order: kernel vectors are the canonical ones (1 on their
 free column, 0 on the others) and solutions set every free variable to 0.
 All results are exact; there is no tolerance anywhere.
+
+An integral value is held as an int, and a Fraction only where a division
+made a non-integral one: matrix entries, kept rows, coordinates and kernel
+vectors are normalised that way, so integer data stays in int arithmetic.
 """
 
 from __future__ import annotations
@@ -18,23 +22,23 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import NotASubspaceError
 
-Rational = Fraction
-Row = dict[int, Fraction]
-_ZERO = Fraction(0)
+Rational = Union[int, Fraction]
+Row = dict[int, Rational]
 
 
 def rat(value) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def fmt_rat(value: Fraction) -> str:
+def normal(value: Rational) -> Rational:
+    """value as an int when it is integral, else the Fraction it is."""
+    return value if type(value) is int or value.denominator != 1 else value.numerator
+
+
+def fmt_rat(value: Rational) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(value))
 
@@ -47,7 +51,7 @@ class RationalMatrix:
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], Rational] = {}
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
@@ -61,32 +65,32 @@ class RationalMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                m[i, j] = rat(v)
+                m[i, j] = v
         return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         m = cls(n, n)
         for i in range(n):
-            m[i, i] = Fraction(1)
+            m[i, i] = 1
         return m
 
-    def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, _ZERO)
+    def __getitem__(self, key) -> Rational:
+        return self.entries.get(key, 0)
 
     def __setitem__(self, key, value) -> None:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry {key} out of bounds for {self.rows}x{self.cols}")
-        v = rat(value)
+        v = value if type(value) is int else normal(rat(value))
         if v == 0:
             self.entries.pop(key, None)
         else:
             self.entries[key] = v
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list[Rational]:
         get = self.entries.get
-        return [get((i, j), _ZERO) for j in range(self.cols)]
+        return [get((i, j), 0) for j in range(self.cols)]
 
     def columns(self) -> list[Row]:
         """Every column as a sparse {row: value} dict, from one pass over the entries."""
@@ -95,7 +99,7 @@ class RationalMatrix:
             cols[j][i] = v
         return cols
 
-    def to_lists(self) -> list[list[Fraction]]:
+    def to_lists(self) -> list[list[Rational]]:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "RationalMatrix":
@@ -107,26 +111,26 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_row: dict[int, dict[int, Fraction]] = {}
+        by_row: dict[int, Row] = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, {})[k] = v
         out = RationalMatrix(self.rows, other.cols)
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Rational] = {}
         for (i, j), v in self.entries.items():
             for k, w in by_row.get(j, {}).items():
                 key = (i, k)
-                acc[key] = acc.get(key, Fraction(0)) + v * w
+                acc[key] = acc.get(key, 0) + v * w
         for key, v in acc.items():
             if v != 0:
-                out.entries[key] = v
+                out.entries[key] = normal(v)
         return out
 
-    def mul_vec(self, vec: Sequence) -> list[Fraction]:
+    def mul_vec(self, vec: Sequence) -> list[Rational]:
         """The product with a vector of int/Fraction values, skipping its zeros."""
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
         nonzero = {j: x for j, x in enumerate(vec) if x}
-        out = [Fraction(0)] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries.items():
             x = nonzero.get(j)
             if x is not None:
@@ -153,7 +157,7 @@ class Subspace:
     """A linear subspace of Q^n given by an independent basis."""
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self):
         for v in self.basis:
@@ -165,12 +169,11 @@ class Subspace:
         return len(self.basis)
 
 
-def _sparse(row: Union[Mapping[int, Fraction], Sequence]) -> Row:
+def _sparse(row: Union[Mapping[int, Rational], Sequence]) -> Row:
     """A fresh {column: value} dict of the nonzero entries of a dict or a
-    dense sequence.  Integral values become ints, which keeps elimination
-    on integer data in fast int arithmetic."""
+    dense sequence, normalised."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: v.numerator if v.denominator == 1 else v for j, v in items if v}
+    return {j: normal(v) for j, v in items if v}
 
 
 class Echelon:
@@ -222,7 +225,7 @@ class Echelon:
                     del row[j]
         return mult
 
-    def _combination(self, mult: Mapping[int, Fraction]) -> Row:
+    def _combination(self, mult: Mapping[int, Rational]) -> Row:
         """The keyed-row coefficients of the sum of mult[c] times the row kept at c."""
         out: Row = {}
         for lead, c in mult.items():
@@ -236,7 +239,7 @@ class Echelon:
         mult = self._eliminate(row)
         combo = None
         if self.combos is not None:
-            combo = {k: -v for k, v in self._combination(mult).items() if v}
+            combo = {k: -normal(v) for k, v in self._combination(mult).items() if v}
             if key is not None:
                 combo[key] = 1
         if not row:
@@ -250,10 +253,10 @@ class Echelon:
             if combo is not None:
                 combo = {k: -v for k, v in combo.items()}
         elif inv != 1:
-            inv = Fraction(inv)
-            row = {j: v / inv for j, v in row.items()}
+            inv = Fraction(inv)  # a Fraction operand: `/` never makes a float
+            row = {j: normal(v / inv) for j, v in row.items()}
             if combo is not None:
-                combo = {k: v / inv for k, v in combo.items()}
+                combo = {k: normal(v / inv) for k, v in combo.items()}
         self.pivots[lead] = row
         if combo is not None:
             self.combos[lead] = combo
@@ -268,14 +271,14 @@ class Echelon:
         mult = self._eliminate(_sparse(row), rem)
         return rem, mult
 
-    def coordinates(self, row, keys: Iterable[Hashable]) -> Optional[list[Fraction]]:
+    def coordinates(self, row, keys: Iterable[Hashable]) -> Optional[list[Rational]]:
         """Coefficients of row over the keyed rows listed, modulo the rows
         added without a key; None when row is outside the span."""
         rem, mult = self.reduce(row)
         if rem:
             return None
         combo = self._combination(mult)
-        return [Fraction(combo.get(k, 0)) for k in keys]
+        return [normal(combo.get(k, 0)) for k in keys]
 
 
 def column_echelon(m: RationalMatrix, keyed: bool = True) -> Echelon:
@@ -285,9 +288,9 @@ def column_echelon(m: RationalMatrix, keyed: bool = True) -> Echelon:
     return Echelon(m.columns(), keyed)
 
 
-def kernel_vectors(e: Echelon, n: int) -> tuple[tuple[Fraction, ...], ...]:
+def kernel_vectors(e: Echelon, n: int) -> tuple[tuple[Rational, ...], ...]:
     """The relations of a column echelon as dense vectors of length n."""
-    return tuple(tuple(Fraction(combo.get(j, 0)) for j in range(n)) for _, combo in e.relations)
+    return tuple(tuple(combo.get(j, 0) for j in range(n)) for _, combo in e.relations)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -301,10 +304,9 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     return Subspace(m.cols, kernel_vectors(column_echelon(m), m.cols))
 
 
-def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
+def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Rational]]:
     """The solution of m.x = b with every free variable 0, or None when
     the system is inconsistent."""
-    b = [rat(v) for v in b]
     if len(b) != m.rows:
         raise ValueError("shape mismatch")
     return column_echelon(m).coordinates(b, range(m.cols))

@@ -669,8 +669,11 @@ def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
         rank = int(data["lattice_rank"])
         vertices = [[rat(x) for x in v] for v in data.get("vertices", [])]
         rays = [[int(x) for x in r] for r in data.get("rays", [])]
-        face_specs = [(spec.get("vertices", []), spec.get("rays", []))
-                      for spec in data["faces"]]
+        if not all(isinstance(spec, dict) for spec in data["faces"]):
+            raise InputFormatError("every face must be an object of vertex and ray indices")
+        face_specs = [(spec.get("vertices", []), spec.get("rays", [])) for spec in data["faces"]]
+        if not all(type(i) is int for vs, rs in face_specs for i in (*vs, *rs)):
+            raise InputFormatError("every vertex and ray index of a face must be an integer")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed complex JSON: {exc}") from exc
     if not vertices:

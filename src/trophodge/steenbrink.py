@@ -25,13 +25,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
 from .cohomology import GradedComplex, QuotientBasis
-from .linalg import RationalMatrix, kernel_basis, rank
+from .linalg import Rational, RationalMatrix, kernel_basis, rank
 from .polyhedral import FaceComplex
 
 
@@ -98,7 +97,7 @@ class SteenbrinkPage:
         rg, rd = self.rings_for(gamma), self.rings_for(delta)
         m = RationalMatrix(rd.dim(k), rg.dim(k))
         for j, mono in enumerate(rg.basis(k)):
-            img = restriction(self.x, gamma, delta, rg.reduce_class(k, {mono: Fraction(1)}))
+            img = restriction(self.x, gamma, delta, rg.reduce_class(k, {mono: 1}))
             for i, c in enumerate(img.coeffs):
                 m[i, j] = c
         return m
@@ -108,7 +107,7 @@ class SteenbrinkPage:
         rg, rd = self.rings_for(gamma), self.rings_for(delta)
         m = RationalMatrix(rg.dim(k + 1), rd.dim(k))
         for j, mono in enumerate(rd.basis(k)):
-            img = gysin(self.x, gamma, delta, rd.reduce_class(k, {mono: Fraction(1)}))
+            img = gysin(self.x, gamma, delta, rd.reduce_class(k, {mono: 1}))
             for i, c in enumerate(img.coeffs):
                 m[i, j] = c
         return m
@@ -147,7 +146,7 @@ class SteenbrinkPage:
         out = RationalMatrix(len(dst), len(src))
         for lab, j in src.items():
             if lab in dst:
-                out[dst[lab], j] = Fraction(1)
+                out[dst[lab], j] = 1
         return out
 
     # -- complexes ------------------------------------------------------------
@@ -200,33 +199,33 @@ class SteenbrinkPage:
             return 1
         return -1 if (a + b // 2) % 2 else 1
 
-    def psi(self, x: tuple[int, int, list[Fraction]], y: tuple[int, int, list[Fraction]]) -> Fraction:
+    def psi(self, x: tuple[int, int, list[Rational]], y: tuple[int, int, list[Rational]]) -> Rational:
         """psi of x in ST^{a,b} and y in ST^{a',b'}: zero unless a + a' = 0 and
         b + b' = 2d, else epsilon(a, b) times the sum over the (s, face) groups
         of both terms of the star-fan Chow pairing of the two groups."""
         (a, b, xv), (a2, b2, yv) = x, y
         if a + a2 != 0 or b + b2 != 2 * self.dim:
-            return Fraction(0)
+            return 0
         gy = self._face_groups(a2, b2, yv)
-        total = Fraction(0)
+        total = 0
         for (s, f), cx in self._face_groups(a, b, xv).items():
             if (s, f) in gy:
                 total += self.rings[f].pairing(ChowClass((a + b - s) // 2, tuple(cx)),
                                                ChowClass((a2 + b2 - s) // 2, tuple(gy[s, f])))
         return self.epsilon(a, b) * total
 
-    def _face_groups(self, a: int, b: int, vec: Sequence[Fraction]) -> dict[tuple[int, int], list[Fraction]]:
+    def _face_groups(self, a: int, b: int, vec: Sequence[Rational]) -> dict[tuple[int, int], list[Rational]]:
         """The coordinates of a vector of ST^{a,b}, grouped by (s, face) in basis order."""
-        out: dict[tuple[int, int], list[Fraction]] = {}
+        out: dict[tuple[int, int], list[Rational]] = {}
         for (s, f, _), v in zip(self.term_index(a, b), vec):
             out.setdefault((s, f), []).append(v)
         return out
 
-    def apply_d(self, x: tuple[int, int, list[Fraction]]) -> tuple[int, int, list[Fraction]]:
+    def apply_d(self, x: tuple[int, int, list[Rational]]) -> tuple[int, int, list[Rational]]:
         a, b, vec = x
         return a + 1, b, self.row_complex(b).differential(a).mul_vec(vec)
 
-    def apply_n(self, x: tuple[int, int, list[Fraction]]) -> tuple[int, int, list[Fraction]]:
+    def apply_n(self, x: tuple[int, int, list[Rational]]) -> tuple[int, int, list[Rational]]:
         a, b, vec = x
         return a + 2, b - 2, _n_power_vec(self, a, b, vec, 1)
 
@@ -331,7 +330,7 @@ def verify_hl(st: SteenbrinkPage) -> dict:
 
 
 @cached
-def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
+def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Rational]]:
     """Cocycle representatives spanning P^{-a,b} = ker N^{a+1} on H^{-a}(ST^{.,b})."""
     if a < 0:
         return []
@@ -341,7 +340,7 @@ def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Fraction]]:
     kern = kernel_basis(n_power_h_matrix(st, a + 1, b, -a)).basis
     out = []
     for coeffs in kern:
-        vec = [Fraction(0)] * st.term_dim(-a, b)
+        vec = [0] * st.term_dim(-a, b)
         for c, rep in zip(coeffs, h.representatives):
             for i, v in enumerate(rep):
                 vec[i] += c * v
@@ -353,7 +352,7 @@ def _n_power_vec(st: SteenbrinkPage, a: int, b: int, vec, k: int):
     """N^k of a full-term vector of ST^{a,b}: N is the identity on surviving labels, and
     a label of ST^{a,b} and ST^{a+2k,b-2k} survives each step (s >= |a+2i|, 0 <= i <= k)."""
     src, dst = st.term_index(a, b), st.term_index(a + 2 * k, b - 2 * k)
-    out = [Fraction(0)] * len(dst)
+    out = [0] * len(dst)
     for lab, j in src.items():
         if lab in dst:
             out[dst[lab]] = vec[j]
@@ -418,7 +417,7 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             "all": all(decomposition_ok.values()) and all(orthogonal_ok.values())}
 
 
-def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[Fraction]]:
+def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[Rational]]:
     """psi on H^{q-p}(ST^{.,2p}) x H^{p-q}(ST^{.,2(d-p)}), i.e. the
     Poincare pairing H^{p,q} x H^{d-p,d-q}."""
     d = st.dim
@@ -434,18 +433,18 @@ def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[F
     return out
 
 
-def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[int, int, list[Fraction]]:
+def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[int, int, list[Rational]]:
     """A random nonzero element (a, b, vec) of ST^{a,b}, supported in one random
     nonempty block ST^{a,b,s}."""
     blocks = st.nonempty_blocks()
     if not blocks:
         return 0, 0, []
     a, b, s, n = blocks[rng.randrange(len(blocks))]
-    vec = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    vec = [rng.randint(-3, 3) for _ in range(n)]
     if all(v == 0 for v in vec):
-        vec[rng.randrange(n)] = Fraction(1)
+        vec[rng.randrange(n)] = 1
     index = st.term_index(a, b)
     start = next(j for (ss, _, _), j in index.items() if ss == s)
-    out = [Fraction(0)] * len(index)
+    out = [0] * len(index)
     out[start:start + n] = vec
     return a, b, out

@@ -185,3 +185,28 @@ def test_cs_check_ranks_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert main(["cs-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["all_exact"]
     assert seen and len({id(m) for m in seen}) == len(seen)
+
+
+def test_check_all_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from trophodge import linalg
+
+    seen = []  # keeps each matrix alive, so its id() stays unique
+    original = linalg.column_echelon
+
+    def recording_column_echelon(m, keyed=True):
+        seen.append(m)
+        return original(m, keyed)
+
+    # rank, kernel_basis and solve look column_echelon up in linalg; the
+    # modules that import it by name hold their own reference.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trophodge") and getattr(module, "column_echelon", None) is original:
+            monkeypatch.setattr(module, "column_echelon", recording_column_echelon)
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["check-all", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"]
+    twice = len(seen) - len({id(m) for m in seen})
+    assert seen and twice == 0, f"{twice} of {len(seen)} eliminations repeat a matrix"

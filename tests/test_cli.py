@@ -119,11 +119,14 @@ def test_determinism_same_seed_same_report(capsys):
 
 def test_malformed_input_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"lattice_rank": 1, "vertices": [["0"]], "rays": [], '
-                   '"faces": [{"vertices": [0, 1], "rays": []}]}')
-    code, out = run(capsys, "cohomology", str(bad))
-    assert code == 2
-    assert json.loads(out)["error"] == "malformed-input"
+    for faces in ('[{"vertices": [0, 1], "rays": []}]',  # a missing vertex
+                  '[[0]]',  # a face that is not an object
+                  '[{"vertices": ["0"], "rays": []}]',  # an index that is a string
+                  '[{"vertices": [0], "rays": [true]}]'):  # an index that is a bool
+        bad.write_text('{"lattice_rank": 1, "vertices": [["0"]], "rays": [], "faces": %s}' % faces)
+        code, out = run(capsys, "cohomology", str(bad))
+        assert code == 2, faces
+        assert json.loads(out)["error"] == "malformed-input"
 
 
 def test_missing_file_exit_two(capsys):

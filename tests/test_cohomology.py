@@ -1,5 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from trophodge import fixtures
+from trophodge.chow import fan_ring
 from trophodge.cohomology import (
     cochain_complex,
     coefficient_space,
@@ -8,13 +13,15 @@ from trophodge.cohomology import (
     poincare_pairing,
     tropical_cohomology,
 )
+from trophodge.hodge_cycles import hodge_locus_basis, hodge_to_cycle, numerical_vs_homological
 from trophodge.linalg import RationalMatrix, rank
+from trophodge.steenbrink import build_steenbrink, random_homogeneous
 
 F = Fraction
 
 
 def naive_rank(m: RationalMatrix) -> int:
-    rows = m.to_lists()
+    rows = [list(map(F, row)) for row in m.to_lists()]
     r = 0
     for c in range(m.cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -141,3 +148,54 @@ def test_hodge_diamond_symmetries(comp_a, comp_b, comp_c, comp_d, comp_e, comp_f
         for p in range(d + 1):
             for q in range(d + 1):
                 assert h[p][q] == h[q][p] == h[d - p][d - q]
+
+
+COMPACTIFIED = ["comp_a", "comp_b", "comp_c", "comp_d", "comp_e", "comp_f", "comp_grid1"]
+
+
+def exact(values) -> bool:
+    """Every value is an int, or a Fraction that is not integral (never a float)."""
+    return all(type(v) is int or (type(v) is F and v.denominator != 1) for v in values)
+
+
+@pytest.mark.parametrize("name", COMPACTIFIED)
+def test_integral_data_stays_int(name, request):
+    # The coefficient spaces are lattices and every sign is +-1, so every
+    # differential, and the cohomology representatives read off them, is integral.
+    x = request.getfixturevalue(name)
+    st = build_steenbrink(x)
+    complexes = [cochain_complex(x, p) for p in range(x.dim + 1)]
+    complexes += [st.row_complex(b) for b in range(0, 2 * x.dim + 1, 2)]
+    for gc in complexes:
+        for d in gc.diffs.values():
+            assert all(type(v) is int for v in d.entries.values())
+        for k in gc.terms:
+            assert all(type(v) is int for rep in gc.h_basis(k).representatives for v in rep)
+
+
+@pytest.mark.parametrize("name", COMPACTIFIED)
+def test_no_float_anywhere(name, request):
+    x = request.getfixturevalue(name)
+    st = build_steenbrink(x)
+    rng = random.Random(5)
+    psis = [st.psi(random_homogeneous(st, rng), random_homogeneous(st, rng)) for _ in range(30)]
+    assert exact(psis)
+    for p in range(x.dim + 1):
+        assert exact(v for row in numerical_vs_homological(st, p)["pairing"] for v in row)
+        for alpha in hodge_locus_basis(st, p):
+            assert exact(v for _, v in hodge_to_cycle(st, alpha).weight.weights)
+        for blocks in poincare_pairing(x, p).values():
+            assert exact(v for row in blocks for v in row)
+
+
+@pytest.mark.parametrize("fan", ["fixA", "fixB", "fixC", "fixD", "fixF", "u34"])
+def test_chow_degree_is_never_a_float(fan):
+    ring = fan_ring(fixtures.u34_fan() if fan == "u34" else fixtures.named_fixture(fan))
+    top = [ring.class_from_monomial(m) for m in ring.monomials(ring.top)]
+    assert exact(ring.degree(c) for c in top)
+    halves = [ring.degree(c.scale(F(1, 2))) for c in top]
+    assert exact(halves) and [2 * h for h in halves] == [ring.degree(c) for c in top]
+    for p in range(ring.top + 1):
+        classes = [ring.class_from_monomial(m) for m in ring.basis(p)]
+        duals = [ring.class_from_monomial(m) for m in ring.basis(ring.top - p)]
+        assert exact(ring.pairing(a, b) for a in classes for b in duals)

@@ -1,0 +1,58 @@
+"""Pinned outputs: the exit code and stdout of `cohomology`, `steenbrink`,
+`cs-check` and `check-all --seed 3` on fixA-fixF and grid_plane(1), compared
+byte for byte with the files in tests/golden/.
+
+Each golden file holds one line `exit <code>` and then the command's stdout.
+Rewrite them only for a change that is meant to change an output:
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from conftest import grid_plane
+from trophodge.cli import main
+from trophodge.polyhedral import complex_to_json
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = ["fixA", "fixB", "fixC", "fixD", "fixE", "fixF", "grid1"]
+COMMANDS = {"cohomology": [], "steenbrink": [], "cs-check": [], "check-all": ["--seed", "3"]}
+CASES = [(cmd, name) for cmd in COMMANDS for name in INPUTS]
+
+
+def _output(cmd: str, name: str, tmp_dir: str) -> str:
+    arg = name
+    if name == "grid1":
+        arg = os.path.join(tmp_dir, "grid1.json")
+        with open(arg, "w", encoding="utf-8") as fh:
+            json.dump(complex_to_json(grid_plane(1)), fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([cmd, arg, *COMMANDS[cmd]])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _path(cmd: str, name: str) -> str:
+    return os.path.join(GOLDEN, f"{cmd}.{name}.txt")
+
+
+@pytest.mark.parametrize("cmd,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
+def test_output_matches_golden(cmd, name, tmp_path):
+    with open(_path(cmd, name), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert _output(cmd, name, str(tmp_path)) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd, name in CASES:
+            with open(_path(cmd, name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(_output(cmd, name, tmp))

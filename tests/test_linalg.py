@@ -244,3 +244,80 @@ def test_quotient_coordinates_round_trip(nr, nc):
     # A nonzero w with (B + Z).w = 0 is outside the row space, since w.w > 0.
     for w in kernel_basis(matrix(brows + zrows, nc)).basis[:1]:
         assert e.coordinates(w, kept) is None
+
+
+def normalised(values) -> bool:
+    """Every value is an int, or a Fraction that is not integral (never a float)."""
+    return all(type(v) is int or (type(v) is F and v.denominator != 1) for v in values)
+
+
+def test_integral_entries_are_stored_as_int():
+    m = RationalMatrix(2, 3)
+    m[0, 0], m[0, 1], m[1, 2] = F(4, 2), F(1, 2), "-6/3"
+    assert type(m[0, 0]) is int and m[0, 0] == 2
+    assert type(m[0, 1]) is F and m[0, 1] == F(1, 2)
+    assert type(m[1, 2]) is int and m[1, 2] == -2
+    assert normalised(RationalMatrix.from_rows([[F(3, 3), F(2, 4)], [F(0), -1]]).entries.values())
+    assert all(type(v) is int for v in RationalMatrix.identity(3).entries.values())
+
+
+def fraction_solve(rows, b, nc):
+    """Oracle: Gauss-Jordan over Fractions on [rows | b], free variables 0;
+    None when the system is inconsistent."""
+    aug = [[F(x) for x in row] + [F(bi)] for row, bi in zip(rows, b)]
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                aug[i] = [a - aug[i][c] * p for a, p in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[-1] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [F(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][-1]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mixed_int_and_fraction_input_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+
+    def value():  # an int, a Fraction, or an integral Fraction
+        return rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), rng.randint(1, 3)),
+                           F(2 * rng.randint(-2, 2), 2)])
+
+    nr, nc, nk = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+    a = [[value() for _ in range(nc)] for _ in range(nr)]
+    b = [[value() for _ in range(nk)] for _ in range(nc)]
+    v = [value() for _ in range(nc)]
+    fa, fb, fv = [list(map(F, row)) for row in a], [list(map(F, row)) for row in b], list(map(F, v))
+    m = RationalMatrix.from_rows(a)
+    assert normalised(m.entries.values())
+
+    product = m.matmul(RationalMatrix.from_rows(b))
+    assert normalised(product.entries.values())
+    assert product.to_lists() == [[sum((fa[i][j] * fb[j][k] for j in range(nc)), F(0))
+                                   for k in range(nk)] for i in range(nr)]
+    mv = m.mul_vec(v)
+    assert mv == [sum((fa[i][j] * fv[j] for j in range(nc)), F(0)) for i in range(nr)]
+
+    for rhs in (mv, [value() for _ in range(nr)]):
+        x = solve(m, rhs)
+        assert x == fraction_solve(fa, rhs, nc)
+        assert x is None or normalised(x)
+
+    # Coordinates over the rows kept by the echelon (each independent of
+    # the rows before it) are the coefficients a combination was made with.
+    kept = [i for i in range(nr) if naive_rank(fa[:i + 1]) > naive_rank(fa[:i])]
+    coeffs = {i: value() for i in kept}
+    target = [sum((F(c) * fa[i][j] for i, c in coeffs.items()), F(0)) for j in range(nc)]
+    coords = Echelon(a, keyed=True).coordinates(target, range(nr))
+    assert coords == [coeffs.get(i, 0) for i in range(nr)]
+    assert normalised(coords)
