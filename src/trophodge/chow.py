@@ -217,7 +217,8 @@ class ChowRing:
             raise DegreeMismatchError("degree map needs a top-degree class")
         if not cls.coeffs:
             return 0
-        return normal(Fraction(cls.coeffs[0], self._degree_normalization()))
+        c, n = cls.coeffs[0], self._degree_normalization()
+        return c if n == 1 else normal(Fraction(c, n))
 
     def pairing(self, a: ChowClass, b: ChowClass) -> Rational:
         if a.degree + b.degree != self.top:

@@ -8,9 +8,11 @@ sedentarity cone; each stratum carries a deterministic integer presentation
 The sign function on codimension-one face pairs is derived from stored
 orientation bases: each face is oriented by the HNF-reduced basis of its
 tangent lattice, and each sign is an integer determinant divided by a Gram
-determinant, with no rational arithmetic.  For incidences that raise
-sedentarity the normal direction is taken pointing inward (away from
-infinity); the d^2 = 0 tests pin this convention.
+determinant, with no rational arithmetic; it is computed once per pair and
+complex, and every p shares it.  For incidences that raise sedentarity the normal direction is
+taken pointing inward (away from infinity); the d^2 = 0 tests pin this.
+Integral vertex coordinates are int.  The loader runs Fourier-Motzkin only on
+pairs of maximal cells whose exact bounding boxes overlap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -31,9 +32,9 @@ from .lattice import (
     saturate,
     spans_unimodularly,
 )
-from .linalg import rat
+from .linalg import Rational, normal, rat
 
-Point = tuple[Fraction, ...]
+Point = tuple[Rational, ...]
 IntVec = tuple[int, ...]
 SedKey = tuple[IntVec, ...]
 
@@ -120,17 +121,14 @@ class Face:
 
 
 def _int_vec(v: Sequence) -> IntVec:
-    out = []
-    for x in v:
-        f = rat(x)
-        if f.denominator != 1:
-            raise NotUnimodularError(f"non-integral lattice vector {v}")
-        out.append(int(f))
-    return tuple(out)
+    out = tuple(normal(x) for x in v)
+    if not all(type(x) is int for x in out):
+        raise NotUnimodularError(f"non-integral lattice vector {v}")
+    return out
 
 
 def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
-    vertices = tuple(sorted({tuple(rat(x) for x in v) for v in vertices}))
+    vertices = tuple(sorted({tuple(normal(rat(x)) for x in v) for v in vertices}))
     rays = tuple(sorted({tuple(int(x) for x in r) for r in rays}))
     rank = len(vertices[0])
     v0 = vertices[0]
@@ -229,6 +227,7 @@ class FaceComplex:
                 return r
         raise NotCodimOneError(f"no direction from face {gamma.index} into {delta.index}")
 
+    @cached
     def sign(self, gamma_idx: int, delta_idx: int) -> int:
         """Orientation sign for a same-sedentarity codimension-one pair: the
         determinant of gamma's tangent and the direction into delta over
@@ -242,6 +241,7 @@ class FaceComplex:
         tangent = delta.tangent
         return _unit_sign(det_int(_dots(rows, tangent)), det_int(_dots(tangent, tangent)), "sign")
 
+    @cached
     def infinity_sign(self, gamma_idx: int, delta_idx: int) -> int:
         """Orientation sign for a sedentarity-raising codimension-one pair.
 
@@ -317,7 +317,7 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
     faces; the intersection axiom is then checked on pairs of maximal cells.
     Without validate the order is still every strict containment of specs.
     """
-    vpool = [tuple(rat(x) for x in v) for v in vertices]
+    vpool = [tuple(normal(rat(x)) for x in v) for v in vertices]
     if not all(any(r) for r in rays):
         raise InputFormatError("a ray is the zero vector")
     rpool = [primitive(tuple(int(x) for x in r)) for r in rays]
@@ -370,12 +370,30 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
 def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
     """Each pair of maximal cells must meet exactly in the face spanned by
     their shared generators (in the complex by closure under faces).  Every
-    generator is lifted to an integer row once per complex."""
+    generator is lifted to an integer row once per complex.  Two cells whose
+    boxes are disjoint in some coordinate cannot meet, and skip the check."""
     # Maximal pairs suffice: faces of one simplicial cell meet properly, and so do faces of two cells that do.
     top = [i for i in range(len(specs)) if not cx.cofaces(i)]
     vrows, rrows = _lifted_rows(vpool, rpool)
+    boxes = {i: _box(vpool, rpool, specs[i], cx.rank) for i in top}
     for i, j in itertools.combinations(top, 2):
-        _check_pair_intersection(vrows, rrows, specs[i], specs[j])
+        if not _apart(boxes[i], boxes[j]):
+            _check_pair_intersection(vrows, rrows, specs[i], specs[j])
+
+
+def _box(vpool, rpool, cell, rank: int) -> list[tuple]:
+    """Exact (lo, hi) bounds of a cell per coordinate: the min and max over
+    its vertices, None on a side where one of its rays points."""
+    vs, rs = cell
+    return [(None if any(rpool[k][c] < 0 for k in rs) else min(vpool[k][c] for k in vs),
+             None if any(rpool[k][c] > 0 for k in rs) else max(vpool[k][c] for k in vs))
+            for c in range(rank)]
+
+
+def _apart(box1, box2) -> bool:
+    """Whether two boxes are disjoint in some coordinate."""
+    return any(hi is not None and lo is not None and hi < lo
+               for (lo1, hi1), (lo2, hi2) in zip(box1, box2) for lo, hi in ((lo2, hi1), (lo1, hi2)))
 
 
 def _lifted_rows(vpool, rpool) -> tuple[list[IntVec], list[IntVec]]:
@@ -440,7 +458,7 @@ def make_fan(rank: int, cones: Sequence[Sequence[IntVec]], validate: bool = True
             for sub in itertools.combinations(sorted(idxs), k):
                 cone_sets.add(frozenset(sub))
     cone_sets.add(frozenset())
-    origin = tuple(Fraction(0) for _ in range(rank))
+    origin = (0,) * rank
     specs = [([0], sorted(s)) for s in cone_sets]
     return build_complex(rank, [origin], rays, specs, validate=validate)
 
@@ -666,9 +684,13 @@ def complex_to_json(y: FaceComplex) -> dict:
 
 def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
     try:
-        rank = int(data["lattice_rank"])
+        rank = data["lattice_rank"]
         vertices = [[rat(x) for x in v] for v in data.get("vertices", [])]
-        rays = [[int(x) for x in r] for r in data.get("rays", [])]
+        rays = [list(r) for r in data.get("rays", [])]
+        if type(rank) is not int or not all(type(x) is int for r in rays for x in r):
+            raise InputFormatError("lattice_rank and every ray entry must be an integer")
+        if not all(type(x) in (int, str) for v in data.get("vertices", []) for x in v):
+            raise InputFormatError('every vertex coordinate must be an integer or a "p/q" string')
         if not all(isinstance(spec, dict) for spec in data["faces"]):
             raise InputFormatError("every face must be an object of vertex and ray indices")
         face_specs = [(spec.get("vertices", []), spec.get("rays", [])) for spec in data["faces"]]
@@ -678,7 +700,7 @@ def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
         raise InputFormatError(f"malformed complex JSON: {exc}") from exc
     if not vertices:
         # Fan form: implicit origin vertex.
-        vertices = [[Fraction(0)] * rank]
+        vertices = [(0,) * rank]
         face_specs = [([0], rs) for _, rs in face_specs]
         has_origin = any(not rs for _, rs in face_specs)
         if not has_origin:

@@ -140,6 +140,11 @@ LINE = {"lattice_rank": 1, "vertices": [["0"]], "rays": [[1], [-1]],
 PAYLOADS = {
     "zero_ray": {**LINE, "rays": [[1], [0]]},
     "zero_denominator": {**LINE, "vertices": [["1/0"]]},
+    # numbers that a truncating int() or a bool-accepting parse would take
+    "fractional_ray": {**LINE, "rays": [[1.5], [-1]]},
+    "fractional_rank": {**LINE, "lattice_rank": 1.9},
+    "bool_ray": {**LINE, "rays": [[True], [-1]]},
+    "bool_vertex": {**LINE, "vertices": [[True]]},
     "bad_label": {"p": 1, "vertices": {"0": {"a,b": "1"}}},
     "bad_coefficient": {"p": 1, "vertices": {"0": {"": "1/0"}}},
     # fixD: the p = 1 class x_4 at vertex 0, and face 3, an unbounded edge
@@ -152,11 +157,16 @@ PAYLOADS = {
     ["chow", "fixA", "--degrees", "foo"],
     ["cohomology", "{zero_ray}"],
     ["cohomology", "{zero_denominator}"],
+    ["cohomology", "{fractional_ray}"],
+    ["cohomology", "{fractional_rank}"],
+    ["cohomology", "{bool_ray}"],
+    ["cohomology", "{bool_vertex}"],
     ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_label}"],
     ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_coefficient}"],
     ["hodge-cycle", "fixD", "--p", "0", "--class", "{p_mismatch}"],
     ["hodge-cycle", "fixD", "--p", "0", "--class", "{not_a_vertex}"],
-], ids=["degrees", "zero-ray", "zero-denominator", "class-label", "class-coefficient",
+], ids=["degrees", "zero-ray", "zero-denominator", "fractional-ray", "fractional-rank",
+        "bool-ray", "bool-vertex", "class-label", "class-coefficient",
         "class-p-mismatch", "class-not-a-vertex"])
 def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
     paths = {}

@@ -5,12 +5,16 @@ from math import lcm, prod
 
 import pytest
 
+from conftest import grid_plane
 from trophodge import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from trophodge.cli import main
 from trophodge.lattice import apply_rows, det_int, primitive, quotient_presentation
 from trophodge.linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, solve
-from trophodge.matroids import bergman_fan, boolean_matroid
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 from trophodge.polyhedral import (
+    FaceComplex,
+    _apart,
+    _box,
     _check_pair_intersection,
     _compose,
     _lifted_rows,
@@ -451,13 +455,19 @@ def _random_cell_pair(rng):
             [v for v in v1 if v in v2], [r for r in r1 if r in r2])
 
 
-def _check_pair_by_vectors(rank, v1, r1, v2, r2, shared_v, shared_r):
-    """_check_pair_intersection on two cells given by their generators: the
-    pools hold each generator once, the cells index into their lifted rows."""
+def _pools_and_cells(v1, r1, v2, r2):
+    """Pools holding each generator of two cells once, and the two cells as
+    (vertex, ray) index lists into them."""
     vpool = sorted(set(v1) | set(v2))
     rpool = sorted(set(r1) | set(r2))
     cells = [([vpool.index(v) for v in vs], [rpool.index(r) for r in rs])
              for vs, rs in ((v1, r1), (v2, r2))]
+    return vpool, rpool, cells
+
+
+def _check_pair_by_vectors(rank, v1, r1, v2, r2, shared_v, shared_r):
+    """_check_pair_intersection on two cells given by their generators."""
+    vpool, rpool, cells = _pools_and_cells(v1, r1, v2, r2)
     _check_pair_intersection(*_lifted_rows(vpool, rpool), *cells)
 
 
@@ -477,6 +487,96 @@ def test_pair_check_agrees_with_fraction_parametrisation():
             outcomes[want] = outcomes.get(want, 0) + 1
         assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
                                  "intersection axiom violated: overlap beyond common face"}
+
+
+def test_cells_with_disjoint_boxes_never_meet():
+    rng = random.Random(613)
+    apart = 0
+    for _ in range(2000):
+        args = _random_cell_pair(rng)
+        rank, v1, r1, v2, r2, _, _ = args
+        vpool, rpool, cells = _pools_and_cells(v1, r1, v2, r2)
+        if _apart(*(_box(vpool, rpool, cell, rank) for cell in cells)):
+            apart += 1
+            assert _pair_oracle(*args) is None, args
+    assert apart > 100
+
+
+def _line_of_segments_and(far_vertices, far_rays):
+    """Ten segments end to end on the x-axis from (0, 0) to (20, 0), and one
+    more cell, listed last, on the given vertices and rays."""
+    vertices = [[2 * i, 0] for i in range(11)] + far_vertices
+    far = (list(range(11, len(vertices))), list(range(len(far_rays))))
+    specs = [([k], []) for k in range(len(vertices))] + [([i, i + 1], []) for i in range(10)]
+    specs += [([v], far[1]) for v in far[0]] + [far]
+    return build_complex(2, vertices, far_rays, specs)
+
+
+@pytest.mark.parametrize("far", [([[1, -1], [1, 1]], []), ([[1, 5]], [[0, -1]])],
+                         ids=["segment", "ray"])
+def test_intersection_validation_rejects_far_apart_overlap(far):
+    # The last cell crosses the first segment at (1, 0) and shares no vertex
+    # with it; the ray's box is open downward, so it reaches the x-axis.
+    # With a far vertex off the line instead, the same layout loads.
+    assert len(_line_of_segments_and([[30, 1]], []).faces) == 11 + 10 + 1
+    with pytest.raises(InputFormatError, match="disjoint faces overlap"):
+        _line_of_segments_and(*far)
+
+
+def test_box_filter_spares_far_pairs_of_grid_plane(monkeypatch):
+    # 34 maximal cells make 561 pairs; the boxes of 173 of them overlap.
+    data = complex_to_json(grid_plane(3))
+    calls = _count_pair_checks(monkeypatch)
+    complex_from_json(data)
+    assert len(calls) == 173
+
+
+@pytest.mark.parametrize("name", ["fixa", "fixb", "fixc", "fixd", "fixe", "fixf", "grid3", "u35"])
+def test_integral_vertices_are_ints(name, request):
+    if name == "grid3":
+        y = grid_plane(3)
+    elif name == "u35":
+        y = bergman_fan(uniform_matroid(5, 3))
+    else:
+        y = request.getfixturevalue(name)
+    for cx in (y, complex_from_json(complex_to_json(y))):
+        for x in (cx, compactify(cx)):
+            assert all(type(c) is int for f in x.faces for v in f.vertices for c in v)
+
+
+def test_half_integral_vertices_stay_fractions(fixe, tmp_path, capsys):
+    # fixE moved by 1/2 is the same complex to every command.
+    data = complex_to_json(fixe)
+    data["vertices"] = [[str(Fraction(x) + Fraction(1, 2)) for x in v] for v in data["vertices"]]
+    half = complex_from_json(data)
+    assert all(type(c) is Fraction for x in (half, compactify(half))
+               for f in x.faces for v in f.vertices for c in v)
+    assert complex_to_json(half) == data and data["vertices"][0] == ["1/2"]
+    for name, payload in (("whole", complex_to_json(fixe)), ("half", data)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    for argv in (["check-all", "--seed", "3"], ["hodge-cycle", "--p", "1"]):
+        outs = [(main([argv[0], str(tmp_path / f"{name}.json"), *argv[1:]]), capsys.readouterr().out)
+                for name in ("whole", "half")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_each_sign_is_built_once(tmp_path, capsys, monkeypatch):
+    import trophodge.polyhedral as polyhedral
+
+    built, pairs, owners = [], set(), []
+    unit_sign = polyhedral._unit_sign
+    monkeypatch.setattr(polyhedral, "_unit_sign", lambda *args: built.append(1) or unit_sign(*args))
+    for name in ("sign", "infinity_sign"):
+        def recording(x, gamma, delta, method=getattr(FaceComplex, name), name=name):
+            owners.append(x)  # keeps each complex alive, so its id() stays unique
+            pairs.add((name, id(x), gamma, delta))
+            return method(x, gamma, delta)
+        monkeypatch.setattr(FaceComplex, name, recording)
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["check-all", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"]
+    assert pairs and len(built) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
