@@ -165,7 +165,7 @@ def _parse_class(st, path: str, p: int) -> HodgeClass:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        if int(data["p"]) != p:
+        if type(data["p"]) is not int or data["p"] != p:
             raise InputFormatError(f"class file has p = {data['p']}, but --p is {p}")
         classes = {}
         for vid_s, monos in data.get("vertices", {}).items():
@@ -175,8 +175,12 @@ def _parse_class(st, path: str, p: int) -> HodgeClass:
             ring = st.rings_for(vid)
             combo = {}
             for label_s, coeff in monos.items():
+                if type(coeff) not in (int, str):
+                    raise InputFormatError('every coefficient must be an integer or a "p/q" string')
                 labels = tuple(int(t) for t in label_s.split(",")) if label_s else ()
                 rays = frozenset(ring.star.ray_position(l) for l in labels)
+                if len(rays) != len(labels):
+                    raise InputFormatError(f"cone monomial {label_s!r} names a ray twice")
                 combo[rays] = combo.get(rays, 0) + rat(coeff)
             classes[vid] = ring.reduce_class(p, combo)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

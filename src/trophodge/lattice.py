@@ -4,7 +4,7 @@ presentations.  Inputs and outputs are plain tuples of Python ints."""
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def vec_gcd(v: Sequence[int]) -> int:
@@ -128,6 +128,24 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def gram_adjugate(gram: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
+    """adj(A) of the Gram matrix A = G G^T of integer rows G, so that
+    adj(A) . A = det(A) I, or None when the rows are dependent.  Fraction-free
+    Gauss-Jordan on [A | I] needs no pivot search: the leading minors of A
+    are all positive exactly when the rows are independent."""
+    n = len(gram)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(gram)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if not pivot:
+            return None
+        rows = [r if i == k else [(pivot * a - r[k] * b) // prev for a, b in zip(r, rows[k])]
+                for i, r in enumerate(rows)]
+        prev = pivot
+    return [r[n:] for r in rows]
 
 
 def maximal_minor_gcd(mat: Sequence[Sequence[int]]) -> int:

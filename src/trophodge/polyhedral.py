@@ -11,8 +11,12 @@ tangent lattice, and each sign is an integer determinant divided by a Gram
 determinant, with no rational arithmetic; it is computed once per pair and
 complex, and every p shares it.  For incidences that raise sedentarity the normal direction is
 taken pointing inward (away from infinity); the d^2 = 0 tests pin this.
-Integral vertex coordinates are int.  The loader runs Fourier-Motzkin only on
-pairs of maximal cells whose exact bounding boxes overlap.
+Integral vertex coordinates are int.  A face's tangent is the Hermite form of
+its generators when they are independent with maximal minors of gcd 1, and
+the saturation of their span otherwise.  The loader runs Fourier-Motzkin only
+on pairs of maximal cells whose exact bounding boxes overlap, in the frame of
+one cell (its generators' coordinates and the equations of their span), over
+the other cell's generator weights.
 """
 
 from __future__ import annotations
@@ -20,13 +24,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError, cached
 from .lattice import (
     apply_rows,
     det_int,
+    gram_adjugate,
+    hnf_basis,
+    kernel_basis_int,
+    maximal_minor_gcd,
     primitive,
     quotient_presentation,
     saturate,
@@ -141,9 +149,14 @@ def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
             integral = False
         gens.append(tuple(int(x * scale) for x in diff))
     gens.extend(tuple(r) for r in rays)
-    tangent = tuple(saturate(gens, rank)) if gens else ()
-    uni = integral and len(gens) == len(tangent) and spans_unimodularly(gens)
-    return Face(index, vertices, rays, sed, tangent, uni, tuple(pairs))
+    # Independent generators whose maximal minors have gcd 1 span a saturated
+    # lattice, and its reduced HNF is the one saturate returns.
+    tangent = hnf_basis(gens)
+    uni = len(tangent) == len(gens) and (prod(next(x for x in r if x) for r in tangent) == 1
+                                         or maximal_minor_gcd(tangent) == 1)
+    if not uni:
+        tangent = saturate(gens, rank)
+    return Face(index, vertices, rays, sed, tuple(tangent), integral and uni, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +383,19 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
 def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
     """Each pair of maximal cells must meet exactly in the face spanned by
     their shared generators (in the complex by closure under faces).  Every
-    generator is lifted to an integer row once per complex.  Two cells whose
-    boxes are disjoint in some coordinate cannot meet, and skip the check."""
+    generator is lifted to an integer row once per complex, and a cell that
+    reaches a pair check gets its frame once.  Two cells whose boxes are
+    disjoint in some coordinate cannot meet, and skip the check."""
     # Maximal pairs suffice: faces of one simplicial cell meet properly, and so do faces of two cells that do.
     top = [i for i in range(len(specs)) if not cx.cofaces(i)]
     vrows, rrows = _lifted_rows(vpool, rpool)
     boxes = {i: _box(vpool, rpool, specs[i], cx.rank) for i in top}
+    frames: dict[int, tuple] = {}
     for i, j in itertools.combinations(top, 2):
         if not _apart(boxes[i], boxes[j]):
-            _check_pair_intersection(vrows, rrows, specs[i], specs[j])
+            if i not in frames:
+                frames[i] = _frame(vrows, rrows, specs[i])
+            _check_pair_intersection(vrows, rrows, specs[i], specs[j], frames[i])
 
 
 def _box(vpool, rpool, cell, rank: int) -> list[tuple]:
@@ -404,35 +421,55 @@ def _lifted_rows(vpool, rpool) -> tuple[list[IntVec], list[IntVec]]:
     return vrows, [tuple(r) + (0,) for r in rpool]
 
 
-def _check_pair_intersection(vrows, rrows, cell1, cell2) -> None:
+def _frame(vrows, rrows, cell) -> Optional[tuple[list[list[int]], list[IntVec]]]:
+    """(Q, Z) for a cell whose lifted generators G are independent, else
+    None: Q = adj(G G^T) G takes g_i to det(G G^T) e_i, and Z x = 0 exactly
+    on span G."""
+    vs, rs = cell
+    g = [vrows[k] for k in vs] + [rrows[k] for k in rs]
+    adj = gram_adjugate(_dots(g, g))
+    return None if adj is None else (_dots(adj, list(zip(*g))), kernel_basis_int(g))
+
+
+def _check_pair_intersection(vrows, rrows, cell1, cell2, frame=None) -> None:
     """Exact check that two cells, given as (vertex, ray) index lists into
-    the lifted rows, meet exactly in their shared-generator face: one
-    Fourier-Motzkin run over the generator weights.  The lifted rows of the
-    two cells agree, which equates the points and the vertex-weight sums;
-    each shared generator is one weight of free sign (its weight in one cell
-    minus that in the other), every other weight is >= 0.  With a shared
-    vertex the question is homogeneous: can the other weights sum to > 0?
-    Then a point lies off the shared face, since adding the same weight at a
-    shared vertex to both cells makes the vertex weights positive, and scaling
-    makes them sum to 1.  Without one, the vertex weights of the first cell
-    sum to 1, and the question is whether the cells meet at all."""
+    the lifted rows, meet exactly in their shared-generator face.  In the
+    frame of cell1 (built here when not given, from a cell with independent
+    lifted generators), one Fourier-Motzkin run over the weights mu >= 0 of
+    cell2's own generators b asks for y = sum mu b in span G (Z y = 0) with
+    coordinates >= 0 on cell1's own generators (the own rows of Q y): with a
+    shared vertex and mu > 0, y is off the shared face; without one, y meets
+    cell1 when its vertex weights are > 0.  An own row of Q negative on every
+    b answers no without a run.  Without any frame, the run is over both
+    cells' weights, a shared generator's of free sign."""
+    if frame is None:
+        frame = _frame(vrows, rrows, cell1)
+        if frame is None and (frame := _frame(vrows, rrows, cell2)) is not None:
+            cell1, cell2 = cell2, cell1
     (vs1, rs1), (vs2, rs2) = cell1, cell2
     shared_v, shared_r = set(vs1) & set(vs2), set(rs1) & set(rs2)
-    own = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
-    own += [tuple(-x for x in vrows[k]) for k in vs2 if k not in shared_v]
-    own += [tuple(-x for x in rrows[k]) for k in rs2 if k not in shared_r]
-    cols = own + [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
-    eqs = [row + (0,) for row in zip(*cols)]
-    n, m = len(cols), len(own)
-    ineqs = [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(m)]
-    if shared_v:
-        strict = tuple(int(k < m) for k in range(n)) + (0,)
-        if fm_feasible(eqs, ineqs + [(strict, True)]):
-            raise InputFormatError("intersection axiom violated: overlap beyond common face")
+    own2 = [vrows[k] for k in vs2 if k not in shared_v] + [rrows[k] for k in rs2 if k not in shared_r]
+    if frame is not None:
+        q, z = frame
+        own1 = [k not in shared_v for k in vs1] + [k not in shared_r for k in rs1]
+        ineqs = _dots([row for row, own in zip(q, own1) if own], own2)
+        if any(all(x < 0 for x in row) for row in ineqs):
+            return
+        eqs, n = _dots(z, own2), len(own2)
+        nonneg, positive = n, n if shared_v else len(vs2)
     else:
-        eqs.append(tuple(int(k < len(vs1)) for k in range(n)) + (-1,))
-        if fm_feasible(eqs, ineqs):
-            raise InputFormatError("intersection axiom violated: disjoint faces overlap")
+        own = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
+        own += [tuple(-x for x in row) for row in own2]
+        cols = own + [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
+        eqs, ineqs, n = list(zip(*cols)), [], len(cols)
+        nonneg = len(own)
+        positive = nonneg if shared_v else len(vs1)
+    ineqs = [(tuple(row) + (0,), False) for row in ineqs]
+    ineqs += [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(nonneg)]
+    ineqs.append((tuple(int(k < positive) for k in range(n)) + (0,), True))
+    if fm_feasible([tuple(row) + (0,) for row in eqs], ineqs):
+        raise InputFormatError("intersection axiom violated: " +
+                               ("overlap beyond common face" if shared_v else "disjoint faces overlap"))
 
 
 # ---------------------------------------------------------------------------
@@ -628,36 +665,15 @@ def _build_star_fan(cx: FaceComplex, idx: int) -> StarFan:
 
 def product_complex(a: FaceComplex, b: FaceComplex) -> FaceComplex:
     """Product of two plain complexes; all product faces must stay simplicial."""
-    verts = []
-    vmap = {}
-    rays = []
-    rmap = {}
+    vmap: dict[Point, int] = {}
+    rmap: dict[IntVec, int] = {}
     specs = []
     for fa in a.faces:
         for fb in b.faces:
-            vs = []
-            for va in fa.vertices:
-                for vb in fb.vertices:
-                    v = va + vb
-                    if v not in vmap:
-                        vmap[v] = len(verts)
-                        verts.append(v)
-                    vs.append(vmap[v])
-            rs = []
-            for ra in fa.rays:
-                r = ra + tuple(0 for _ in range(b.rank))
-                if r not in rmap:
-                    rmap[r] = len(rays)
-                    rays.append(r)
-                rs.append(rmap[r])
-            for rb in fb.rays:
-                r = tuple(0 for _ in range(a.rank)) + rb
-                if r not in rmap:
-                    rmap[r] = len(rays)
-                    rays.append(r)
-                rs.append(rmap[r])
-            specs.append((vs, rs))
-    return build_complex(a.rank + b.rank, verts, rays, specs)
+            vs = [vmap.setdefault(va + vb, len(vmap)) for va in fa.vertices for vb in fb.vertices]
+            rays = [ra + (0,) * b.rank for ra in fa.rays] + [(0,) * a.rank + rb for rb in fb.rays]
+            specs.append((vs, [rmap.setdefault(r, len(rmap)) for r in rays]))
+    return build_complex(a.rank + b.rank, list(vmap), list(rmap), specs)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,12 @@ PAYLOADS = {
     "bad_coefficient": {"p": 1, "vertices": {"0": {"": "1/0"}}},
     # fixD: the p = 1 class x_4 at vertex 0, and face 3, an unbounded edge
     "p_mismatch": {"p": 1, "vertices": {"0": {"4": "1"}}},
+    # the same class with p or a coefficient that is a bool or a float
+    "bool_coefficient": {"p": 1, "vertices": {"0": {"4": True}}},
+    "float_coefficient": {"p": 1, "vertices": {"0": {"4": 1.0}}},
+    "float_p": {"p": 1.7, "vertices": {"0": {"4": "1"}}},
+    "bool_p": {"p": True, "vertices": {"0": {"4": "1"}}},
+    "repeated_ray": {"p": 1, "vertices": {"0": {"4,4": "1"}}},  # x_4^2 is no cone monomial
     "not_a_vertex": {"p": 0, "vertices": {"0": {"": "1"}, "3": {"": "5"}}},
 }
 
@@ -165,9 +171,15 @@ PAYLOADS = {
     ["hodge-cycle", "fixD", "--p", "1", "--class", "{bad_coefficient}"],
     ["hodge-cycle", "fixD", "--p", "0", "--class", "{p_mismatch}"],
     ["hodge-cycle", "fixD", "--p", "0", "--class", "{not_a_vertex}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{bool_coefficient}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{float_coefficient}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{float_p}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{bool_p}"],
+    ["hodge-cycle", "fixD", "--p", "1", "--class", "{repeated_ray}"],
 ], ids=["degrees", "zero-ray", "zero-denominator", "fractional-ray", "fractional-rank",
         "bool-ray", "bool-vertex", "class-label", "class-coefficient",
-        "class-p-mismatch", "class-not-a-vertex"])
+        "class-p-mismatch", "class-not-a-vertex", "class-bool-coefficient",
+        "class-float-coefficient", "class-float-p", "class-bool-p", "class-repeated-ray"])
 def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
     paths = {}
     for name, payload in PAYLOADS.items():

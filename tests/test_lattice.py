@@ -2,6 +2,7 @@ import random
 
 from trophodge.lattice import (
     det_int,
+    gram_adjugate,
     hnf_basis,
     kernel_basis_int,
     maximal_minor_gcd,
@@ -66,3 +67,24 @@ def test_hnf_basis_canonical():
     b1 = hnf_basis([[1, 2], [0, 3]])
     b2 = hnf_basis([[1, 5], [0, 3]])
     assert b1 == b2  # same lattice, same canonical basis
+
+
+def test_gram_adjugate_matches_cofactors():
+    # adj(A)[i][j] is the (j, i) cofactor of A; dependent rows give None.
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(300):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        gram = [[sum(a * b for a, b in zip(r, c)) for c in g] for r in g]
+        det = det_int(gram)
+        got = gram_adjugate(gram)
+        kinds.add(det > 0)
+        if det == 0:
+            assert got is None
+            continue
+        minor = lambda i, j: [r[:j] + r[j + 1:] for m, r in enumerate(gram) if m != i]
+        assert got == [[(-1) ** (i + j) * det_int(minor(j, i)) for j in range(k)] for i in range(k)]
+        assert all(sum(got[i][m] * gram[m][j] for m in range(k)) == (det if i == j else 0)
+                   for i in range(k) for j in range(k))
+    assert kinds == {True, False}

@@ -8,7 +8,15 @@ import pytest
 from conftest import grid_plane
 from trophodge import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
 from trophodge.cli import main
-from trophodge.lattice import apply_rows, det_int, primitive, quotient_presentation
+from trophodge.lattice import (
+    apply_rows,
+    det_int,
+    hnf_basis,
+    primitive,
+    quotient_presentation,
+    saturate,
+    spans_unimodularly,
+)
 from trophodge.linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, solve
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 from trophodge.polyhedral import (
@@ -17,7 +25,9 @@ from trophodge.polyhedral import (
     _box,
     _check_pair_intersection,
     _compose,
+    _frame,
     _lifted_rows,
+    _make_face,
     build_complex,
     compactify,
     complex_from_json,
@@ -349,7 +359,8 @@ def test_recession_fan_rejects_cones_not_closed_under_faces():
 
 def test_intersections_take_one_fourier_motzkin_run_per_pair(monkeypatch):
     # 24 maximal cones of the Bergman fan of B4 make 276 pairs; each pair is
-    # answered by one run, not one run per non-shared generator.
+    # answered by at most one run, not one run per non-shared generator, and
+    # 156 of them by an own row of the frame negative on every generator.
     import trophodge.polyhedral as polyhedral
 
     data = complex_to_json(bergman_fan(boolean_matroid(4)))
@@ -358,7 +369,47 @@ def test_intersections_take_one_fourier_motzkin_run_per_pair(monkeypatch):
     monkeypatch.setattr(polyhedral, "fm_feasible",
                         lambda *args, **kw: calls.append(1) or run(*args, **kw))
     complex_from_json(data)
-    assert len(calls) == 276
+    assert len(calls) == 120
+
+
+def test_each_cell_builds_its_frame_once(monkeypatch):
+    # The 276 pair checks of B4's 24 maximal cones share one frame per cell.
+    import trophodge.polyhedral as polyhedral
+
+    data = complex_to_json(bergman_fan(boolean_matroid(4)))
+    checks = _count_pair_checks(monkeypatch)
+    frames = []
+    frame = polyhedral._frame
+    monkeypatch.setattr(polyhedral, "_frame", lambda *args: frames.append(args[2]) or frame(*args))
+    complex_from_json(data)
+    assert len(checks) == 276
+    assert len(frames) <= 24 and len(set(map(repr, frames))) == len(frames)
+
+
+def test_face_tangent_matches_saturation_oracle():
+    # One Hermite form per face gives the tangent and unimodular flag that
+    # saturate and spans_unimodularly give, on dependent and non-saturated
+    # generator sets too.
+    def check(rank, gens):
+        want_tangent = tuple(saturate(gens, rank)) if gens else ()
+        want_uni = len(want_tangent) == len(gens) and spans_unimodularly(gens)
+        for face in (_make_face(0, [(0,) * rank], gens, (), ()),
+                     _make_face(0, [(0,) * rank] + gens, [], (), ())):
+            assert (face.tangent, face.unimodular) == (want_tangent, want_uni), gens
+        return want_uni, want_tangent == tuple(hnf_basis(gens))
+
+    assert check(2, [(2, 0)]) == (False, False)
+    assert check(2, [(1, 1), (1, -1)]) == (False, False)
+    assert check(2, [(2, 3)]) == (True, True)  # pivot 2, but minors of gcd 1
+    assert check(2, [(1, 0), (2, 0)]) == (False, True)
+    rng = random.Random(613)
+    seen = set()
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+        gens = list({tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, rank + 1))}
+                    - {(0,) * rank})
+        seen.add(check(rank, gens))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +538,45 @@ def test_pair_check_agrees_with_fraction_parametrisation():
             outcomes[want] = outcomes.get(want, 0) + 1
         assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
                                  "intersection axiom violated: overlap beyond common face"}
+
+
+PAIRS_WITH_DEPENDENT_CELLS = [
+    # (rank, cell 1, cell 2, whether cell 2's lifted generators are
+    # independent, outcome); a cell is (vertices, rays).
+    (1, ([(0,)], [(1,), (-1,)]), ([(1,)], []), True, "disjoint faces overlap"),
+    (2, ([(0, 0)], [(1, 0), (-1, 0)]), ([(0, 0)], [(0, 1)]), True, "overlap beyond common face"),
+    (2, ([(0, 0), (1, 0), (2, 0)], []), ([(1, 0), (1, 1)], []), True, "overlap beyond common face"),
+    (2, ([(0, 0), (1, 0), (2, 0)], []), ([(5, 5), (6, 5)], []), True, None),
+    (2, ([(0, 0), (2, 0), (1, 0)], []), ([(0, 1), (1, 1), (2, 1)], []), False, None),
+    (2, ([(0, 0), (1, 0), (2, 0)], []), ([(1, -1), (1, 1), (1, 3)], []), False,
+     "disjoint faces overlap"),
+    (2, ([(0, 0), (1, 0), (2, 0)], []), ([(2, 0), (3, 0), (4, 0)], []), False, None),
+    (2, ([(0, 0), (1, 0), (2, 0)], []), ([(1, 0), (2, 0), (3, 0)], []), False,
+     "overlap beyond common face"),
+    (2, ([(0, 0)], [(1, 0), (-1, 0)]), ([(0, 1)], [(1, 0), (-1, 0)]), False, None),
+]
+
+
+@pytest.mark.parametrize("rank, cell1, cell2, independent2, outcome", PAIRS_WITH_DEPENDENT_CELLS)
+def test_pair_check_with_dependent_cells_agrees_with_oracle(rank, cell1, cell2, independent2, outcome):
+    # cell1's lifted generators are dependent: the check works in cell2's
+    # frame when it has one, and runs the full system when it has none.
+    v1, r1 = [tuple(map(F, v)) for v in cell1[0]], cell1[1]
+    v2, r2 = [tuple(map(F, v)) for v in cell2[0]], cell2[1]
+    args = (rank, v1, r1, v2, r2, [v for v in v1 if v in v2], [r for r in r1 if r in r2])
+    vpool, rpool, cells = _pools_and_cells(v1, r1, v2, r2)
+    lifted = _lifted_rows(vpool, rpool)
+    assert _frame(*lifted, cells[0]) is None
+    assert (_frame(*lifted, cells[1]) is not None) == independent2
+    want = _pair_oracle(*args)
+    assert want == (outcome and f"intersection axiom violated: {outcome}")
+    for first, second in (cells, cells[::-1]):
+        try:
+            _check_pair_intersection(*lifted, first, second)
+            got = None
+        except InputFormatError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def test_cells_with_disjoint_boxes_never_meet():
