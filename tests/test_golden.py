@@ -1,6 +1,7 @@
 """Pinned outputs: the exit code and stdout of `cohomology`, `steenbrink`,
-`cs-check` and `check-all --seed 3` on fixA-fixF and grid_plane(1), compared
-byte for byte with the files in tests/golden/.
+`cs-check`, `check-all --seed 3`, `hodge-cycle --p 1` and `mw -k 1` on
+fixA-fixF and grid_plane(1), compared byte for byte with the files in
+tests/golden/.
 
 Each golden file holds one line `exit <code>` and then the command's stdout.
 Rewrite them only for a change that is meant to change an output:
@@ -21,7 +22,8 @@ from trophodge.polyhedral import complex_to_json
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["fixA", "fixB", "fixC", "fixD", "fixE", "fixF", "grid1"]
-COMMANDS = {"cohomology": [], "steenbrink": [], "cs-check": [], "check-all": ["--seed", "3"]}
+COMMANDS = {"cohomology": [], "steenbrink": [], "cs-check": [], "check-all": ["--seed", "3"],
+            "hodge-cycle": ["--p", "1"], "mw": ["-k", "1"]}
 CASES = [(cmd, name) for cmd in COMMANDS for name in INPUTS]
 
 
