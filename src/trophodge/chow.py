@@ -7,6 +7,9 @@ relations multiplied into degree p.  Monomials with repeated rays are
 rewritten by substituting one occurrence of x_rho using a functional that
 is 1 on e_rho and 0 on the other rays of the support; each rewrite strictly
 lowers total multiplicity, so reduction terminates in one pass per repeat.
+Reduction modulo the relations is linear: each monomial's normal form is
+computed once per ring, a class is the sum of its monomials' normal forms,
+and a product the sum of cached products of basis monomials.
 """
 
 from __future__ import annotations
@@ -134,14 +137,39 @@ class ChowRing:
         return rows
 
     @cached
-    def _presentation(self, p: int) -> tuple[Echelon, list[frozenset]]:
-        """The relations of degree p over the monomial positions, and the
-        basis: the monomials at no pivot of the relations."""
+    def _presentation(self, p: int) -> tuple[Echelon, list[frozenset], dict[frozenset, int]]:
+        """The relations of degree p over the monomial positions, the basis
+        (the monomials at no pivot of the relations), and each monomial's
+        position."""
         monos = self.monomials(p)
         index = {mono: i for i, mono in enumerate(monos)}
         rows = self._relation_rows(p) if p > 0 else []
         relations = Echelon({index[mono]: c for mono, c in row.items()} for row in rows)
-        return relations, [m for i, m in enumerate(monos) if i not in relations.pivots]
+        return relations, [m for i, m in enumerate(monos) if i not in relations.pivots], index
+
+    @cached
+    def _normal_form(self, p: int, mono: frozenset) -> dict[frozenset, Rational]:
+        """The class of x_mono as {basis monomial: coefficient}: its remainder
+        modulo the relations, which is zero on every pivot column."""
+        relations, _, index = self._presentation(p)
+        rem, _ = relations.reduce({index[mono]: 1})
+        return {self.monomials(p)[j]: c for j, c in rem.items()}
+
+    def _expand(self, p: int, combo: dict[frozenset, Rational]) -> dict[frozenset, Rational]:
+        """The basis expansion of a combination: the sum of its monomials'
+        normal forms, since reduction is linear."""
+        acc: dict[frozenset, Rational] = {}
+        for mono, c in combo.items():
+            for m, v in self._normal_form(p, mono).items():
+                acc[m] = acc.get(m, 0) + c * v
+        return acc
+
+    @cached
+    def _basis_product(self, pa: int, i: int, pb: int, j: int) -> dict[frozenset, Rational]:
+        """The basis expansion of the product of basis monomials i of degree
+        pa and j of degree pb."""
+        ms = tuple(sorted(self.basis(pa)[i])) + tuple(sorted(self.basis(pb)[j]))
+        return self._expand(pa + pb, self.reduce_monomial(ms))
 
     def basis(self, p: int) -> list[frozenset]:
         if p < 0 or p > self.top:
@@ -162,16 +190,8 @@ class ChowRing:
             if any(v != 0 for v in combo.values()):
                 raise DegreeMismatchError(f"degree {p} out of range")
             return ChowClass(p, ())
-        relations, basis = self._presentation(p)
-        monos = self.monomials(p)
-        index = {mono: i for i, mono in enumerate(monos)}
-        vec: dict[int, Rational] = {}
-        for mono, c in combo.items():
-            vec[index[mono]] = vec.get(index[mono], 0) + c
-        # The remainder modulo the relations is zero on every pivot column,
-        # so it is the class's expansion over the basis monomials.
-        rem, _ = relations.reduce(vec)
-        return ChowClass(p, tuple(normal(rem.get(index[m], 0)) for m in basis))
+        acc = self._expand(p, combo)
+        return ChowClass(p, tuple(normal(acc.get(m, 0)) for m in self.basis(p)))
 
     def class_from_monomial(self, mono: frozenset) -> ChowClass:
         p = len(mono)
@@ -188,17 +208,17 @@ class ChowRing:
         return {m: c for m, c in zip(self.basis(cls.degree), cls.coeffs) if c != 0}
 
     def multiply(self, a: ChowClass, b: ChowClass) -> ChowClass:
-        p = a.degree + b.degree
+        """The sum of the cached products of basis monomials."""
         acc: dict[frozenset, Rational] = {}
-        for ma, ca in zip(self.basis(a.degree), a.coeffs):
+        for i, ca in enumerate(a.coeffs):
             if ca == 0:
                 continue
-            for mb, cb in zip(self.basis(b.degree), b.coeffs):
+            for j, cb in enumerate(b.coeffs):
                 if cb == 0:
                     continue
-                for mono, c in self.reduce_monomial(tuple(sorted(ma)) + tuple(sorted(mb))).items():
-                    acc[mono] = acc.get(mono, 0) + ca * cb * c
-        return self.reduce_class(p, acc)
+                for m, v in self._basis_product(a.degree, i, b.degree, j).items():
+                    acc[m] = acc.get(m, 0) + ca * cb * v
+        return self.reduce_class(a.degree + b.degree, acc)
 
     # -- degree and pairings ----------------------------------------------
 
@@ -374,21 +394,24 @@ class MinkowskiWeight:
     dim: int
     weights: tuple[tuple[int, Rational], ...]  # (face index, weight)
 
+    @cached
     def as_dict(self) -> dict[int, Rational]:
+        """{face: weight}, built once and shared: callers must not change it."""
         return dict(self.weights)
 
     def value(self, face_idx: int) -> Rational:
-        return dict(self.weights).get(face_idx, 0)
+        return self.as_dict().get(face_idx, 0)
 
 
+@cached
 def _balancing_matrix(y: FaceComplex, k: int) -> tuple[RationalMatrix, list[int]]:
     k_faces = [f.index for f in y.faces_of_dim(k) if f.sedentarity == ()]
+    column = {d: i for i, d in enumerate(k_faces)}
     rows: list[list[Rational]] = []
     for g in y.faces_of_dim(k - 1):
         if g.sedentarity != ():
             continue
-        covers = [d for d in y.covers_of(g.index)
-                  if y.faces[d].sedentarity == () and y.faces[d].index in k_faces]
+        covers = [d for d in y.covers_of(g.index) if d in column]
         if not covers:
             continue
         normals = {d: y.primitive_normal(g.index, d) for d in covers}
@@ -396,7 +419,7 @@ def _balancing_matrix(y: FaceComplex, k: int) -> tuple[RationalMatrix, list[int]
         for c in range(ncoords):
             row = [0] * len(k_faces)
             for d in covers:
-                row[k_faces.index(d)] = normals[d][c]
+                row[column[d]] = normals[d][c]
             rows.append(row)
     mat = RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, len(k_faces))
     return mat, k_faces
@@ -414,7 +437,8 @@ def minkowski_weights(y: FaceComplex, k: int) -> list[MinkowskiWeight]:
 
 def is_balanced(y: FaceComplex, w: MinkowskiWeight) -> bool:
     mat, k_faces = _balancing_matrix(y, w.dim)
-    vec = [w.value(f) for f in k_faces]
+    wd = w.as_dict()
+    vec = [wd.get(f, 0) for f in k_faces]
     return all(v == 0 for v in mat.mul_vec(vec))
 
 

@@ -3,10 +3,15 @@ cohomology of compactified complexes.
 
 The coefficient space at a face sums the p-th wedge powers of the tangent
 spaces of its cofaces of equal sedentarity, inside the wedge power of the
-face's stratum.  The cochain differential runs over all codimension-one
+face's stratum.  The maximal such cofaces span it, since Lambda^p T(eta)
+lies in Lambda^p T(eta') for eta in eta'; it is all of Lambda^p, with the
+standard basis, when one of them spans the stratum, and otherwise held by
+its reduced row echelon basis.  A vector's coordinates are then its entries
+at the pivot columns.  The cochain differential runs over all codimension-one
 incidences of the face order: same-sedentarity incidences contribute duals
 of inclusions, sedentarity-raising incidences contribute duals of the wedge
-power of the stratum projection, each multiplied by the orientation sign.
+power of the stratum projection (built once per stratum pair and p), each
+multiplied by the orientation sign.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import DegeneratePairingError, NotAComplexError, cached
 from .lattice import det_int
 from .linalg import Echelon, Rational, RationalMatrix, column_echelon, normal, rank
 from .linalg import kernel_basis  # noqa: F401  (perfbench/test_bench.py reads it here)
-from .polyhedral import FaceComplex, _compose
+from .polyhedral import FaceComplex
 
 Vec = list[Rational]
 
@@ -162,7 +167,7 @@ def wedge_map_matrix(q_rows: Sequence[Sequence[int]], m_src: int, p: int) -> Rat
 
 class CoefficientSpace:
     """F_p at a face: the sum of wedge powers of same-sedentarity coface
-    tangents, with a canonical reduced basis."""
+    tangents, held by its reduced row echelon basis (see the module note)."""
 
     def __init__(self, complex_: FaceComplex, face_idx: int, p: int):
         self.face = face_idx
@@ -170,31 +175,37 @@ class CoefficientSpace:
         face = complex_.faces[face_idx]
         m, _, _ = complex_.stratum(face.sedentarity)
         self.stratum_rank = m
-        self.ambient_dim = comb(m, p)
-        rows = []
-        for eta in sorted({face_idx} | {
-                j for j in complex_.cofaces(face_idx)
-                if complex_.faces[j].sedentarity == face.sedentarity}):
-            tangent = complex_.faces[eta].tangent
-            if len(tangent) < p:
-                continue
-            for sub in itertools.combinations(tangent, p):
-                rows.append(wedge_vector(sub, m))
-        self._span = Echelon(rows)
-        self._leads = sorted(self._span.pivots)
-        self.basis: list[Vec] = [
-            [normal(self._span.pivots[k].get(j, 0)) for j in range(self.ambient_dim)]
-            for k in self._leads]
+        self.ambient_dim = n = comb(m, p)
+        same = {face_idx} | {j for j in complex_.cofaces(face_idx)
+                             if complex_.faces[j].sedentarity == face.sedentarity}
+        tops = sorted(j for j in same if not complex_.cofaces(j) & same)
+        self.full = any(complex_.faces[j].dim == m for j in tops)
+        if self.full:
+            self.pivots = list(range(n))
+            self.basis: list[Vec] = [[int(i == j) for j in range(n)] for i in range(n)]
+            return
+        span = Echelon(wedge_vector(sub, m) for j in tops
+                       for sub in itertools.combinations(complex_.faces[j].tangent, p))
+        self.pivots = sorted(span.pivots)
+        for lead in reversed(self.pivots):  # back-substitution to reduced form
+            row = span.pivots[lead]
+            for c in sorted(c for c in row if c != lead and c in span.pivots):
+                coef = row[c]
+                for j, v in span.pivots[c].items():
+                    row[j] = row.get(j, 0) - coef * v
+        self.basis = [[normal(span.pivots[lead].get(j, 0)) for j in range(n)]
+                      for lead in self.pivots]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, vec: Sequence[Rational]) -> Vec:
-        rem, mult = self._span.reduce(vec)
-        if rem:
+        coords = [normal(vec[c]) for c in self.pivots]
+        if not self.full and any(x != sum(c * b[j] for c, b in zip(coords, self.basis) if c)
+                                 for j, x in enumerate(vec)):
             raise DegeneratePairingError("vector outside coefficient space")
-        return [normal(mult.get(k, 0)) for k in self._leads]
+        return coords
 
 
 def coefficient_space(x: FaceComplex, delta_idx: int, p: int) -> CoefficientSpace:
@@ -206,28 +217,28 @@ def _fp_spaces(x: FaceComplex, p: int) -> dict[int, CoefficientSpace]:
     return {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
 
 
+@cached
+def _stratum_wedge_map(x: FaceComplex, sed_to, sed_from, p: int) -> RationalMatrix:
+    return wedge_map_matrix(x.stratum_map(sed_to, sed_from), x.stratum(sed_from)[0], p)
+
+
 def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> RationalMatrix:
     """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence."""
     fg, fd = x.faces[gamma], x.faces[delta]
     sg, sd = spaces[gamma], spaces[delta]
+    if sd.full and sg.full and fg.sedentarity == fd.sedentarity:
+        return RationalMatrix.identity(sd.dim)
     out = RationalMatrix(sg.dim, sd.dim)
     if sd.dim == 0:
         return out
-    if fg.sedentarity == fd.sedentarity:
-        for j, b in enumerate(sd.basis):
-            for i, c in enumerate(sg.coordinates(b)):
-                out[i, j] = c
-        return out
-    _, p_gamma, _ = x.stratum(fg.sedentarity)
-    _, _, s_delta = x.stratum(fd.sedentarity)
-    q_rows = _compose(p_gamma, s_delta)
-    wm = wedge_map_matrix(q_rows, sd.stratum_rank, sd.p)
+    wm = None
+    if fg.sedentarity != fd.sedentarity:
+        wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
     for j, b in enumerate(sd.basis):
-        img = wm.mul_vec(b)
-        if all(v == 0 for v in img):
-            continue
-        for i, c in enumerate(sg.coordinates(img)):
-            out[i, j] = c
+        img = b if wm is None else wm.mul_vec(b)
+        if any(img):
+            for i, c in enumerate(sg.coordinates(img)):
+                out[i, j] = c
     return out
 
 

@@ -207,6 +207,11 @@ class FaceComplex:
         proj, section = quotient_presentation([list(r) for r in sed], self.rank)
         return self.rank - len(sed), [tuple(r) for r in proj], [tuple(s) for s in section]
 
+    @cached
+    def stratum_map(self, sed_to: SedKey, sed_from: SedKey) -> list[IntVec]:
+        """Rows of the projection P_to . S_from from one stratum to a deeper one."""
+        return _compose(self.stratum(sed_to)[1], self.stratum(sed_from)[2])
+
     def is_pure(self, d: Optional[int] = None) -> bool:
         d = self.dim if d is None else d
         tops = {f.index for f in self.faces_of_dim(d)}
@@ -259,9 +264,10 @@ class FaceComplex:
         """Orientation sign for a sedentarity-raising codimension-one pair.
 
         gamma sits in a deeper stratum; the normal is taken pointing inward,
-        i.e. away from infinity.  Q kills rho, so the rows G . Q . T^T and
-        -rho . T^T have determinant det(G . G^T) |rho|^2 / det C, where C
-        holds the coordinates over T of G's lifts through Q and of -rho.
+        i.e. away from infinity.  Q, the stratum map from delta's stratum to
+        gamma's, kills rho, so the rows G . Q . T^T and -rho . T^T have
+        determinant det(G . G^T) |rho|^2 / det C, where C holds the
+        coordinates over T of G's lifts through Q and of -rho.
         """
         gamma, delta = self.faces[gamma_idx], self.faces[delta_idx]
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
@@ -270,11 +276,8 @@ class FaceComplex:
         if len(extra) != 1:
             raise NotCodimOneError("sedentarity does not rise by one ray")
         ray_amb = next(iter(extra))
-        _, p_delta, s_delta = self.stratum(delta.sedentarity)
-        _, p_gamma, _ = self.stratum(gamma.sedentarity)
-        rho = primitive(apply_rows(p_delta, ray_amb))
-        # Map from delta's stratum to gamma's: Q = P_gamma . S_delta.
-        q_rows = _compose(p_gamma, s_delta)
+        rho = primitive(apply_rows(self.stratum(delta.sedentarity)[1], ray_amb))
+        q_rows = self.stratum_map(gamma.sedentarity, delta.sedentarity)
         images = [apply_rows(q_rows, t) for t in delta.tangent]
         rows = _dots(gamma.tangent, images) + _dots([tuple(-x for x in rho)], delta.tangent)
         gram = det_int(_dots(gamma.tangent, gamma.tangent)) * sum(x * x for x in rho)
@@ -505,9 +508,7 @@ def recession_fan(y: FaceComplex) -> FaceComplex:
 
     The cones must be closed under faces (checked here, since y may have been
     built without validation) and must meet properly (checked by the
-    validated fan build on pairs of maximal cones).  A validated y with one
-    vertex is a translate of its recession fan, so its cones were checked
-    already and the fan is built without a second check.
+    validated fan build on pairs of maximal cones).
     """
     if any(f.sedentarity != () for f in y.faces):
         raise NotAFanError("recession fan needs a complex in a single R^n")
@@ -517,9 +518,8 @@ def recession_fan(y: FaceComplex) -> FaceComplex:
             for sub in itertools.combinations(c, k):
                 if sub not in cone_sets:
                     raise NotAFanError("recession cones are not closed under faces")
-    checked = y.validated and len({v for f in y.faces for v in f.vertices}) == 1
     try:
-        return make_fan(y.rank, [list(c) for c in sorted(cone_sets)], validate=not checked)
+        return make_fan(y.rank, [list(c) for c in sorted(cone_sets)])
     except InputFormatError as exc:
         raise NotAFanError(f"recession cones overlap improperly: {exc}") from exc
 
@@ -535,10 +535,11 @@ def compactify(y: FaceComplex) -> FaceComplex:
     sedentarity of the new face is sigma, and the face order follows the
     orbit-stratum combinatorics.
     """
-    rec = recession_fan(y)
-    for f in rec.faces:
-        if not f.unimodular:
-            raise NotUnimodularError("recession fan is not unimodular")
+    # A validated y with one vertex is a translate of its recession fan: its
+    # cones were checked already, and its faces carry the same flags.
+    one_vertex = y.validated and len({v for f in y.faces for v in f.vertices}) == 1
+    if not all(f.unimodular for f in (y if one_vertex else recession_fan(y)).faces):
+        raise NotUnimodularError("recession fan is not unimodular")
 
     records: dict[tuple, dict] = {}
     for f in y.faces:
@@ -629,6 +630,7 @@ class StarFan:
                       key=lambda c: tuple(sorted(c[1])))
 
     @property
+    @cached
     def unimodular(self) -> bool:
         for _, rays in self.cones:
             if not spans_unimodularly([self.ray_vectors[i] for i in sorted(rays)]):

@@ -4,13 +4,14 @@ built once per object and die with it."""
 import gc
 import json
 import weakref
+from collections import Counter
 
 from conftest import grid_plane
-from trophodge import cohomology, fixtures
+from trophodge import chow, cohomology, fixtures, polyhedral
 from trophodge.chow import ring_of
 from trophodge.cli import main
 from trophodge.cohomology import cochain_complex
-from trophodge.polyhedral import compactify, complex_to_json
+from trophodge.polyhedral import FaceComplex, compactify, complex_to_json
 from trophodge.steenbrink import build_steenbrink, primitive_parts
 
 
@@ -48,6 +49,67 @@ def test_each_cohomology_basis_is_built_once(tmp_path, capsys, monkeypatch):
     assert main(["check-all", str(path), "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["all"]
     assert pairs and len(builds) == len(pairs)
+
+
+def _check_all_grid1(tmp_path, capsys):
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["check-all", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"]
+
+
+def test_each_monomial_normal_form_is_built_once_per_ring(tmp_path, capsys, monkeypatch):
+    # The relations of a degree are the only echelon form `chow` builds; a
+    # normal form is one reduction of a single monomial's position.
+    reductions, owners = Counter(), []
+
+    class CountingEchelon(chow.Echelon):
+        def reduce(self, row):
+            owners.append(self)  # keeps each echelon alive, so its id() stays unique
+            reductions[id(self), tuple(sorted(row.items()))] += 1
+            return super().reduce(row)
+
+    monkeypatch.setattr(chow, "Echelon", CountingEchelon)
+    _check_all_grid1(tmp_path, capsys)
+    assert reductions and max(reductions.values()) == 1
+    assert all(len(row) == 1 for _, row in reductions)
+
+
+def test_each_balancing_matrix_is_built_once_per_complex_and_dimension(tmp_path, capsys,
+                                                                        monkeypatch):
+    # Only the balancing matrix reads primitive normals, one per face pair,
+    # and each pair (gamma, delta) belongs to the matrix of dimension dim delta.
+    reads, owners = Counter(), []
+    primitive_normal = FaceComplex.primitive_normal
+
+    def counting(y, gamma, delta):
+        owners.append(y)
+        reads[id(y), gamma, delta] += 1
+        return primitive_normal(y, gamma, delta)
+
+    monkeypatch.setattr(FaceComplex, "primitive_normal", counting)
+    _check_all_grid1(tmp_path, capsys)
+    assert reads and max(reads.values()) == 1
+
+
+def test_star_fan_unimodularity_is_computed_once_per_star_fan(tmp_path, capsys, monkeypatch):
+    # Computing the flag of a unimodular star fan checks each of its cones once.
+    checks, stars = [0], []
+    spans_unimodularly, build = polyhedral.spans_unimodularly, polyhedral._build_star_fan
+
+    def counting(rows):
+        checks[0] += 1
+        return spans_unimodularly(rows)
+
+    def recording(cx, idx):
+        stars.append(build(cx, idx))
+        return stars[-1]
+
+    monkeypatch.setattr(polyhedral, "spans_unimodularly", counting)
+    monkeypatch.setattr(polyhedral, "_build_star_fan", recording)
+    _check_all_grid1(tmp_path, capsys)
+    assert stars and all(star.unimodular for star in stars)
+    assert checks[0] == sum(len(star.cones) for star in stars)
 
 
 def test_caches_die_with_their_complex():

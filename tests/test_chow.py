@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from trophodge import DegreeMismatchError
 from trophodge.chow import (
+    ChowClass,
     chow_mw_duality,
     chow_ring,
     fan_ring,
@@ -15,6 +17,7 @@ from trophodge.chow import (
     weight_from_class,
 )
 from trophodge.linalg import RationalMatrix, rank
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 
 F = Fraction
 
@@ -216,3 +219,51 @@ def test_weight_from_class_is_balanced(fixc):
     for mono in ring.basis(1):
         w = weight_from_class(ring, ring.reduce_class(1, {mono: F(1)}))
         assert is_balanced(fixc, w)
+
+
+def _direct_reduce(ring, p, combo):
+    """The class of a combination by one reduction of the whole of it modulo
+    the relations: its remainder is the expansion over the basis."""
+    relations, basis = ring._presentation(p)[:2]
+    index = {mono: i for i, mono in enumerate(ring.monomials(p))}
+    vec = {}
+    for mono, c in combo.items():
+        vec[index[mono]] = vec.get(index[mono], 0) + c
+    rem, _ = relations.reduce(vec)
+    return tuple(rem.get(index[m], 0) for m in basis)
+
+
+def _direct_multiply(ring, a, b):
+    acc = {}
+    for ma, ca in zip(ring.basis(a.degree), a.coeffs):
+        for mb, cb in zip(ring.basis(b.degree), b.coeffs):
+            for mono, c in ring.reduce_monomial(tuple(sorted(ma)) + tuple(sorted(mb))).items():
+                acc[mono] = acc.get(mono, 0) + ca * cb * c
+    return _direct_reduce(ring, a.degree + b.degree, acc)
+
+
+@pytest.mark.parametrize("matroid", ["u35", "b4"])
+def test_normal_forms_match_direct_reduction(matroid):
+    # The ring of the fan and the rings of the star fans at its rays.
+    fan = bergman_fan(uniform_matroid(5, 3) if matroid == "u35" else boolean_matroid(4))
+    rings = [fan_ring(fan)] + [ring_of(fan.star_fan(f.index)) for f in fan.faces_of_dim(1)[:3]]
+    rng = random.Random(f"normal-forms:{matroid}")
+
+    def coeff():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for ring in rings:
+        top = ring.top
+        eta = ring.monomials(top)[0]
+        norm = _direct_reduce(ring, top, {eta: 1})[0]
+        for p in range(top + 1):
+            for _ in range(4):
+                combo = {rng.choice(ring.monomials(p)): coeff() for _ in range(3)}
+                assert ring.reduce_class(p, combo).coeffs == _direct_reduce(ring, p, combo)
+        for pa in range(top + 1):
+            for pb in range(top + 1 - pa):
+                a = ChowClass(pa, tuple(coeff() for _ in ring.basis(pa)))
+                b = ChowClass(pb, tuple(coeff() for _ in ring.basis(pb)))
+                assert ring.multiply(a, b).coeffs == _direct_multiply(ring, a, b)
+                if pa + pb == top:
+                    assert ring.pairing(a, b) == _direct_multiply(ring, a, b)[0] / norm

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from trophodge import fixtures
+from trophodge import DegeneratePairingError, fixtures
 from trophodge.chow import fan_ring
 from trophodge.cohomology import (
     cochain_complex,
@@ -15,6 +17,8 @@ from trophodge.cohomology import (
 )
 from trophodge.hodge_cycles import hodge_locus_basis, hodge_to_cycle, numerical_vs_homological
 from trophodge.linalg import RationalMatrix, rank
+from trophodge.matroids import bergman_fan, uniform_matroid
+from trophodge.polyhedral import compactify
 from trophodge.steenbrink import build_steenbrink, random_homogeneous
 
 F = Fraction
@@ -51,6 +55,77 @@ def test_coefficient_space_infinity_vertex_tp1(comp_d):
     # itself, so its multi-tangent space vanishes in degree one.
     vp = next(f.index for f in comp_d.faces if f.dim == 0 and f.sedentarity == ((1,),))
     assert coefficient_space(comp_d, vp, 1).dim == 0
+
+
+def fraction_det(rows) -> Fraction:
+    a = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            a[c], a[piv], det = a[piv], a[c], -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def gauss_jordan(rows, n: int) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, all in Fractions."""
+    rows = [[F(x) for x in r] for r in rows]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+@pytest.fixture(scope="module")
+def comp_u35():
+    """U(3,5)'s Bergman fan, compactified: 2-dimensional in a rank-4 lattice."""
+    return compactify(bergman_fan(uniform_matroid(5, 3)))
+
+
+@pytest.mark.parametrize("name", ["comp_u35", "comp_f"])
+def test_coefficient_space_matches_gauss_jordan_oracle(name, request):
+    # The oracle spans F_p by the wedge rows of every same-sedentarity coface
+    # and the face itself, not only the maximal ones.
+    x = request.getfixturevalue(name)
+    rng = random.Random(f"coefficient-space:{name}")
+    partial = set()
+    for p in range(x.dim + 1):
+        for f in x.faces:
+            space = coefficient_space(x, f.index, p)
+            m = x.stratum(f.sedentarity)[0]
+            n = comb(m, p)
+            same = [f.index] + [j for j in x.cofaces(f.index)
+                                if x.faces[j].sedentarity == f.sedentarity]
+            rows = [[fraction_det([[v[i] for i in idx] for v in sub])
+                     for idx in itertools.combinations(range(m), p)]
+                    for j in same for sub in itertools.combinations(x.faces[j].tangent, p)]
+            expect = gauss_jordan(rows, n)
+            assert space.ambient_dim == n and space.basis == expect
+            coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in expect]
+            vec = [sum(c * b[i] for c, b in zip(coeffs, expect)) for i in range(n)]
+            assert space.coordinates(vec) == coeffs
+            pivots = {next(i for i, v in enumerate(b) if v) for b in expect}
+            for j in set(range(n)) - pivots:
+                partial.add((p, bool(f.sedentarity)))
+                with pytest.raises(DegeneratePairingError):  # e_j is outside F_p
+                    space.coordinates([a + (i == j) for i, a in enumerate(vec)])
+    if name == "comp_u35":  # proper subspaces of Lambda^p, finite and at infinity
+        assert {(1, False), (1, True)} <= partial
 
 
 def test_tp1_by_hand_oracle(comp_d):
