@@ -226,14 +226,12 @@ def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> Rational
     """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence."""
     fg, fd = x.faces[gamma], x.faces[delta]
     sg, sd = spaces[gamma], spaces[delta]
-    if sd.full and sg.full and fg.sedentarity == fd.sedentarity:
-        return RationalMatrix.identity(sd.dim)
-    out = RationalMatrix(sg.dim, sd.dim)
-    if sd.dim == 0:
-        return out
     wm = None
     if fg.sedentarity != fd.sedentarity:
         wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
+    if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
+        return RationalMatrix.identity(sd.dim) if wm is None else wm
+    out = RationalMatrix(sg.dim, sd.dim)
     for j, b in enumerate(sd.basis):
         img = b if wm is None else wm.mul_vec(b)
         if any(img):
