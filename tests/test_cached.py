@@ -26,6 +26,13 @@ def test_cached_results_are_the_same_object(comp_grid1, st_grid1):
     assert st.k_complex(1) is st.k_complex(1)
 
 
+def _check_all_grid1(tmp_path, capsys):
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["check-all", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"]
+
+
 def test_each_cohomology_basis_is_built_once(tmp_path, capsys, monkeypatch):
     builds, pairs, owners = [], set(), []
 
@@ -44,18 +51,8 @@ def test_each_cohomology_basis_is_built_once(tmp_path, capsys, monkeypatch):
     # Only GradedComplex.h_basis builds a QuotientBasis inside `cohomology`.
     monkeypatch.setattr(cohomology, "QuotientBasis", CountingQuotientBasis)
     monkeypatch.setattr(cohomology.GradedComplex, "h_basis", recording_h_basis)
-    path = tmp_path / "grid1.json"
-    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
-    assert main(["check-all", str(path), "--seed", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["all"]
+    _check_all_grid1(tmp_path, capsys)
     assert pairs and len(builds) == len(pairs)
-
-
-def _check_all_grid1(tmp_path, capsys):
-    path = tmp_path / "grid1.json"
-    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
-    assert main(["check-all", str(path), "--seed", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["all"]
 
 
 def test_each_monomial_normal_form_is_built_once_per_ring(tmp_path, capsys, monkeypatch):
