@@ -5,7 +5,10 @@ tropical Clemens-Schmid sequence.
 A LefschetzTriple is a pair of bounded complexes C, D with a degree-two
 chain map L: C^k -> D^{k+2} that is injective in degrees <= -1 and
 surjective in degrees >= -1, on the nose and on cohomology.  The kernel
-and cokernel complexes inherit differentials, and the two long sequences
+complex K = ker L and the cokernel complex R = D / im L are one kind of
+object, a subquotient span Z / span B of a complex in each degree with the
+differential it induces: K takes Z = ker L^k in C^k and no B, R takes all of
+D^k as Z and the columns of L^{k-2} as B.  The two long sequences
 
   ... -> H^k(K) -> H^k(C) -L-> H^{k+2}(D) -> H^{k+2}(R) -> H^{k+2}(K) -> ...
 
@@ -18,11 +21,10 @@ records a witness and every uniqueness step asserts kernel triviality.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
-from . import ChaseFailureError, DegreeMismatchError, HLFailureError, cached
+from . import ChaseFailureError, DegeneratePairingError, DegreeMismatchError, HLFailureError, cached
 from .cohomology import GradedComplex, QuotientBasis, induced_map
 from .linalg import Echelon, Rational, RationalMatrix, column_echelon, kernel_vectors, rank
 
@@ -77,7 +79,7 @@ class ExactnessReport:
         return all(j.exact and j.composition_zero for j in self.junctions)
 
 
-def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
+def check_hl(t: LefschetzTriple) -> None:
     """Raise HLFailureError unless L is HL around 0 (page and cohomology)."""
     if not t.check_commutes():
         raise HLFailureError("L does not commute with the differentials")
@@ -87,8 +89,6 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
             raise HLFailureError(f"L not injective in degree {k}")
         if k >= -1 and r != t.D.dim(k + 2):
             raise HLFailureError(f"L not surjective onto degree {k + 2}")
-    if not on_cohomology:
-        return
     for k in t.degrees():
         m = induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
         r = rank(m)
@@ -101,122 +101,83 @@ def check_hl(t: LefschetzTriple, on_cohomology: bool = True) -> None:
 # ---------------------------------------------------------------------------
 # Kernel and cokernel complexes of a triple
 
-class _KernelComplex:
-    def __init__(self, t: LefschetzTriple):
-        self.basis: dict[int, list[list[Rational]]] = {}
-        self._spans: dict[int, Echelon] = {}
-        terms = {}
-        for k in t.degrees():
-            if t.C.dim(k) == 0:
-                continue
-            kb = kernel_vectors(t.l_echelon(k), t.C.dim(k))
-            if kb:
-                self.basis[k] = [list(v) for v in kb]
-                self._spans[k] = Echelon(kb, keyed=True)
-                terms[k] = len(kb)
-        diffs = {}
-        for k in list(terms):
-            if k + 1 not in terms:
-                continue
-            m = RationalMatrix(terms[k + 1], terms[k])
-            for j, v in enumerate(self.basis[k]):
-                for i, c in enumerate(self._coords(k + 1, t.C.differential(k).mul_vec(v))):
-                    m[i, j] = c
-            diffs[k] = m
-        self.gc = GradedComplex(terms, diffs)
-        self._t = t
+class _Subquotient:
+    """The complex that ambient induces on span Z / span B in each degree,
+    for rows Z and B of its terms with d(Z) in Z and d(B) in B.  quot[k] is
+    the QuotientBasis of degree k; gc leaves out the degrees where it is 0."""
 
-    def _coords(self, k: int, vec: list[Rational]) -> list[Rational]:
-        span = self._spans.get(k, Echelon())
-        c = span.coordinates(vec, range(len(self.basis.get(k, []))))
-        if c is None:
-            raise ChaseFailureError("vector not in kernel subcomplex")
-        return c
+    def __init__(self, ambient: GradedComplex, zrows: dict[int, Sequence],
+                 brows: dict[int, Sequence]):
+        self.ambient = ambient
+        self.quot = {k: QuotientBasis(ambient.dim(k), z, brows.get(k, ()))
+                     for k, z in zrows.items()}
+        terms = {k: qb.dim for k, qb in self.quot.items() if qb.dim}
+        diffs = {k: RationalMatrix.from_columns(terms[k + 1], [
+                     self.coordinates(k + 1, ambient.differential(k).mul_vec(rep))
+                     for rep in self.quot[k].representatives])
+                 for k in terms if k + 1 in terms}
+        self.gc = GradedComplex(terms, diffs)
+
+    def _basis(self, k: int) -> QuotientBasis:
+        return self.quot.get(k) or QuotientBasis(self.ambient.dim(k), (), ())
+
+    def coordinates(self, k: int, vec: Sequence[Rational]) -> list[Rational]:
+        """The coordinates of vec's class over the degree-k representatives."""
+        try:
+            return self._basis(k).coordinates(vec)
+        except DegeneratePairingError:
+            raise ChaseFailureError(f"vector outside the subquotient in degree {k}") from None
 
     def inclusion(self, k: int) -> RationalMatrix:
-        basis = self.basis.get(k, [])
-        n = self._t.C.dim(k)
-        m = RationalMatrix(n, len(basis))
-        for j, b in enumerate(basis):
-            for i, v in enumerate(b):
-                m[i, j] = v
-        return m
-
-
-class _CokernelComplex:
-    def __init__(self, t: LefschetzTriple):
-        self.quot: dict[int, QuotientBasis] = {}
-        terms = {}
-        for k in t.D.terms:
-            n = t.D.dim(k)
-            if n == 0:
-                continue
-            qb = QuotientBasis(n, [{j: 1} for j in range(n)], t.l_matrix(k - 2).columns())
-            if qb.dim:
-                self.quot[k] = qb
-                terms[k] = qb.dim
-        diffs = {}
-        for k in list(terms):
-            if k + 1 not in terms:
-                continue
-            m = RationalMatrix(terms[k + 1], terms[k])
-            for j, rep in enumerate(self.quot[k].representatives):
-                img = t.D.differential(k).mul_vec(rep)
-                for i, c in enumerate(self.quot[k + 1].coordinates(img)):
-                    m[i, j] = c
-            diffs[k] = m
-        self.gc = GradedComplex(terms, diffs)
-        self._t = t
+        """The representatives of degree k as columns in the ambient term."""
+        return RationalMatrix.from_columns(self.ambient.dim(k), self._basis(k).representatives)
 
     def projection(self, k: int) -> RationalMatrix:
-        qb = self.quot.get(k)
-        n = self._t.D.dim(k)
-        m = RationalMatrix(qb.dim if qb else 0, n)
-        if qb:
-            for j in range(n):
-                for i, c in enumerate(qb.coordinates({j: 1})):
-                    m[i, j] = c
-        return m
+        """The class of each standard vector of the ambient term of degree k."""
+        qb = self._basis(k)
+        return RationalMatrix.from_columns(qb.dim, [qb.coordinates({j: 1})
+                                                    for j in range(self.ambient.dim(k))])
 
 
-def _chase_d0(t: LefschetzTriple, kc: _KernelComplex, rc: _CokernelComplex,
+def _kernel_and_cokernel(t: LefschetzTriple) -> tuple[_Subquotient, _Subquotient]:
+    """K = ker L in C, and R = D / im L with L^{k-2} landing in D^k."""
+    kc = _Subquotient(t.C, {k: kernel_vectors(t.l_echelon(k), t.C.dim(k))
+                            for k in t.degrees()}, {})
+    rc = _Subquotient(t.D, {k: [{j: 1} for j in range(n)] for k, n in t.D.terms.items()},
+                      {k: t.l_matrix(k - 2).columns() for k in t.D.terms})
+    return kc, rc
+
+
+def _chase_d0(t: LefschetzTriple, kc: _Subquotient, rc: _Subquotient,
               lift_shift: Optional[list[Rational]] = None) -> RationalMatrix:
     """The connecting map H^0(R) -> H^0(K) by certified diagram chase."""
     h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
-    out = RationalMatrix(h_k0.dim, h_r0.dim)
     if h_r0.dim == 0:
-        return out
-    qb0 = rc.quot.get(0)
+        return RationalMatrix(h_k0.dim, 0)
     lift = t.l_echelon(-1)
     # Uniqueness certificate for the L-preimage step.
     if lift.relations:
         raise ChaseFailureError("L-preimage not unique in degree -1")
     shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [0] * t.D.dim(0)
     d_d0, d_cm1, l_0 = t.D.differential(0), t.C.differential(-1), t.l_matrix(0)
-    qreps = [[(i, v) for i, v in enumerate(dvec) if v] for dvec in qb0.representatives]
-    for j, rep in enumerate(h_r0.representatives):
-        c = list(shift)
-        for coeff, dvec in zip(rep, qreps):
-            if coeff:
-                for i, v in dvec:
-                    c[i] += coeff * v
+    r_incl = rc.inclusion(0)
+    columns = []
+    for rep in h_r0.representatives:
+        c = [x + y for x, y in zip(r_incl.mul_vec(rep), shift)]
         b_prime = lift.coordinates(d_d0.mul_vec(c), range(t.C.dim(-1)))
         if b_prime is None:
             raise ChaseFailureError("no L-preimage for the pushed lift")
         b_second = d_cm1.mul_vec(b_prime)
         if any(v != 0 for v in l_0.mul_vec(b_second)):
             raise ChaseFailureError("chase output is not in ker L")
-        coords = h_k0.coordinates(kc._coords(0, b_second))
-        for i, v in enumerate(coords):
-            out[i, j] = v
-    return out
+        columns.append(h_k0.coordinates(kc.coordinates(0, b_second)))
+    return RationalMatrix.from_columns(h_k0.dim, columns)
 
 
 def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     """Verify both long exact sequences of the triple, junction by junction."""
     check_hl(t)
-    kc = _KernelComplex(t)
-    rc = _CokernelComplex(t)
+    kc, rc = _kernel_and_cokernel(t)
     degrees = t.degrees()
     kmin = min(degrees) - 2 if degrees else 0
     kmax = max(degrees) + 4 if degrees else 0
@@ -256,137 +217,6 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
         junction(f"H^{k + 2}(D)", ("lmap", k), ("proj", k + 2))
         junction(f"H^{k + 2}(R)", ("proj", k + 2), ("conn", k + 2))
     return report
-
-
-def d0_lift_independent(t: LefschetzTriple) -> bool:
-    """Recompute d0 with shifted lifts; the class must not change."""
-    kc = _KernelComplex(t)
-    rc = _CokernelComplex(t)
-    base = _chase_d0(t, kc, rc)
-    n = t.C.dim(-2)
-    if n == 0:
-        return True
-    shift = [1 + (i % 3) for i in range(n)]
-    other = _chase_d0(t, kc, rc, lift_shift=shift)
-    return base == other
-
-
-def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
-    """d0 . d^{-1} = 0 and d^1 . d0 = 0 on cohomology."""
-    kc = _KernelComplex(t)
-    rc = _CokernelComplex(t)
-    d0 = _chase_d0(t, kc, rc)
-    dminus = induced_map(t.D, rc.gc, {0: rc.projection(0)}, 0)
-    dplus = induced_map(kc.gc, t.C, {0: kc.inclusion(0)}, 0)
-    return d0.matmul(dminus).is_zero() and dplus.matmul(d0).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Random Lefschetz triples (used by the acceptance harness)
-
-def _rand_unimodular(rng: random.Random, n: int) -> tuple[RationalMatrix, RationalMatrix]:
-    u = RationalMatrix.identity(n)
-    uinv = RationalMatrix.identity(n)
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        if c == 0:
-            continue
-        # u <- E u where E adds c * row j to row i; uinv <- uinv E^{-1}.
-        for col in range(n):
-            u[i, col] = u[i, col] + c * u[j, col]
-        for row in range(n):
-            uinv[row, j] = uinv[row, j] - c * uinv[row, i]
-    return u, uinv
-
-
-def _rank_pattern_matrix(rng: random.Random, rows: int, cols: int, mode: str) -> RationalMatrix:
-    """A random matrix, injective / surjective / bijective by construction."""
-    m = RationalMatrix(rows, cols)
-    r = min(rows, cols)
-    for i in range(r):
-        m[i, i] = 1
-    u, _ = _rand_unimodular(rng, rows)
-    v, _ = _rand_unimodular(rng, cols)
-    return u.matmul(m).matmul(v)
-
-
-def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
-                            max_dim: int = 3) -> LefschetzTriple:
-    """A random triple satisfying HL around zero by construction.
-
-    The triple is generated in split form (harmonic summands plus identity
-    pairs), with the Lefschetz map built from forced injection/surjection
-    patterns, then conjugated by random unimodular changes of basis.
-    """
-    span = rng.randint(1, max_degree)
-    degs = list(range(-span, span + 1))
-    hC = {k: rng.randint(0, max_dim) for k in degs}
-    aC = {k: rng.randint(0, max_dim - 1) for k in degs}
-    hD = {}
-    aD = {}
-    for k in degs:
-        if k <= -2:
-            hD[k + 2] = hC[k] + rng.randint(0, 2)
-            aD[k + 2] = aC[k] + (rng.randint(0, 2) if k <= -3 else 0)
-        elif k == -1:
-            hD[k + 2] = hC[k]
-            aD[k + 2] = aC[k]
-        else:
-            hD[k + 2] = max(0, hC[k] - rng.randint(0, 2))
-            aD[k + 2] = max(0, aC[k] - rng.randint(0, 2))
-    # Heads at degree k pair with tails at k+1.
-    dimsC = {k: hC.get(k, 0) + aC.get(k, 0) + aC.get(k - 1, 0) for k in range(-span, span + 2)}
-    dimsD = {k: hD.get(k, 0) + aD.get(k, 0) + aD.get(k - 1, 0) for k in range(-span + 1, span + 4)}
-
-    def build_d(h, a, dims):
-        diffs = {}
-        for k in sorted(dims):
-            if not dims.get(k) or not dims.get(k + 1):
-                continue
-            m = RationalMatrix(dims[k + 1], dims[k])
-            for i in range(a.get(k, 0)):
-                m[h.get(k + 1, 0) + a.get(k + 1, 0) + i, h.get(k, 0) + i] = 1
-            diffs[k] = m
-        return diffs
-
-    dC = build_d(hC, aC, dimsC)
-    dD = build_d(hD, aD, dimsD)
-
-    lmats = {}
-    mpat = {}
-    ppat = {}
-    for k in degs:
-        mode = "inj" if k <= -1 else "surj"
-        mpat[k] = _rank_pattern_matrix(rng, hD.get(k + 2, 0), hC.get(k, 0), mode)
-        ppat[k] = _rank_pattern_matrix(rng, aD.get(k + 2, 0), aC.get(k, 0), mode)
-    for k in degs + [span + 1]:
-        rows = dimsD.get(k + 2, 0)
-        cols = dimsC.get(k, 0)
-        m = RationalMatrix(rows, cols)
-        blocks = [
-            (mpat.get(k), 0, 0),
-            (ppat.get(k), hD.get(k + 2, 0), hC.get(k, 0)),
-            (ppat.get(k - 1), hD.get(k + 2, 0) + aD.get(k + 2, 0), hC.get(k, 0) + aC.get(k, 0)),
-        ]
-        for blk, roff, coff in blocks:
-            if blk is None:
-                continue
-            for (i, j), v in blk.entries.items():
-                m[roff + i, coff + j] = v
-        lmats[k] = m
-
-    # Conjugate by random changes of basis.
-    uC = {k: _rand_unimodular(rng, dimsC.get(k, 0)) for k in dimsC}
-    uD = {k: _rand_unimodular(rng, dimsD.get(k, 0)) for k in dimsD}
-    dC2 = {k: uC[k + 1][0].matmul(m).matmul(uC[k][1]) for k, m in dC.items()}
-    dD2 = {k: uD[k + 1][0].matmul(m).matmul(uD[k][1]) for k, m in dD.items()}
-    l2 = {k: uD[k + 2][0].matmul(m).matmul(uC[k][1]) for k, m in lmats.items() if k in dimsC and (k + 2) in dimsD}
-    C = GradedComplex({k: v for k, v in dimsC.items() if v}, dC2)
-    D = GradedComplex({k: v for k, v in dimsD.items() if v}, dD2)
-    return LefschetzTriple(C, D, l2)
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,12 @@ def _fail_input(message: str) -> int:
     return 2
 
 
-def _load(arg: str, validate: bool = True) -> FaceComplex:
+def _load(arg: str) -> FaceComplex:
     if arg in FIXTURES:
         return named_fixture(arg)
     if not os.path.exists(arg):
         raise InputFormatError(f"no such file or fixture: {arg}")
-    return load_complex(arg, validate=validate)
+    return load_complex(arg)
 
 
 def cmd_chow(args) -> int:

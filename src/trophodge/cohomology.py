@@ -136,12 +136,10 @@ def induced_map(src: GradedComplex, dst: GradedComplex,
     of degree shift; chain_maps[k] maps src^k to dst^(k+shift)."""
     src_h, dst_h = src.h_basis(k), dst.h_basis(k + shift)
     cm = chain_maps.get(k)
-    out = RationalMatrix(dst_h.dim, src_h.dim)
-    for j, rep in enumerate(src_h.representatives):
-        img = cm.mul_vec(rep) if cm is not None else [0] * dst.dim(k + shift)
-        for i, c in enumerate(dst_h.coordinates(img)):
-            out[i, j] = c
-    return out
+    zero = [0] * dst.dim(k + shift)
+    return RationalMatrix.from_columns(dst_h.dim, [
+        dst_h.coordinates(cm.mul_vec(rep) if cm is not None else zero)
+        for rep in src_h.representatives])
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +156,8 @@ def wedge_map_matrix(q_rows: Sequence[Sequence[int]], m_src: int, p: int) -> Rat
     m_dst = len(q_rows)
     src_idx = list(itertools.combinations(range(m_src), p))
     dst_idx = list(itertools.combinations(range(m_dst), p))
-    out = RationalMatrix(len(dst_idx), len(src_idx))
-    for j, I in enumerate(src_idx):
-        for i, J in enumerate(dst_idx):
-            out[i, j] = det_int([[q_rows[r][c] for c in I] for r in J])
-    return out
+    return RationalMatrix.from_columns(len(dst_idx), [
+        [det_int([[q_rows[r][c] for c in I] for r in J]) for J in dst_idx] for I in src_idx])
 
 
 class CoefficientSpace:
@@ -231,13 +226,8 @@ def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> Rational
         wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
     if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
         return RationalMatrix.identity(sd.dim) if wm is None else wm
-    out = RationalMatrix(sg.dim, sd.dim)
-    for j, b in enumerate(sd.basis):
-        img = b if wm is None else wm.mul_vec(b)
-        if any(img):
-            for i, c in enumerate(sg.coordinates(img)):
-                out[i, j] = c
-    return out
+    imgs = sd.basis if wm is None else [wm.mul_vec(b) for b in sd.basis]
+    return RationalMatrix.from_columns(sg.dim, [sg.coordinates(img) for img in imgs])
 
 
 @cached
@@ -291,13 +281,6 @@ def tropical_cohomology(x: FaceComplex, p: int) -> list[int]:
 
 def hodge_diamond(x: FaceComplex) -> list[list[int]]:
     return [tropical_cohomology(x, p) for p in range(x.dim + 1)]
-
-
-def euler_characteristics_match(x: FaceComplex, p: int) -> bool:
-    gc = cochain_complex(x, p)
-    chain_side = sum((-1) ** q * gc.dim(q) for q in range(x.dim + 1))
-    h_side = sum((-1) ** q * gc.h_dim(q) for q in range(x.dim + 1))
-    return chain_side == h_side
 
 
 def poincare_pairing(x: FaceComplex, p: int) -> dict[int, list[Vec]]:

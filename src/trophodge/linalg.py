@@ -12,6 +12,9 @@ All results are exact; there is no tolerance anywhere.
 An integral value is held as an int, and a Fraction only where a division
 made a non-integral one: matrix entries, kept rows, coordinates and kernel
 vectors are normalised that way, so integer data stays in int arithmetic.
+
+The matrix of a linear map is built in one place, `RationalMatrix.from_columns`,
+from the coordinates of the images of the source basis, one column each.
 """
 
 from __future__ import annotations
@@ -48,13 +51,10 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
         self.entries: dict[tuple[int, int], Rational] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
@@ -66,6 +66,20 @@ class RationalMatrix:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 m[i, j] = v
+        return m
+
+    @classmethod
+    def from_columns(cls, rows: int, columns: Sequence[Sequence]) -> "RationalMatrix":
+        """The matrix with the given dense columns, each of length rows; only
+        their nonzero entries are stored, normalised."""
+        m = cls(rows, len(columns))
+        entries = m.entries
+        for j, col in enumerate(columns):
+            if len(col) != rows:
+                raise ValueError(f"column {j} has length {len(col)}, not {rows}")
+            for i, v in enumerate(col):
+                if v:
+                    entries[i, j] = normal(v)
         return m
 
     @classmethod

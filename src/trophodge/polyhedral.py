@@ -700,7 +700,7 @@ def complex_to_json(y: FaceComplex) -> dict:
     }
 
 
-def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
+def complex_from_json(data: dict) -> FaceComplex:
     try:
         rank = data["lattice_rank"]
         vertices = [[rat(x) for x in v] for v in data.get("vertices", [])]
@@ -723,10 +723,10 @@ def complex_from_json(data: dict, validate: bool = True) -> FaceComplex:
         has_origin = any(not rs for _, rs in face_specs)
         if not has_origin:
             face_specs.append(([0], []))
-    return build_complex(rank, vertices, rays, face_specs, validate=validate)
+    return build_complex(rank, vertices, rays, face_specs)
 
 
-def load_complex(path: str, validate: bool = True) -> FaceComplex:
+def load_complex(path: str) -> FaceComplex:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return complex_from_json(data, validate=validate)
+    return complex_from_json(data)

@@ -95,22 +95,16 @@ class SteenbrinkPage:
     @cached
     def restriction_matrix(self, gamma: int, delta: int, k: int) -> RationalMatrix:
         rg, rd = self.rings_for(gamma), self.rings_for(delta)
-        m = RationalMatrix(rd.dim(k), rg.dim(k))
-        for j, mono in enumerate(rg.basis(k)):
-            img = restriction(self.x, gamma, delta, rg.reduce_class(k, {mono: 1}))
-            for i, c in enumerate(img.coeffs):
-                m[i, j] = c
-        return m
+        return RationalMatrix.from_columns(rd.dim(k), [
+            restriction(self.x, gamma, delta, rg.reduce_class(k, {mono: 1})).coeffs
+            for mono in rg.basis(k)])
 
     @cached
     def gysin_matrix(self, gamma: int, delta: int, k: int) -> RationalMatrix:
         rg, rd = self.rings_for(gamma), self.rings_for(delta)
-        m = RationalMatrix(rg.dim(k + 1), rd.dim(k))
-        for j, mono in enumerate(rd.basis(k)):
-            img = gysin(self.x, gamma, delta, rd.reduce_class(k, {mono: 1}))
-            for i, c in enumerate(img.coeffs):
-                m[i, j] = c
-        return m
+        return RationalMatrix.from_columns(rg.dim(k + 1), [
+            gysin(self.x, gamma, delta, rd.reduce_class(k, {mono: 1})).coeffs
+            for mono in rd.basis(k)])
 
     def rings_for(self, face: int) -> ChowRing:
         return ring_of(self.x.star_fan(face))
@@ -293,16 +287,13 @@ def n_power_h_matrix(st: SteenbrinkPage, k: int, b: int, a: int) -> RationalMatr
     """Matrix of N^k: H^a(ST^{.,b}) -> H^{a+2k}(ST^{.,b-2k})."""
     src_h = st.h_basis(b, a)
     dst_h = st.h_basis(b - 2 * k, a + 2 * k)
-    out = RationalMatrix(dst_h.dim, src_h.dim)
-    for j, rep in enumerate(src_h.representatives):
-        vec = _n_power_vec(st, a, b, rep, k)
-        for i, c in enumerate(dst_h.coordinates(vec)):
-            out[i, j] = c
-    return out
+    return RationalMatrix.from_columns(dst_h.dim, [
+        dst_h.coordinates(_n_power_vec(st, a, b, rep, k)) for rep in src_h.representatives])
 
 
+@cached
 def verify_hl(st: SteenbrinkPage) -> dict:
-    """Page-level and cohomology-level Hard Lefschetz around zero.
+    """Page-level and cohomology-level Hard Lefschetz around zero, once per page.
 
     Keys are (k, source row b); N^k must map ST^{-k, b} isomorphically onto
     ST^{k, b-2k}, and likewise on row cohomology.
@@ -338,14 +329,8 @@ def primitive_basis(st: SteenbrinkPage, a: int, b: int) -> list[list[Rational]]:
     if h.dim == 0:
         return []
     kern = kernel_basis(n_power_h_matrix(st, a + 1, b, -a)).basis
-    out = []
-    for coeffs in kern:
-        vec = [0] * st.term_dim(-a, b)
-        for c, rep in zip(coeffs, h.representatives):
-            for i, v in enumerate(rep):
-                vec[i] += c * v
-        out.append(vec)
-    return out
+    reps = RationalMatrix.from_columns(st.term_dim(-a, b), h.representatives)
+    return [reps.mul_vec(coeffs) for coeffs in kern]
 
 
 def _n_power_vec(st: SteenbrinkPage, a: int, b: int, vec, k: int):

@@ -4,14 +4,10 @@ all arithmetic is over the rationals).  Each test prints one PASS line."""
 import random
 from fractions import Fraction
 
+from triples import d0_lift_independent, random_lefschetz_triple
+
 from trophodge.chow import chow_mw_duality, fan_ring, minkowski_weights
-from trophodge.clemens_schmid import (
-    clemens_schmid_sequences,
-    d0_lift_independent,
-    mapping_cone_check,
-    random_lefschetz_triple,
-    tropical_clemens_schmid,
-)
+from trophodge.clemens_schmid import clemens_schmid_sequences, mapping_cone_check, tropical_clemens_schmid
 from trophodge.cohomology import hodge_diamond
 from trophodge.hodge_cycles import (
     hodge_locus_basis,

@@ -7,7 +7,7 @@ import weakref
 from collections import Counter
 
 from conftest import grid_plane
-from trophodge import chow, cohomology, fixtures, polyhedral
+from trophodge import chow, cohomology, fixtures, polyhedral, steenbrink
 from trophodge.chow import ring_of
 from trophodge.cli import main
 from trophodge.cohomology import cochain_complex
@@ -107,6 +107,23 @@ def test_star_fan_unimodularity_is_computed_once_per_star_fan(tmp_path, capsys, 
     _check_all_grid1(tmp_path, capsys)
     assert stars and all(star.unimodular for star in stars)
     assert checks[0] == sum(len(star.cones) for star in stars)
+
+
+def test_hard_lefschetz_is_verified_once_per_page(tmp_path, capsys, monkeypatch):
+    # check-all reads verify_hl, and so does tropical_clemens_schmid; only
+    # verify_hl builds N^k: H^{-k} -> H^k on row cohomology, one per (k, b).
+    builds, pages = Counter(), []
+    n_power_h_matrix = steenbrink.n_power_h_matrix
+
+    def counting(st, k, b, a):
+        pages.append(st)  # keeps each page alive, so its id() stays unique
+        if a == -k:
+            builds[id(st), k, b] += 1
+        return n_power_h_matrix(st, k, b, a)
+
+    monkeypatch.setattr(steenbrink, "n_power_h_matrix", counting)
+    _check_all_grid1(tmp_path, capsys)
+    assert builds and max(builds.values()) == 1
 
 
 def test_caches_die_with_their_complex():

@@ -5,27 +5,24 @@ from fractions import Fraction
 import pytest
 
 from conftest import grid_plane
+from triples import d0_boundary_compositions_zero, d0_lift_independent, random_lefschetz_triple
 
-from trophodge import HLFailureError
+from trophodge import ChaseFailureError, HLFailureError
 from trophodge.cli import main
 from trophodge.clemens_schmid import (
     LefschetzTriple,
-    _CokernelComplex,
-    _KernelComplex,
     _chase_d0,
+    _kernel_and_cokernel,
     check_hl,
     clemens_schmid_sequences,
-    d0_boundary_compositions_zero,
-    d0_lift_independent,
     mapping_cone_check,
-    random_lefschetz_triple,
     steenbrink_triple,
     tropical_clemens_schmid,
 )
 from trophodge.cohomology import GradedComplex, induced_map
 from trophodge.linalg import RationalMatrix, column_echelon
-from trophodge.polyhedral import complex_to_json
-from trophodge.steenbrink import SteenbrinkPage
+from trophodge.polyhedral import compactify, complex_to_json
+from trophodge.steenbrink import SteenbrinkPage, build_steenbrink
 
 
 def test_zero_triple():
@@ -73,14 +70,25 @@ def test_random_triples_exact():
 
 def test_kernel_vanishes_negative_cokernel_positive():
     rng = random.Random(17)
-    from trophodge.clemens_schmid import _CokernelComplex, _KernelComplex
-
     for _ in range(20):
         t = random_lefschetz_triple(rng)
-        kc = _KernelComplex(t)
-        rc = _CokernelComplex(t)
+        kc, rc = _kernel_and_cokernel(t)
         assert all(k >= 0 for k in kc.gc.terms)
         assert all(k <= 0 for k in rc.gc.terms)
+
+
+def test_subquotient_coordinates_reject_a_vector_outside_the_space():
+    # K = ker L in degree -1 is spanned by e_0 + e_1 (L = [1, -1] onto D^1).
+    t = LefschetzTriple(GradedComplex({-1: 2}, {}), GradedComplex({1: 1}, {}),
+                        {-1: RationalMatrix.from_rows([[1, -1]])})
+    kc, rc = _kernel_and_cokernel(t)
+    assert kc.gc.terms == {-1: 1} and kc.coordinates(-1, [3, 3]) == [3]
+    assert kc.inclusion(-1).to_lists() == [[1], [1]]
+    assert rc.gc.terms == {} and rc.projection(1).rows == 0
+    with pytest.raises(ChaseFailureError, match="degree -1"):
+        kc.coordinates(-1, [1, 0])
+    with pytest.raises(ChaseFailureError, match="degree 5"):
+        kc.coordinates(5, [1])
 
 
 def test_d0_lift_independence_and_compositions():
@@ -150,7 +158,7 @@ def _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=None):
             c = [a + b for a, b in zip(c, t.l_matrix(-2).mul_vec(lift_shift))]
         b_prime = lift.coordinates(t.D.differential(0).mul_vec(c), range(t.C.dim(-1)))
         b_second = t.C.differential(-1).mul_vec(b_prime)
-        for i, v in enumerate(h_k0.coordinates(kc._coords(0, b_second))):
+        for i, v in enumerate(h_k0.coordinates(kc.coordinates(0, b_second))):
             out[i, j] = v
     return out
 
@@ -159,7 +167,7 @@ def test_chase_d0_equals_dense_chase():
     rng = random.Random(41)
     for _ in range(15):
         t = random_lefschetz_triple(rng)
-        kc, rc = _KernelComplex(t), _CokernelComplex(t)
+        kc, rc = _kernel_and_cokernel(t)
         h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
         shifts = [None]
         if t.C.dim(-2):
@@ -167,6 +175,25 @@ def test_chase_d0_equals_dense_chase():
         for shift in shifts:
             got = _chase_d0(t, kc, rc, lift_shift=shift)
             assert got == _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+
+
+def _same_complex(got: GradedComplex, want: GradedComplex) -> None:
+    terms = {k: n for k, n in got.terms.items() if n}
+    assert terms == {k: n for k, n in want.terms.items() if n}
+    for k in terms:
+        assert got.differential(k) == want.differential(k), k
+
+
+@pytest.mark.parametrize("name", ["fixa", "fixb", "fixc", "fixd", "fixe", "fixf", "grid1", "grid2"])
+def test_kernel_and_cokernel_equal_the_s_parts_of_the_page(name, request):
+    # K = ker N on row 2p+2 and R = coker N on row 2p, built as subquotients,
+    # against the s = a and s = -a parts of those rows that the page cuts out.
+    y = grid_plane(int(name[-1])) if name.startswith("grid") else request.getfixturevalue(name)
+    st = build_steenbrink(compactify(y))
+    for p in range(st.dim + 1):
+        kc, rc = _kernel_and_cokernel(steenbrink_triple(st, p))
+        _same_complex(kc.gc, st.k_complex(p + 1))
+        _same_complex(rc.gc, st.r_complex(p))
 
 
 def test_cs_check_ranks_each_matrix_once(tmp_path, capsys, monkeypatch):

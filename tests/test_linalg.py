@@ -259,6 +259,37 @@ def test_integral_entries_are_stored_as_int():
     assert type(m[1, 2]) is int and m[1, 2] == -2
     assert normalised(RationalMatrix.from_rows([[F(3, 3), F(2, 4)], [F(0), -1]]).entries.values())
     assert all(type(v) is int for v in RationalMatrix.identity(3).entries.values())
+    m = RationalMatrix.from_columns(2, [[F(6, 3), F(1, 2)], [F(0), -1]])
+    assert normalised(m.entries.values()) and type(m[0, 0]) is int and m[0, 0] == 2
+    assert (0, 1) not in m.entries and m.to_lists() == [[2, 0], [F(1, 2), -1]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_from_columns_matches_an_entrywise_build(seed):
+    rng = random.Random(seed)
+
+    def value():  # an int, a Fraction, an integral Fraction, or zero
+        return rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), rng.randint(1, 3)),
+                           F(2 * rng.randint(-2, 2), 2), 0, F(0)])
+
+    nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+    columns = [[value() for _ in range(nr)] for _ in range(nc)]
+    expected = RationalMatrix(nr, nc)
+    for j, col in enumerate(columns):
+        for i, v in enumerate(col):
+            expected[i, j] = v
+    got = RationalMatrix.from_columns(nr, columns)
+    assert got == expected and (got.rows, got.cols) == (nr, nc)
+    assert normalised(got.entries.values())
+
+
+def test_from_columns_of_empty_columns_and_of_no_columns():
+    m = RationalMatrix.from_columns(0, [[], [], []])
+    assert (m.rows, m.cols, m.entries) == (0, 3, {})
+    m = RationalMatrix.from_columns(4, [])
+    assert (m.rows, m.cols, m.entries) == (4, 0, {})
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns(2, [[1, 2], [3]])
 
 
 def fraction_solve(rows, b, nc):
