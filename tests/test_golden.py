@@ -1,6 +1,8 @@
 """Pinned outputs: the exit code and stdout of `cohomology`, `steenbrink`,
 `cs-check`, `check-all --seed 3`, `hodge-cycle --p 1` and `mw -k 1` on
-fixA-fixF and grid_plane(1), compared byte for byte with the files in
+fixA-fixF and grid_plane(1), and of `chow --degrees all`, `mw -k 1`,
+`steenbrink`, `cs-check`, `hodge-cycle --p 1` and `check-all --seed 3` on
+the Bergman fans of U(3,5) and B4, compared byte for byte with the files in
 tests/golden/.
 
 Each golden file holds one line `exit <code>` and then the command's stdout.
@@ -18,24 +20,34 @@ import pytest
 
 from conftest import grid_plane
 from trophodge.cli import main
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 from trophodge.polyhedral import complex_to_json
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["fixA", "fixB", "fixC", "fixD", "fixE", "fixF", "grid1"]
 COMMANDS = {"cohomology": [], "steenbrink": [], "cs-check": [], "check-all": ["--seed", "3"],
             "hodge-cycle": ["--p", "1"], "mw": ["-k", "1"]}
+# `cohomology` takes seconds on B4, so the fans pin the other commands only.
+FANS = ["u35", "b4"]
+FAN_COMMANDS = {"chow": ["--degrees", "all"], "mw": ["-k", "1"], "steenbrink": [], "cs-check": [],
+                "hodge-cycle": ["--p", "1"], "check-all": ["--seed", "3"]}
 CASES = [(cmd, name) for cmd in COMMANDS for name in INPUTS]
+CASES += [(cmd, name) for cmd in FAN_COMMANDS for name in FANS]
+GENERATED = {"grid1": lambda: grid_plane(1),
+             "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
+             "b4": lambda: bergman_fan(boolean_matroid(4))}
 
 
 def _output(cmd: str, name: str, tmp_dir: str) -> str:
     arg = name
-    if name == "grid1":
-        arg = os.path.join(tmp_dir, "grid1.json")
+    if name in GENERATED:
+        arg = os.path.join(tmp_dir, f"{name}.json")
         with open(arg, "w", encoding="utf-8") as fh:
-            json.dump(complex_to_json(grid_plane(1)), fh)
+            json.dump(complex_to_json(GENERATED[name]()), fh)
+    extra = FAN_COMMANDS[cmd] if name in FANS else COMMANDS[cmd]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([cmd, arg, *COMMANDS[cmd]])
+        code = main([cmd, arg, *extra])
     return f"exit {code}\n{out.getvalue()}"
 
 
