@@ -3,13 +3,15 @@ Minkowski weights, and the Chow / Minkowski-weight duality.
 
 A ring is presented on squarefree cone monomials: degree p is spanned by
 x_sigma for p-dimensional cones sigma, modulo the linear-functional
-relations multiplied into degree p.  Monomials with repeated rays are
-rewritten by substituting one occurrence of x_rho using a functional that
-is 1 on e_rho and 0 on the other rays of the support; each rewrite strictly
-lowers total multiplicity, so reduction terminates in one pass per repeat.
-Reduction modulo the relations is linear: each monomial's normal form is
-computed once per ring, a class is the sum of its monomials' normal forms,
-and a product the sum of cached products of basis monomials.
+relations multiplied into degree p.  The relations are built squarefree:
+x_tau times a functional that vanishes on the rays of tau.  Products, whose
+monomials can repeat a ray, are rewritten by substituting one occurrence of
+x_rho using a functional that is 1 on e_rho and 0 on the other rays of the
+support; each rewrite strictly lowers total multiplicity, so reduction
+terminates in one pass per repeat.  Reduction modulo the relations is
+linear: each monomial's normal form is computed once per ring, a class is
+the sum of its monomials' normal forms, and a product the sum of cached
+products of basis monomials.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import (
     RankDeficientError,
     cached,
 )
+from .lattice import kernel_basis_int
 from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, normal, rank, solve
 from .polyhedral import FaceComplex, StarFan
 
@@ -119,19 +122,22 @@ class ChowRing:
                 result[mono] = result.get(mono, 0) - c * coeff
         return {k: v for k, v in result.items() if v != 0}
 
-    def _relation_rows(self, p: int) -> list[dict[frozenset, Rational]]:
-        rows = []
+    def _relation_rows(self, p: int) -> list[dict[frozenset, int]]:
+        """x_tau times sum_sigma <z, v_sigma> x_sigma, for each (p-1)-cone tau
+        and each z in the integer annihilator of tau's rays (the unit
+        covectors when tau is the zero cone); sigma runs over the rays with
+        tau | {sigma} a cone.  These span the unit functionals times x_tau
+        with squares rewritten, since the rewriting of x_rho x_tau uses a
+        functional that vanishes on tau - {rho}; so the echelon's pivots and
+        normal forms, which depend only on the row space, are theirs."""
+        vectors, rows = self.star.ray_vectors, []
         for tau in self.monomials(p - 1):
-            base = tuple(sorted(tau))
-            for i in range(self.rank):
-                row: dict[frozenset, Rational] = {}
-                for pos in range(self.nrays):
-                    c = self.star.ray_vectors[pos][i]
-                    if c == 0:
-                        continue
-                    for mono, coeff in self.reduce_monomial(base + (pos,)).items():
-                        row[mono] = row.get(mono, 0) + c * coeff
-                row = {k: v for k, v in row.items() if v != 0}
+            zs = kernel_basis_int([vectors[i] for i in sorted(tau)]) if tau else \
+                [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+            cones = [(cone, vectors[pos]) for pos in range(self.nrays)
+                     if pos not in tau and self.star.is_cone(cone := tau | {pos})]
+            for z in zs:
+                row = {cone: c for cone, v in cones if (c := sum(a * b for a, b in zip(z, v)))}
                 if row:
                     rows.append(row)
         return rows

@@ -48,6 +48,13 @@ class LefschetzTriple:
         it that its rank, its kernel and the chase's L-preimages are read from."""
         return column_echelon(self.l_matrix(k))
 
+    @cached
+    def l_on_cohomology(self, k: int) -> tuple[RationalMatrix, int]:
+        """The map H^k(C) -> H^{k+2}(D) that L induces, and its rank, built
+        once for check_hl and the sequences."""
+        m = induced_map(self.C, self.D, {k: self.l_matrix(k)}, k, shift=2)
+        return m, _rank(m)
+
     def degrees(self) -> list[int]:
         ks = set(self.C.terms) | {k - 2 for k in self.D.terms}
         return sorted(ks)
@@ -79,6 +86,11 @@ class ExactnessReport:
         return all(j.exact and j.composition_zero for j in self.junctions)
 
 
+def _rank(m: RationalMatrix) -> int:
+    """The rank of m, with no elimination when m is zero."""
+    return 0 if m.is_zero() else rank(m)
+
+
 def check_hl(t: LefschetzTriple) -> None:
     """Raise HLFailureError unless L is HL around 0 (page and cohomology)."""
     if not t.check_commutes():
@@ -90,8 +102,7 @@ def check_hl(t: LefschetzTriple) -> None:
         if k >= -1 and r != t.D.dim(k + 2):
             raise HLFailureError(f"L not surjective onto degree {k + 2}")
     for k in t.degrees():
-        m = induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
-        r = rank(m)
+        r = t.l_on_cohomology(k)[1]
         if k <= -1 and r != t.C.h_basis(k).dim:
             raise HLFailureError(f"L not injective on cohomology in degree {k}")
         if k >= -1 and r != t.D.h_basis(k + 2).dim:
@@ -184,8 +195,7 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
 
     incl = {k: induced_map(kc.gc, t.C, {k: kc.inclusion(k)}, k)
             for k in range(kmin, kmax - 1)}
-    lmap = {k: induced_map(t.C, t.D, {k: t.l_matrix(k)}, k, shift=2)
-            for k in range(kmin, kmax - 1)}
+    lmap = {k: t.l_on_cohomology(k)[0] for k in range(kmin, kmax - 1)}
     proj = {k: induced_map(t.D, rc.gc, {k: rc.projection(k)}, k)
             for k in range(kmin + 2, kmax + 1)}
     conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
@@ -194,8 +204,9 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     # Each map is the outgoing map of one junction and the incoming map of
     # the next, so it is ranked once, here (most of them are zero).
     maps = {"incl": incl, "lmap": lmap, "proj": proj, "conn": conn}
-    ranks = {kind: {k: 0 if m.is_zero() else rank(m) for k, m in by_k.items()}
-             for kind, by_k in maps.items()}
+    ranks = {kind: {k: _rank(m) for k, m in by_k.items()} for kind, by_k in maps.items()
+             if kind != "lmap"}
+    ranks["lmap"] = {k: t.l_on_cohomology(k)[1] for k in lmap}
 
     report = ExactnessReport()
 

@@ -27,25 +27,20 @@ def row_hnf(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[in
 
     Returns (H, R) with R unimodular and R*mat = H; pivots are positive,
     entries below a pivot are zero and entries above are reduced into
-    [0, pivot).  Deterministic.
+    [0, pivot).  Deterministic.  R is carried as identity columns appended
+    to mat, on which the elimination never pivots.
     """
-    rows = [list(map(int, r)) for r in mat]
+    n = len(mat)
+    cols = len(mat[0]) if n else 0
+    rows = _hermite([list(map(int, r)) + [int(i == j) for j in range(n)]
+                     for i, r in enumerate(mat)], cols)
+    return [r[:cols] for r in rows], [r[cols:] for r in rows]
+
+
+def _hermite(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """The row operations of a row Hermite normal form of rows, with pivots
+    taken among the first cols columns only; changes rows and returns it."""
     n = len(rows)
-    cols = len(rows[0]) if n else 0
-    transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def addmul(dst, src, q):
-        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-        transform[dst] = [a - q * b for a, b in zip(transform[dst], transform[src])]
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        transform[i], transform[j] = transform[j], transform[i]
-
-    def negate(i):
-        rows[i] = [-a for a in rows[i]]
-        transform[i] = [-a for a in transform[i]]
-
     r = 0
     for c in range(cols):
         while True:
@@ -54,34 +49,36 @@ def row_hnf(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[in
                 break
             best = min(nz, key=lambda i: (abs(rows[i][c]), i))
             if best != r:
-                swap(r, best)
+                rows[r], rows[best] = rows[best], rows[r]
             done = True
+            prow = rows[r]
             for i in range(r + 1, n):
                 if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    addmul(i, r, q)
+                    q = rows[i][c] // prow[c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
                     if rows[i][c] != 0:
                         done = False
             if done:
                 break
         if r < n and rows[r][c] != 0:
             if rows[r][c] < 0:
-                negate(r)
+                rows[r] = [-a for a in rows[r]]
+            prow = rows[r]
             for i in range(r):
-                q = rows[i][c] // rows[r][c]
+                q = rows[i][c] // prow[c]
                 if q:
-                    addmul(i, r, q)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
             r += 1
             if r == n:
                 break
-    return rows, transform
+    return rows
 
 
 def hnf_basis(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Canonical (HNF-reduced) basis of the lattice spanned by generators."""
     if not generators:
         return []
-    h, _ = row_hnf(generators)
+    h = _hermite([list(map(int, g)) for g in generators], len(generators[0]))
     return [tuple(r) for r in h if any(r)]
 
 

@@ -13,10 +13,13 @@ complex, and every p shares it.  For incidences that raise sedentarity the norma
 taken pointing inward (away from infinity); the d^2 = 0 tests pin this.
 Integral vertex coordinates are int.  A face's tangent is the Hermite form of
 its generators when they are independent with maximal minors of gcd 1, and
-the saturation of their span otherwise.  The loader runs Fourier-Motzkin only
-on pairs of maximal cells whose exact bounding boxes overlap, in the frame of
-one cell (its generators' coordinates and the equations of their span), over
-the other cell's generator weights.
+the saturation of their span otherwise.  The loader checks pairs of maximal
+cells that share a vertex or whose exact bounding boxes overlap.  A pair is
+settled by a fixed functional of either cell's frame (its generators'
+coordinates and the equations of their span) that is negative on the other
+cell's own generators, and otherwise by one Fourier-Motzkin run over the
+other cell's generator weights.  compactify projects each vertex and ray
+once per stratum.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError, cached
@@ -136,19 +140,21 @@ def _int_vec(v: Sequence) -> IntVec:
 
 
 def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
-    vertices = tuple(sorted({tuple(normal(rat(x)) for x in v) for v in vertices}))
-    rays = tuple(sorted({tuple(int(x) for x in r) for r in rays}))
+    """A face on int or Fraction vertices (normalised) and int rays."""
+    vertices = tuple(sorted(set(vertices)))
+    rays = tuple(sorted(set(rays)))
     rank = len(vertices[0])
     v0 = vertices[0]
     gens: list[IntVec] = []
     integral = True
     for v in vertices[1:]:
         diff = [a - b for a, b in zip(v, v0)]
-        scale = lcm(*(x.denominator for x in diff))
-        if scale != 1:
-            integral = False
-        gens.append(tuple(int(x * scale) for x in diff))
-    gens.extend(tuple(r) for r in rays)
+        if not all(type(x) is int for x in diff):
+            scale = lcm(*(x.denominator for x in diff))
+            integral = integral and scale == 1
+            diff = [int(x * scale) for x in diff]
+        gens.append(tuple(diff))
+    gens.extend(rays)
     # Independent generators whose maximal minors have gcd 1 span a saturated
     # lattice, and its reduced HNF is the one saturate returns.
     tangent = hnf_basis(gens)
@@ -393,12 +399,16 @@ def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
     top = [i for i in range(len(specs)) if not cx.cofaces(i)]
     vrows, rrows = _lifted_rows(vpool, rpool)
     boxes = {i: _box(vpool, rpool, specs[i], cx.rank) for i in top}
-    frames: dict[int, tuple] = {}
+    vsets = {i: set(specs[i][0]) for i in top}
+    frames: dict[int, Optional[_Frame]] = {}
     for i, j in itertools.combinations(top, 2):
-        if not _apart(boxes[i], boxes[j]):
-            if i not in frames:
-                frames[i] = _frame(vrows, rrows, specs[i])
-            _check_pair_intersection(vrows, rrows, specs[i], specs[j], frames[i])
+        # Boxes of cells that share a vertex overlap, as on a fan.
+        if vsets[i].isdisjoint(vsets[j]) and _apart(boxes[i], boxes[j]):
+            continue
+        for k in (i, j):
+            if k not in frames:
+                frames[k] = _frame(vrows, rrows, specs[k])
+        _check_pair_intersection(vrows, rrows, specs[i], specs[j], (frames[i], frames[j]))
 
 
 def _box(vpool, rpool, cell, rank: int) -> list[tuple]:
@@ -424,48 +434,101 @@ def _lifted_rows(vpool, rpool) -> tuple[list[IntVec], list[IntVec]]:
     return vrows, [tuple(r) + (0,) for r in rpool]
 
 
-def _frame(vrows, rrows, cell) -> Optional[tuple[list[list[int]], list[IntVec]]]:
-    """(Q, Z) for a cell whose lifted generators G are independent, else
-    None: Q = adj(G G^T) G takes g_i to det(G G^T) e_i, and Z x = 0 exactly
-    on span G."""
+class _Frame:
+    """The frame of a cell with independent lifted generators G: Q = adj(G G^T) G
+    takes g_i to det(G G^T) e_i, and Z x = 0 exactly on span G.  at(gen), for
+    a generator gen = (is_ray, index), is computed once: Q g and Z g, and the
+    bit masks of the rows where Q g < 0, Z g < 0 and Z g > 0."""
+
+    def __init__(self, q: list[list[int]], z: list[IntVec], vrows, rrows):
+        self.q, self.z, self.rows = q, z, (vrows, rrows)
+        self._at: dict[tuple[bool, int], tuple] = {}
+
+    def at(self, gen: tuple[bool, int]) -> tuple[list[int], list[int], int, int, int]:
+        out = self._at.get(gen)
+        if out is None:
+            g = self.rows[gen[0]][gen[1]]
+            qg = [sum(map(mul, r, g)) for r in self.q]
+            zg = [sum(map(mul, r, g)) for r in self.z]
+            out = self._at[gen] = (qg, zg, _mask(x < 0 for x in qg), _mask(x < 0 for x in zg),
+                                   _mask(x > 0 for x in zg))
+        return out
+
+
+def _mask(flags: Iterable[bool]) -> int:
+    """The int with bit i set where the i-th flag is."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def _frame(vrows, rrows, cell) -> Optional[_Frame]:
+    """The frame of a cell whose lifted generators are independent, else None."""
     vs, rs = cell
     g = [vrows[k] for k in vs] + [rrows[k] for k in rs]
     adj = gram_adjugate(_dots(g, g))
-    return None if adj is None else (_dots(adj, list(zip(*g))), kernel_basis_int(g))
+    return None if adj is None else _Frame(_dots(adj, list(zip(*g))), kernel_basis_int(g), vrows, rrows)
 
 
-def _check_pair_intersection(vrows, rrows, cell1, cell2, frame=None) -> None:
+def _certified(frame: _Frame, own: list[int], other: list[tuple[bool, int]]) -> bool:
+    """Whether a fixed functional h is < 0 on every generator in other: an own
+    row of Q (own lists their positions), the sum of the own rows of Q, or
+    +-a row of Z.  Every weighted sum y of those generators that the pair
+    check asks about has h(y) >= 0 (own coordinates) or h(y) = 0 (span), so
+    h rules each of them out."""
+    vals = [frame.at(g) for g in other]
+    qneg = zneg = zpos = -1
+    for _, _, qn, zn, zp in vals:
+        qneg, zneg, zpos = qneg & qn, zneg & zn, zpos & zp
+    if qneg & sum(1 << i for i in own) or (zneg | zpos) & ((1 << len(frame.z)) - 1):
+        return True
+    return bool(own) and all(sum(qg[i] for i in own) < 0 for qg, *_ in vals)
+
+
+def _own_and_other(cell, other_cell, shared_v, shared_r):
+    """The positions of cell's own (non-shared) generators, and other_cell's
+    own generators as (is_ray, index)."""
+    (vs, rs), (ovs, ors) = cell, other_cell
+    return ([p for p, k in enumerate(vs) if k not in shared_v] +
+            [len(vs) + p for p, k in enumerate(rs) if k not in shared_r],
+            [(False, k) for k in ovs if k not in shared_v] + [(True, k) for k in ors if k not in shared_r])
+
+
+def _check_pair_intersection(vrows, rrows, cell1, cell2, frames=None) -> None:
     """Exact check that two cells, given as (vertex, ray) index lists into
-    the lifted rows, meet exactly in their shared-generator face.  In the
-    frame of cell1 (built here when not given, from a cell with independent
-    lifted generators), one Fourier-Motzkin run over the weights mu >= 0 of
-    cell2's own generators b asks for y = sum mu b in span G (Z y = 0) with
-    coordinates >= 0 on cell1's own generators (the own rows of Q y): with a
-    shared vertex and mu > 0, y is off the shared face; without one, y meets
-    cell1 when its vertex weights are > 0.  An own row of Q negative on every
-    b answers no without a run.  Without any frame, the run is over both
-    cells' weights, a shared generator's of free sign."""
-    if frame is None:
-        frame = _frame(vrows, rrows, cell1)
-        if frame is None and (frame := _frame(vrows, rrows, cell2)) is not None:
-            cell1, cell2 = cell2, cell1
+    the lifted rows, meet exactly in their shared-generator face.  frames
+    holds both cells' frames (built here when not given).  In the frame of
+    cell1 (of cell2 when cell1 has none), one Fourier-Motzkin run over the
+    weights mu >= 0 of cell2's own generators b asks for y = sum mu b in
+    span G (Z y = 0) with coordinates >= 0 on cell1's own generators (the own
+    rows of Q y): with a shared vertex and mu > 0, y is off the shared face;
+    without one, y meets cell1 when its vertex weights are > 0.  The question
+    is symmetric in the two cells, so a certificate in either frame
+    (_certified) answers no without a run.  Without any frame, the run is
+    over both cells' weights, a shared generator's of free sign."""
+    if frames is None:
+        frames = (_frame(vrows, rrows, cell1), _frame(vrows, rrows, cell2))
     (vs1, rs1), (vs2, rs2) = cell1, cell2
     shared_v, shared_r = set(vs1) & set(vs2), set(rs1) & set(rs2)
-    own2 = [vrows[k] for k in vs2 if k not in shared_v] + [rrows[k] for k in rs2 if k not in shared_r]
-    if frame is not None:
-        q, z = frame
-        own1 = [k not in shared_v for k in vs1] + [k not in shared_r for k in rs1]
-        ineqs = _dots([row for row, own in zip(q, own1) if own], own2)
-        if any(all(x < 0 for x in row) for row in ineqs):
-            return
-        eqs, n = _dots(z, own2), len(own2)
-        nonneg, positive = n, n if shared_v else len(vs2)
+    split = [None, None]
+    for c, frame in enumerate(frames):
+        if frame is not None:
+            split[c] = _own_and_other((cell1, cell2)[c], (cell2, cell1)[c], shared_v, shared_r)
+            if _certified(frame, *split[c]):
+                return
+    c = 0 if frames[0] is not None else 1
+    if frames[c] is not None:
+        own, other = split[c]
+        vals = [frames[c].at(g) for g in other]
+        ineqs = [[qg[i] for qg, *_ in vals] for i in own]
+        eqs = [[zg[r] for _, zg, *_ in vals] for r in range(len(frames[c].z))]
+        n = nonneg = len(vals)
+        positive = n if shared_v else sum(not ray for ray, _ in other)
     else:
-        own = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
-        own += [tuple(-x for x in row) for row in own2]
-        cols = own + [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
+        own1 = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
+        own2 = [vrows[k] for k in vs2 if k not in shared_v] + [rrows[k] for k in rs2 if k not in shared_r]
+        cols = own1 + [tuple(-x for x in row) for row in own2]
+        nonneg = len(cols)
+        cols += [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
         eqs, ineqs, n = list(zip(*cols)), [], len(cols)
-        nonneg = len(own)
         positive = nonneg if shared_v else len(vs1)
     ineqs = [(tuple(row) + (0,), False) for row in ineqs]
     ineqs += [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(nonneg)]
@@ -541,31 +604,36 @@ def compactify(y: FaceComplex) -> FaceComplex:
     if not all(f.unimodular for f in (y if one_vertex else recession_fan(y)).faces):
         raise NotUnimodularError("recession fan is not unimodular")
 
+    # A vertex and a ray can be the same tuple (fixE x fixD x fixD has both),
+    # so an image is keyed by (stratum, generator, is_ray).
+    images: dict[tuple[SedKey, IntVec, bool], Optional[tuple]] = {}
+
+    def image(sed: SedKey, gen: IntVec, is_ray: bool) -> Optional[tuple]:
+        key = (sed, gen, is_ray)
+        if key not in images:
+            img = apply_rows(y.stratum(sed)[1], gen)
+            images[key] = (primitive(img) if any(img) else None) if is_ray else \
+                tuple(normal(x) for x in img)
+        return images[key]
+
     records: dict[tuple, dict] = {}
     for f in y.faces:
-        ray_set = list(f.rays)
-        for k in range(len(ray_set) + 1):
-            for sub in itertools.combinations(sorted(ray_set), k):
-                sed: SedKey = tuple(sorted(sub))
-                _, proj, _ = y.stratum(sed)
-                pverts = {apply_rows(proj, v) for v in f.vertices}
-                prays = set()
-                for r in f.rays:
-                    img = apply_rows(proj, r)
-                    if any(img):
-                        prays.add(primitive(img))
-                key = (sed, frozenset(pverts), frozenset(prays))
-                rec_entry = records.setdefault(key, {"pairs": set(), "verts": pverts, "rays": prays, "sed": sed})
-                rec_entry["pairs"].add((f.index, sed))
+        for k in range(len(f.rays) + 1):
+            for sed in itertools.combinations(sorted(f.rays), k):
+                pverts = frozenset(image(sed, v, False) for v in f.vertices)
+                prays = frozenset(img for r in f.rays if (img := image(sed, r, True)) is not None)
+                entry = records.get((sed, pverts, prays))
+                if entry is None:
+                    vs, rs = tuple(sorted(pverts)), tuple(sorted(prays))
+                    entry = records[sed, pverts, prays] = {
+                        "pairs": set(), "sort": (len(vs) - 1 + len(rs), sed, vs, rs)}
+                entry["pairs"].add((f.index, sed))
 
-    keys = sorted(records, key=lambda k: (len(records[k]["verts"]) - 1 + len(records[k]["rays"]),
-                                          k[0], tuple(sorted(k[1])), tuple(sorted(k[2]))))
     faces = []
     pair_index = {}
-    for i, k in enumerate(keys):
-        entry = records[k]
-        faces.append(_make_face(i, entry["verts"], entry["rays"], entry["sed"],
-                                sorted(entry["pairs"])))
+    for i, entry in enumerate(sorted(records.values(), key=lambda e: e["sort"])):
+        _, sed, vs, rs = entry["sort"]
+        faces.append(_make_face(i, vs, rs, sed, sorted(entry["pairs"])))
         for pair in entry["pairs"]:
             pair_index[pair] = i
 

@@ -7,7 +7,7 @@ import weakref
 from collections import Counter
 
 from conftest import grid_plane
-from trophodge import chow, cohomology, fixtures, polyhedral, steenbrink
+from trophodge import chow, clemens_schmid, cohomology, fixtures, polyhedral, steenbrink
 from trophodge.chow import ring_of
 from trophodge.cli import main
 from trophodge.cohomology import cochain_complex
@@ -124,6 +124,23 @@ def test_hard_lefschetz_is_verified_once_per_page(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(steenbrink, "n_power_h_matrix", counting)
     _check_all_grid1(tmp_path, capsys)
     assert builds and max(builds.values()) == 1
+
+
+def test_each_induced_map_of_l_is_built_once_per_triple(monkeypatch):
+    # check_hl and the exact sequences both read the map that L induces on
+    # cohomology; it is built once per (triple, degree).
+    builds, owners = Counter(), []
+    induced_map = clemens_schmid.induced_map
+
+    def counting(source, target, chain_map, k, shift=0):
+        owners.append((source, target))  # keeps each complex alive, so its id() stays unique
+        builds[id(source), id(target), k, shift] += 1
+        return induced_map(source, target, chain_map, k, shift)
+
+    monkeypatch.setattr(clemens_schmid, "induced_map", counting)
+    st = build_steenbrink(compactify(grid_plane(2)))
+    assert clemens_schmid.tropical_clemens_schmid(st)["all"]
+    assert any(shift == 2 for *_, shift in builds) and max(builds.values()) == 1
 
 
 def test_caches_die_with_their_complex():

@@ -16,8 +16,10 @@ from trophodge.chow import (
     ring_of,
     weight_from_class,
 )
-from trophodge.linalg import RationalMatrix, rank
+from trophodge import fixtures as fx
+from trophodge.linalg import Echelon, RationalMatrix, rank
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
+from trophodge.polyhedral import compactify, product_complex, recession_fan
 
 F = Fraction
 
@@ -267,3 +269,57 @@ def test_normal_forms_match_direct_reduction(matroid):
                 assert ring.multiply(a, b).coeffs == _direct_multiply(ring, a, b)
                 if pa + pb == top:
                     assert ring.pairing(a, b) == _direct_multiply(ring, a, b)[0] / norm
+
+
+def _relation_rows_oracle(ring, p):
+    """The relations as they were built before: x_tau times each unit
+    functional sum_rho v_rho[i] x_rho, with the squares rewritten."""
+    rows = []
+    for tau in ring.monomials(p - 1):
+        base = tuple(sorted(tau))
+        for i in range(ring.rank):
+            row = {}
+            for pos in range(ring.nrays):
+                c = ring.star.ray_vectors[pos][i]
+                if c == 0:
+                    continue
+                for mono, coeff in ring.reduce_monomial(base + (pos,)).items():
+                    row[mono] = row.get(mono, 0) + c * coeff
+            row = {k: v for k, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _oracle_rings():
+    from conftest import grid_plane
+
+    fans = [bergman_fan(m) for m in (boolean_matroid(4), uniform_matroid(5, 3),
+                                     uniform_matroid(5, 4))]
+    fixtures = [fx.fix_a(), fx.fix_b(), fx.fix_c(), fx.fix_d(), fx.fix_e(), fx.fix_f()]
+    rings = [fan_ring(f) for f in fans] + [fan_ring(recession_fan(f)) for f in fixtures]
+    product = product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d())
+    for y in fixtures + [grid_plane(2), product]:
+        x = compactify(y)
+        rings += [ring_of(x.star_fan(f.index)) for f in x.faces]
+    return rings
+
+
+def test_relations_from_annihilators_match_rewritten_unit_functionals():
+    # The two relation sets span one row space, so the echelon's pivots, the
+    # basis and every monomial's normal form are the same.
+    cases = 0
+    for ring in _oracle_rings():
+        for p in range(1, ring.top + 1):
+            monos = ring.monomials(p)
+            index = {mono: i for i, mono in enumerate(monos)}
+            oracle = Echelon({index[m]: c for m, c in row.items()}
+                             for row in _relation_rows_oracle(ring, p))
+            relations, basis, _ = ring._presentation(p)
+            assert set(relations.pivots) == set(oracle.pivots)
+            assert basis == [m for i, m in enumerate(monos) if i not in oracle.pivots]
+            for mono in monos:
+                rem, _ = oracle.reduce({index[mono]: 1})
+                assert ring._normal_form(p, mono) == {monos[j]: c for j, c in rem.items()}
+            cases += 1
+    assert cases > 200

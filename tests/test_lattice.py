@@ -32,6 +32,72 @@ def test_row_hnf_transform_is_unimodular():
             assert row == h[i]
 
 
+def _row_hnf_oracle(mat):
+    """The row Hermite form as it was written before, with the transform
+    carried in a separate matrix beside the rows."""
+    rows = [list(map(int, r)) for r in mat]
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
+    transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def addmul(dst, src, q):
+        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
+        transform[dst] = [a - q * b for a, b in zip(transform[dst], transform[src])]
+
+    def swap(i, j):
+        rows[i], rows[j] = rows[j], rows[i]
+        transform[i], transform[j] = transform[j], transform[i]
+
+    def negate(i):
+        rows[i] = [-a for a in rows[i]]
+        transform[i] = [-a for a in transform[i]]
+
+    r = 0
+    for c in range(cols):
+        while True:
+            nz = [i for i in range(r, n) if rows[i][c] != 0]
+            if not nz:
+                break
+            best = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            if best != r:
+                swap(r, best)
+            done = True
+            for i in range(r + 1, n):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // rows[r][c]
+                    addmul(i, r, q)
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < n and rows[r][c] != 0:
+            if rows[r][c] < 0:
+                negate(r)
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    addmul(i, r, q)
+            r += 1
+            if r == n:
+                break
+    return rows, transform
+
+
+def test_one_hermite_elimination_matches_separate_transform():
+    # row_hnf carries its transform as appended columns and hnf_basis carries
+    # none; both must give the Hermite rows (and row_hnf the transform) of
+    # the elimination that kept the transform beside the rows.
+    rng = random.Random(1515)
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((1, 3, 9))
+        mat = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+        h, t = _row_hnf_oracle(mat)
+        assert row_hnf(mat) == (h, t), mat
+        assert hnf_basis(mat) == [tuple(r) for r in h if any(r)], mat
+    assert row_hnf([]) == ([], [])
+
+
 def test_integer_kernel_is_saturated():
     kb = kernel_basis_int([[1, 1, 1]])
     assert len(kb) == 2

@@ -358,18 +358,21 @@ def test_recession_fan_rejects_cones_not_closed_under_faces():
 
 
 def test_intersections_take_one_fourier_motzkin_run_per_pair(monkeypatch):
-    # 24 maximal cones of the Bergman fan of B4 make 276 pairs; each pair is
-    # answered by at most one run, not one run per non-shared generator, and
-    # 156 of them by an own row of the frame negative on every generator.
+    # The 24 maximal cones of the Bergman fan of B4 make 276 pairs, the 20 of
+    # U(3,5) 190; each pair is answered by at most one run, not one run per
+    # non-shared generator, and all but 24 of B4's pairs and every pair of
+    # U(3,5) by a fixed certificate of one of the two cells' frames.
     import trophodge.polyhedral as polyhedral
 
-    data = complex_to_json(bergman_fan(boolean_matroid(4)))
     calls = []
     run = polyhedral.fm_feasible
     monkeypatch.setattr(polyhedral, "fm_feasible",
                         lambda *args, **kw: calls.append(1) or run(*args, **kw))
-    complex_from_json(data)
-    assert len(calls) == 120
+    for matroid, runs in ((boolean_matroid(4), 24), (uniform_matroid(5, 3), 0)):
+        data = complex_to_json(bergman_fan(matroid))
+        calls.clear()
+        complex_from_json(data)
+        assert len(calls) == runs
 
 
 def test_each_cell_builds_its_frame_once(monkeypatch):
@@ -522,13 +525,43 @@ def _check_pair_by_vectors(rank, v1, r1, v2, r2, shared_v, shared_r):
     _check_pair_intersection(*_lifted_rows(vpool, rpool), *cells)
 
 
-def test_pair_check_agrees_with_fraction_parametrisation():
+def _certificate_kinds(frame, own, other):
+    """Which fixed functionals of the frame are < 0 on every generator in
+    other, from the plain values Q g and Z g."""
+    q_own = [[frame.at(g)[0][i] for g in other] for i in own]
+    z_rows = [[frame.at(g)[1][r] for g in other] for r in range(len(frame.z))]
+    kinds = set()
+    if any(all(x < 0 for x in row) for row in q_own):
+        kinds.add("own row of Q")
+    if q_own and all(sum(col) < 0 for col in zip(*q_own)):
+        kinds.add("sum of own rows of Q")
+    if any(all(x < 0 for x in row) or all(x > 0 for x in row) for row in z_rows):
+        kinds.add("row of Z")
+    return frozenset(kinds)
+
+
+def test_pair_check_agrees_with_fraction_parametrisation(monkeypatch):
+    # Every verdict equals the oracle's, whether a certificate settles the
+    # pair or Fourier-Motzkin does; each kind of certificate is the only one
+    # that holds on some pair, and the second cell's frame settles some pairs.
+    import trophodge.polyhedral as polyhedral
+
+    certified, tries = polyhedral._certified, []
+
+    def recording(frame, own, other):
+        tries.append(_certificate_kinds(frame, own, other))
+        assert certified(frame, own, other) == bool(tries[-1])
+        return bool(tries[-1])
+
+    monkeypatch.setattr(polyhedral, "_certified", recording)
+    settled = {}
     for seed, pairs in ((20201, 400), (7, 2000)):
         rng = random.Random(seed)
         outcomes = {}
         for _ in range(pairs):
             args = _random_cell_pair(rng)
             want = _pair_oracle(*args)
+            tries.clear()
             try:
                 _check_pair_by_vectors(*args)
                 got = None
@@ -536,8 +569,14 @@ def test_pair_check_agrees_with_fraction_parametrisation():
                 got = str(exc)
             assert got == want, (seed, args)
             outcomes[want] = outcomes.get(want, 0) + 1
+            if tries and tries[-1]:
+                key = (tries[-1], len(tries))
+                settled[key] = settled.get(key, 0) + 1
         assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
                                  "intersection axiom violated: overlap beyond common face"}
+    alone = {next(iter(kinds)) for kinds, _ in settled if len(kinds) == 1}
+    assert alone == {"own row of Q", "sum of own rows of Q", "row of Z"}
+    assert any(position == 2 for _, position in settled)
 
 
 PAIRS_WITH_DEPENDENT_CELLS = [
