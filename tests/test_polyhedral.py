@@ -554,7 +554,7 @@ def test_pair_check_agrees_with_fraction_parametrisation(monkeypatch):
         return bool(tries[-1])
 
     monkeypatch.setattr(polyhedral, "_certified", recording)
-    settled = {}
+    settled = set()  # (kinds that hold, which certificate call settled the pair)
     for seed, pairs in ((20201, 400), (7, 2000)):
         rng = random.Random(seed)
         outcomes = {}
@@ -570,8 +570,7 @@ def test_pair_check_agrees_with_fraction_parametrisation(monkeypatch):
             assert got == want, (seed, args)
             outcomes[want] = outcomes.get(want, 0) + 1
             if tries and tries[-1]:
-                key = (tries[-1], len(tries))
-                settled[key] = settled.get(key, 0) + 1
+                settled.add((tries[-1], len(tries)))
         assert set(outcomes) == {None, "intersection axiom violated: disjoint faces overlap",
                                  "intersection axiom violated: overlap beyond common face"}
     alone = {next(iter(kinds)) for kinds, _ in settled if len(kinds) == 1}
