@@ -2,8 +2,9 @@
 `cs-check`, `check-all --seed 3`, `hodge-cycle --p 1` and `mw -k 1` on
 fixA-fixF and grid_plane(1), and of `chow --degrees all`, `mw -k 1`,
 `steenbrink`, `cs-check`, `hodge-cycle --p 1` and `check-all --seed 3` on
-the Bergman fans of U(3,5) and B4, compared byte for byte with the files in
-tests/golden/.
+the Bergman fans of U(3,5) and B4, and of `check-all --seed 3`, `cohomology`
+and `hodge-cycle --p 1` on grid_plane(3) and fixE x fixD x fixD, compared
+byte for byte with the files in tests/golden/.
 
 Each golden file holds one line `exit <code>` and then the command's stdout.
 Rewrite them only for a change that is meant to change an output:
@@ -20,8 +21,9 @@ import pytest
 
 from conftest import grid_plane
 from trophodge.cli import main
+from trophodge.fixtures import fix_d, fix_e
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
-from trophodge.polyhedral import complex_to_json
+from trophodge.polyhedral import complex_to_json, product_complex
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["fixA", "fixB", "fixC", "fixD", "fixE", "fixF", "grid1"]
@@ -31,11 +33,17 @@ COMMANDS = {"cohomology": [], "steenbrink": [], "cs-check": [], "check-all": ["-
 FANS = ["u35", "b4"]
 FAN_COMMANDS = {"chow": ["--degrees", "all"], "mw": ["-k", "1"], "steenbrink": [], "cs-check": [],
                 "hodge-cycle": ["--p", "1"], "check-all": ["--seed", "3"]}
+# The two larger inputs of the benchmark's check-all workload.
+LADDER = ["grid3", "prod"]
+LADDER_COMMANDS = {"check-all": ["--seed", "3"], "cohomology": [], "hodge-cycle": ["--p", "1"]}
 CASES = [(cmd, name) for cmd in COMMANDS for name in INPUTS]
 CASES += [(cmd, name) for cmd in FAN_COMMANDS for name in FANS]
+CASES += [(cmd, name) for cmd in LADDER_COMMANDS for name in LADDER]
 GENERATED = {"grid1": lambda: grid_plane(1),
              "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
-             "b4": lambda: bergman_fan(boolean_matroid(4))}
+             "b4": lambda: bergman_fan(boolean_matroid(4)),
+             "grid3": lambda: grid_plane(3),
+             "prod": lambda: product_complex(product_complex(fix_e(), fix_d()), fix_d())}
 
 
 def _output(cmd: str, name: str, tmp_dir: str) -> str:
@@ -44,7 +52,7 @@ def _output(cmd: str, name: str, tmp_dir: str) -> str:
         arg = os.path.join(tmp_dir, f"{name}.json")
         with open(arg, "w", encoding="utf-8") as fh:
             json.dump(complex_to_json(GENERATED[name]()), fh)
-    extra = FAN_COMMANDS[cmd] if name in FANS else COMMANDS[cmd]
+    extra = (FAN_COMMANDS if name in FANS else LADDER_COMMANDS if name in LADDER else COMMANDS)[cmd]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([cmd, arg, *extra])
