@@ -246,10 +246,21 @@ class ChowRing:
         c, n = cls.coeffs[0], self._degree_normalization()
         return c if n == 1 else normal(Fraction(c, n))
 
+    @cached
+    def pairing_matrix(self, k: int) -> RationalMatrix:
+        """G[i, j] = deg(e_i . e_j) for the basis monomials e_i of degree k and
+        e_j of degree top - k, read off the cached products of basis monomials."""
+        top = self.top
+        return RationalMatrix.from_columns(self.dim(k), [
+            [self.degree(self.reduce_class(top, self._basis_product(k, i, top - k, j)))
+             for i in range(self.dim(k))] for j in range(self.dim(top - k))])
+
     def pairing(self, a: ChowClass, b: ChowClass) -> Rational:
+        """deg(a . b) for complementary degrees: a^T G b on the pairing matrix."""
         if a.degree + b.degree != self.top:
             raise DegreeMismatchError("pairing needs complementary degrees")
-        return self.degree(self.multiply(a, b))
+        gb = self.pairing_matrix(a.degree).mul_vec(b.coeffs)
+        return normal(sum(x * y for x, y in zip(a.coeffs, gb) if x))
 
 
 @cached
@@ -495,7 +506,7 @@ def weight_from_class(ring: ChowRing, cls: ChowClass) -> MinkowskiWeight:
     k = d - cls.degree
     weights = []
     for lbl, rays in ring.star.cones_of_dim(k):
-        val = ring.degree(ring.multiply(cls, ring.reduce_class(k, {rays: 1})))
+        val = ring.pairing(cls, ring.reduce_class(k, {rays: 1}))
         if val != 0:
             weights.append((lbl, val))
     return MinkowskiWeight(k, tuple(weights))

@@ -142,7 +142,7 @@ def hodge_to_cycle(st: SteenbrinkPage, alpha: HodgeClass) -> TropicalCycle:
             ring = st.rings_for(v)
             cone = ring.star.cone_rays(eta) if k > 0 else frozenset()
             xcls = ring.reduce_class(k, {cone: 1})
-            vals.append(ring.degree(ring.multiply(alpha.component(st, v), xcls)))
+            vals.append(ring.pairing(alpha.component(st, v), xcls))
         if any(val != vals[0] for val in vals[1:]):
             raise GluingConflictError(
                 f"local weights disagree on face {eta}: {vals}")
@@ -186,9 +186,8 @@ def verify_class(st: SteenbrinkPage, alpha: HodgeClass, cyc: TropicalCycle) -> b
         mw_side = 0
         for v in st.finite_by_dim.get(0, []):
             ring = st.rings[v]
-            av = alpha.component(st, v)
             bv = beta.component(st, v)
-            chow_side += ring.degree(ring.multiply(av, bv))
+            chow_side += ring.pairing(alpha.component(st, v), bv)
             mw_side += mw_evaluate(ring, bv, local_weight(st, cyc.weight, v))
         if chow_side != mw_side:
             return False

@@ -9,7 +9,8 @@ block is the list of (face, Chow basis monomial) pairs.  One cached term
 index maps each (s, face, monomial) label of the term ST^{a,b}, the sum of
 its blocks, to its position; it alone knows the layout of the blocks.  An
 element of the page is (a, b, vec) with vec one full-term vector of ST^{a,b},
-and psi, d (`apply_d`) and N (`apply_n`) act on such elements directly.
+and psi, d (`apply_d`) and N (`apply_n`) act on such elements directly; psi
+reads each pairing off one cached matrix per pair of terms (`psi_matrix`).
 
 The differential is stitched in one place, `d_matrix`, once per bounded
 cover pair f < g: a restriction block from f into g and a Gysin block from
@@ -25,12 +26,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import HLFailureError, NotUnimodularError, cached
-from .chow import ChowClass, ChowRing, gysin, restriction, ring_of
+from .chow import ChowRing, gysin, restriction, ring_of
 from .cohomology import GradedComplex, QuotientBasis
-from .linalg import Rational, RationalMatrix, kernel_basis, rank
+from .linalg import Rational, RationalMatrix, kernel_basis, normal, rank
 from .polyhedral import FaceComplex
 
 
@@ -193,27 +193,26 @@ class SteenbrinkPage:
             return 1
         return -1 if (a + b // 2) % 2 else 1
 
+    @cached
+    def psi_matrix(self, a: int, b: int) -> RationalMatrix:
+        """The matrix of psi on ST^{a,b} x ST^{-a,2d-b}: block diagonal, with
+        epsilon(a, b) times the face's Chow pairing matrix in degree (a+b-s)/2
+        on each (s, face) group of both terms."""
+        src, dst = self.term_index(a, b), self.term_index(-a, 2 * self.dim - b)
+        out, eps = RationalMatrix(len(src), len(dst)), self.epsilon(a, b)
+        for (s, f, i), row0 in src.items():
+            if i == 0 and (col0 := dst.get((s, f, 0))) is not None:
+                for (r, c), v in self.rings[f].pairing_matrix((a + b - s) // 2).entries.items():
+                    out.entries[row0 + r, col0 + c] = eps * v
+        return out
+
     def psi(self, x: tuple[int, int, list[Rational]], y: tuple[int, int, list[Rational]]) -> Rational:
         """psi of x in ST^{a,b} and y in ST^{a',b'}: zero unless a + a' = 0 and
-        b + b' = 2d, else epsilon(a, b) times the sum over the (s, face) groups
-        of both terms of the star-fan Chow pairing of the two groups."""
+        b + b' = 2d, else x^T Psi y on the cached `psi_matrix(a, b)`."""
         (a, b, xv), (a2, b2, yv) = x, y
         if a + a2 != 0 or b + b2 != 2 * self.dim:
             return 0
-        gy = self._face_groups(a2, b2, yv)
-        total = 0
-        for (s, f), cx in self._face_groups(a, b, xv).items():
-            if (s, f) in gy:
-                total += self.rings[f].pairing(ChowClass((a + b - s) // 2, tuple(cx)),
-                                               ChowClass((a2 + b2 - s) // 2, tuple(gy[s, f])))
-        return self.epsilon(a, b) * total
-
-    def _face_groups(self, a: int, b: int, vec: Sequence[Rational]) -> dict[tuple[int, int], list[Rational]]:
-        """The coordinates of a vector of ST^{a,b}, grouped by (s, face) in basis order."""
-        out: dict[tuple[int, int], list[Rational]] = {}
-        for (s, f, _), v in zip(self.term_index(a, b), vec):
-            out.setdefault((s, f), []).append(v)
-        return out
+        return normal(sum(u * v for u, v in zip(xv, self.psi_matrix(a, b).mul_vec(yv)) if u))
 
     def apply_d(self, x: tuple[int, int, list[Rational]]) -> tuple[int, int, list[Rational]]:
         a, b, vec = x

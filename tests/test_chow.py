@@ -97,6 +97,26 @@ def test_pairing_gram_rank_fix_c(fixc):
     assert rank(RationalMatrix.from_rows(gram)) == 4
 
 
+def test_pairing_matrix_equals_degrees_of_products():
+    from conftest import grid_plane
+
+    x = compactify(grid_plane(3))
+    rings = [ring_of(x.star_fan(f.index)) for f in x.faces]
+    rings += [fan_ring(bergman_fan(m)) for m in (uniform_matroid(5, 3), boolean_matroid(4))]
+    entries = 0
+    for ring in rings:
+        top = ring.top
+        for k in range(top + 1):
+            g = ring.pairing_matrix(k)
+            assert (g.rows, g.cols) == (ring.dim(k), ring.dim(top - k))
+            for i, mi in enumerate(ring.basis(k)):
+                for j, mj in enumerate(ring.basis(top - k)):
+                    ei, ej = ring.reduce_class(k, {mi: 1}), ring.reduce_class(top - k, {mj: 1})
+                    assert g[i, j] == ring.degree(ring.multiply(ei, ej))
+                    entries += g[i, j] != 0
+    assert entries > 100
+
+
 def test_restriction_identity_in_degree_zero(fixe):
     v0 = next(f.index for f in fixe.faces if f.dim == 0 and f.vertices[0][0] == 0)
     e01 = next(f.index for f in fixe.faces if f.dim == 1 and not f.rays)

@@ -1,13 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import trophodge
+from conftest import grid_plane
+from trophodge import cli
+from trophodge.chow import ChowRing
 from trophodge.cli import main
-from trophodge.polyhedral import complex_from_json, complex_to_json
+from trophodge.fixtures import named_fixture
+from trophodge.linalg import RationalMatrix
+from trophodge.polyhedral import compactify, complex_from_json, complex_to_json
+from trophodge.steenbrink import SteenbrinkPage, build_steenbrink, random_homogeneous
 
 
 def run(capsys, *argv):
@@ -117,6 +124,96 @@ def test_determinism_same_seed_same_report(capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_alternating_calls(capsys, monkeypatch):
+    built, build_parser = [], cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    outs = [run(capsys, "chow", "fixC", "--format", fmt) for fmt in ("table", "json") * 3]
+    assert built == [1]
+    assert all(code == 0 for code, _ in outs)
+    tables, jsons = {out for _, out in outs[::2]}, {out for _, out in outs[1::2]}
+    assert len(tables) == len(jsons) == 1
+    assert "tool: trophodge" in tables.pop()
+    assert json.loads(jsons.pop())["chow_dims"] == {"0": 1, "1": 4, "2": 1}
+    # a default is not carried over from the call before
+    _, seeded = run(capsys, "check-all", "fixD", "--seed", "5")
+    _, default = run(capsys, "check-all", "fixD")
+    assert (json.loads(seeded)["seed"], json.loads(default)["seed"]) == (5, 0)
+
+
+def _random_psi_identities(st, rng):
+    """The psi check that check-all made before it checked matrix identities:
+    symmetry and the adjointness of N and d on 100 random pairs."""
+    d, ok = st.dim, True
+    for _ in range(100):
+        ex, ey = random_homogeneous(st, rng), random_homogeneous(st, rng)
+        ok = ok and st.psi(ex, ey) == (-1) ** d * st.psi(ey, ex)
+        ok = ok and st.psi(st.apply_n(ex), ey) + st.psi(ex, st.apply_n(ey)) == 0
+        ok = ok and st.psi(st.apply_d(ex), ey) + st.psi(ex, st.apply_d(ey)) == 0
+    return ok
+
+
+def _flip_epsilon(where):
+    def mutate(monkeypatch):
+        epsilon = SteenbrinkPage.epsilon
+        monkeypatch.setattr(SteenbrinkPage, "epsilon",
+                            lambda self, a, b: -epsilon(self, a, b) if where(a, b) else epsilon(self, a, b))
+    return mutate
+
+
+def _double_gysin(monkeypatch):
+    # d = i* + 2 Gys still squares to zero (i* i*, Gys Gys and i* Gys + Gys i*
+    # vanish apart), but it is no longer anti-self-adjoint for psi.
+    gysin_matrix = SteenbrinkPage.gysin_matrix
+
+    def doubled(self, *args):
+        m = gysin_matrix(self, *args)
+        out = RationalMatrix(m.rows, m.cols)
+        out.entries = {k: 2 * v for k, v in m.entries.items()}
+        return out
+    monkeypatch.setattr(SteenbrinkPage, "gysin_matrix", doubled)
+
+
+def _double_pairings_above_degree_zero(monkeypatch):
+    # N and d keep the Chow degree of what they pair, so only the symmetry of
+    # psi, which pairs degree k against top - k, sees a degree-dependent scale.
+    pairing_matrix = ChowRing.pairing_matrix
+
+    def doubled(self, k):
+        m = pairing_matrix(self, k)
+        out = RationalMatrix(m.rows, m.cols)
+        out.entries = {key: (2 if k else 1) * v for key, v in m.entries.items()}
+        return out
+    monkeypatch.setattr(ChowRing, "pairing_matrix", doubled)
+
+
+MUTATIONS = {"epsilon-a=1": _flip_epsilon(lambda a, b: a == 1),
+             "epsilon-(a,b)=(0,2)": _flip_epsilon(lambda a, b: (a, b) == (0, 2)),
+             "epsilon-b=0": _flip_epsilon(lambda a, b: b == 0),
+             # psi stays symmetric and d stays anti-self-adjoint; N does not (d = 2 here)
+             "epsilon-b!=d": _flip_epsilon(lambda a, b: b != 2),
+             "gysin-doubled": _double_gysin,
+             "pairings-doubled-above-degree-0": _double_pairings_above_degree_zero}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", ["grid1", "fixE"])
+def test_broken_psi_identity_fails_check_all(name, mutation, capsys, monkeypatch, tmp_path):
+    # The exact check fails on every input where the random check it replaced fails.
+    y = grid_plane(1) if name == "grid1" else named_fixture(name)
+    arg = str(tmp_path / "input.json")
+    with open(arg, "w", encoding="utf-8") as fh:
+        json.dump(complex_to_json(y), fh)
+    MUTATIONS[mutation](monkeypatch)
+    code, out = run(capsys, "check-all", arg, "--seed", "3")
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    assert checks["psi-identities"] == "FAIL"
+    if mutation == "gysin-doubled":
+        assert all(v == "pass" for k, v in checks.items() if k.startswith("steenbrink-d2-zero"))
+    assert not _random_psi_identities(build_steenbrink(compactify(y)), random.Random(3))
+
+
 def test_malformed_input_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for faces in ('[{"vertices": [0, 1], "rays": []}]',  # a missing vertex
@@ -192,6 +289,7 @@ def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
 
 CORRUPT_ONE_SIGN = """
 import sys
+from trophodge.chow import ChowRing
 from trophodge.cli import main
 from trophodge.polyhedral import FaceComplex
 

@@ -333,7 +333,9 @@ def test_random_homogeneous_lists_blocks_once(comp_grid1, comp_d, monkeypatch):
         monkeypatch.undo()
 
 
-# -- psi on full-term vectors, checked against the blockwise psi it replaced
+# -- psi on full-term vectors, checked against the blockwise psi that full-term
+# vectors replaced and the elementwise psi (one Chow product and degree per
+# (s, face) group) that the cached block matrix replaced
 
 def _psi_homogeneous_oracle(st, a, b, s, xv, a2, b2, s2, yv):
     if a + a2 != 0 or b + b2 != 2 * st.dim or s != s2:
@@ -369,11 +371,34 @@ def _psi_blocks_oracle(st, x, y):
     return total
 
 
+def _face_groups(st, a, b, vec):
+    """The coordinates of a vector of ST^{a,b}, grouped by (s, face) in basis order."""
+    out = {}
+    for (s, f, _), v in zip(st.term_index(a, b), vec):
+        out.setdefault((s, f), []).append(v)
+    return out
+
+
+def _psi_elementwise_oracle(st, x, y):
+    """psi with one Chow product and one degree per (s, face) group of both terms."""
+    (a, b, xv), (a2, b2, yv) = x, y
+    if a + a2 != 0 or b + b2 != 2 * st.dim:
+        return 0
+    gy = _face_groups(st, a2, b2, yv)
+    total = 0
+    for (s, f), cx in _face_groups(st, a, b, xv).items():
+        if (s, f) in gy:
+            ring = st.rings[f]
+            total += ring.degree(ring.multiply(ChowClass((a + b - s) // 2, tuple(cx)),
+                                               ChowClass((a2 + b2 - s) // 2, tuple(gy[s, f]))))
+    return st.epsilon(a, b) * total
+
+
 def test_psi_equals_blockwise_oracle(st_a, comp_b, st_c, st_d, st_e, st_f, st_grid1):
     rng = random.Random(2024)
     for st in (st_a, build_steenbrink(comp_b), st_c, st_d, st_e, st_f, st_grid1):
         d = st.dim
-        matched = mismatched = 0
+        matched = mismatched = nonzero = 0
         for _ in range(30):
             x, y = random_homogeneous(st, rng), random_homogeneous(st, rng)
             a, b, _ = x
@@ -382,10 +407,11 @@ def test_psi_equals_blockwise_oracle(st_a, comp_b, st_c, st_d, st_e, st_f, st_gr
             for u, v in ((x, y), (x, dual), (dual, x), (st.apply_d(x), y), (x, st.apply_d(y)),
                          (st.apply_n(x), y), (x, st.apply_n(y)), (st.apply_d(x), st.apply_n(dual))):
                 got = st.psi(u, v)
-                assert got == _psi_blocks_oracle(st, u, v)
+                assert got == _psi_blocks_oracle(st, u, v) == _psi_elementwise_oracle(st, u, v)
+                nonzero += got != 0
                 if u[0] + v[0] == 0 and u[1] + v[1] == 2 * d:
                     matched += 1
                 else:
                     mismatched += 1
                     assert got == 0
-        assert matched and mismatched
+        assert matched and mismatched and nonzero
