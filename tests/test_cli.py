@@ -175,8 +175,8 @@ def _double_gysin(monkeypatch):
 
 
 def _double_pairings_above_degree_zero(monkeypatch):
-    # N and d keep the Chow degree of what they pair, so only the symmetry of
-    # psi, which pairs degree k against top - k, sees a degree-dependent scale.
+    # A scale that depends on the Chow degree: psi pairs degree k against
+    # top - k, and the Gysin part of d raises the degree by one.
     pairing_matrix = ChowRing.pairing_matrix
 
     def doubled(self, k):
@@ -289,7 +289,6 @@ def test_malformed_argument_or_field_exit_two(argv, capsys, tmp_path):
 
 CORRUPT_ONE_SIGN = """
 import sys
-from trophodge.chow import ChowRing
 from trophodge.cli import main
 from trophodge.polyhedral import FaceComplex
 
