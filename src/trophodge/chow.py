@@ -292,14 +292,6 @@ def chow_ring(f, p: int) -> dict:
     }
 
 
-def degree(f, cls: ChowClass) -> Rational:
-    return fan_ring(f).degree(cls)
-
-
-def pairing(f, a: ChowClass, b: ChowClass) -> Rational:
-    return fan_ring(f).pairing(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Restriction and Gysin maps between star fans
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import DegeneratePairingError, NotAComplexError, cached
 from .lattice import det_int
@@ -130,16 +130,13 @@ class GradedComplex:
         return self.dim(k) - self.d_rank(k) - self.d_rank(k - 1)
 
 
-def induced_map(src: GradedComplex, dst: GradedComplex,
-                chain_maps: dict[int, RationalMatrix], k: int, shift: int = 0) -> RationalMatrix:
+def induced_map(src: GradedComplex, dst: GradedComplex, f: Callable[[Vec], Vec],
+                k: int, shift: int = 0) -> RationalMatrix:
     """Matrix of the induced map H^k(src) -> H^(k+shift)(dst) of a chain map
-    of degree shift; chain_maps[k] maps src^k to dst^(k+shift)."""
+    of degree shift, given in degree k as the function f: src^k -> dst^(k+shift)."""
     src_h, dst_h = src.h_basis(k), dst.h_basis(k + shift)
-    cm = chain_maps.get(k)
-    zero = [0] * dst.dim(k + shift)
-    return RationalMatrix.from_columns(dst_h.dim, [
-        dst_h.coordinates(cm.mul_vec(rep) if cm is not None else zero)
-        for rep in src_h.representatives])
+    return RationalMatrix.from_columns(dst_h.dim, [dst_h.coordinates(f(rep))
+                                                   for rep in src_h.representatives])
 
 
 # ---------------------------------------------------------------------------

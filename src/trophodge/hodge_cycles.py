@@ -180,15 +180,16 @@ def verify_class(st: SteenbrinkPage, alpha: HodgeClass, cyc: TropicalCycle) -> b
     report = numerical_vs_homological(st, p)
     if not report["nondegenerate"]:
         return False
+    weights = {v: local_weight(st, cyc.weight, v) for v in st.finite_by_dim.get(0, [])}
     for bvec in k_cocycle_vectors(st, q):
         beta = _block_vector_to_class(st, q, bvec)
         chow_side = 0
         mw_side = 0
-        for v in st.finite_by_dim.get(0, []):
+        for v, weight in weights.items():
             ring = st.rings[v]
             bv = beta.component(st, v)
             chow_side += ring.pairing(alpha.component(st, v), bv)
-            mw_side += mw_evaluate(ring, bv, local_weight(st, cyc.weight, v))
+            mw_side += mw_evaluate(ring, bv, weight)
         if chow_side != mw_side:
             return False
     return True

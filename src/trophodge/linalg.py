@@ -113,6 +113,16 @@ class RationalMatrix:
             cols[j][i] = v
         return cols
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RationalMatrix":
+        """The entries at the listed (distinct) rows and columns, in the order listed."""
+        at_row = {r: i for i, r in enumerate(rows)}
+        at_col = {c: j for j, c in enumerate(cols)}
+        out = RationalMatrix(len(rows), len(cols))
+        for (r, c), v in self.entries.items():
+            if r in at_row and c in at_col:
+                out.entries[at_row[r], at_col[c]] = v
+        return out
+
     def to_lists(self) -> list[list[Rational]]:
         return [self.row(i) for i in range(self.rows)]
 

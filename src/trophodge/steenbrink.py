@@ -172,18 +172,11 @@ class SteenbrinkPage:
         so these sub-blocks form a complex."""
         labels = {a: self.block_labels(a, b, sgn * a) for a in degrees}
         labels = {a: lab for a, lab in labels.items() if lab}
+        at = {a: [self.term_index(a, b)[(sgn * a,) + f_i] for f_i in lab]
+              for a, lab in labels.items()}
         row = self.row_complex(b)
-        diffs = {}
-        for a, lab in labels.items():
-            if a + 1 not in labels:
-                continue
-            col0 = self.term_index(a, b)[(sgn * a,) + lab[0]]
-            row0 = self.term_index(a + 1, b)[(sgn * (a + 1),) + labels[a + 1][0]]
-            m = RationalMatrix(len(labels[a + 1]), len(lab))
-            for (r, c), v in row.differential(a).entries.items():
-                if 0 <= r - row0 < m.rows and 0 <= c - col0 < m.cols:
-                    m.entries[r - row0, c - col0] = v
-            diffs[a] = m
+        diffs = {a: row.differential(a).submatrix(at[a + 1], at[a])
+                 for a in labels if a + 1 in labels}
         return GradedComplex({a: len(lab) for a, lab in labels.items()}, diffs, labels)
 
     # -- psi, d and N on elements ---------------------------------------------

@@ -132,10 +132,10 @@ def test_each_induced_map_of_l_is_built_once_per_triple(monkeypatch):
     builds, owners = Counter(), []
     induced_map = clemens_schmid.induced_map
 
-    def counting(source, target, chain_map, k, shift=0):
+    def counting(source, target, f, k, shift=0):
         owners.append((source, target))  # keeps each complex alive, so its id() stays unique
         builds[id(source), id(target), k, shift] += 1
-        return induced_map(source, target, chain_map, k, shift)
+        return induced_map(source, target, f, k, shift)
 
     monkeypatch.setattr(clemens_schmid, "induced_map", counting)
     st = build_steenbrink(compactify(grid_plane(2)))

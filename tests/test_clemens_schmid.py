@@ -48,7 +48,7 @@ def test_induced_map_of_degree_two_chain_map():
     # L: C^0 -> D^2 induces H^0(C) -> H^2(D), over the bases of those degrees.
     t = LefschetzTriple(GradedComplex({0: 1}, {}), GradedComplex({2: 1}, {}),
                         {0: RationalMatrix.from_rows([[3]])})
-    m = induced_map(t.C, t.D, t.L, 0, shift=2)
+    m = induced_map(t.C, t.D, t.L[0].mul_vec, 0, shift=2)
     assert (m.rows, m.cols, m[0, 0]) == (1, 1, 3)
 
 def test_hl_precondition_fails_loudly():
@@ -84,7 +84,7 @@ def test_subquotient_coordinates_reject_a_vector_outside_the_space():
     kc, rc = _kernel_and_cokernel(t)
     assert kc.gc.terms == {-1: 1} and kc.coordinates(-1, [3, 3]) == [3]
     assert kc.inclusion(-1).to_lists() == [[1], [1]]
-    assert rc.gc.terms == {} and rc.projection(1).rows == 0
+    assert rc.gc.terms == {} and rc.coordinates(1, [5]) == []
     with pytest.raises(ChaseFailureError, match="degree -1"):
         kc.coordinates(-1, [1, 0])
     with pytest.raises(ChaseFailureError, match="degree 5"):
@@ -114,6 +114,47 @@ def test_mapping_cone_zero_page(comp_d):
     report = mapping_cone_check(st, 0)
     assert report["all"]
     assert report["degrees"] == {}
+
+
+def _without_labels(gc: GradedComplex) -> GradedComplex:
+    return GradedComplex(gc.terms, gc.diffs)
+
+
+def _doubled(gc: GradedComplex) -> GradedComplex:
+    diffs = {}
+    for a, m in gc.diffs.items():
+        diffs[a] = RationalMatrix(m.rows, m.cols)
+        diffs[a].entries = {key: 2 * v for key, v in m.entries.items()}
+    return GradedComplex(gc.terms, diffs, gc.labels)
+
+
+def test_mapping_cone_fails_without_the_kernel_embedding(monkeypatch, st_d, st_e, st_f):
+    # With no labels on K, the iota block of the total differential is 0:
+    # the total complex splits off K and the projection onto R is no
+    # quasi-isomorphism.
+    reports = {}
+    for name, st in (("D", st_d), ("E", st_e), ("F", st_f)):
+        monkeypatch.setattr(st, "k_complex", lambda p, k=st.k_complex: _without_labels(k(p)))
+        reports[name] = mapping_cone_check(st, 0)
+    assert not any(report["all"] for report in reports.values())
+    assert reports["D"]["degrees"] == {
+        0: {"h_total": 2, "h_coker": 1, "iso": False},
+        1: {"h_total": 1, "h_coker": 0, "iso": False}}
+
+
+def test_mapping_cone_rejects_a_projection_that_is_no_chain_map(monkeypatch, st_e):
+    monkeypatch.setattr(st_e, "r_complex", lambda p, r=st_e.r_complex: _doubled(r(p)))
+    with pytest.raises(ChaseFailureError, match="not a chain map"):
+        mapping_cone_check(st_e, 2)
+
+
+def test_mapping_cone_builds_no_cohomology_basis(monkeypatch, st_f):
+    def no_basis(gc, k):
+        raise AssertionError(f"h_basis({k}) built")
+
+    monkeypatch.setattr(GradedComplex, "h_basis", no_basis)
+    for p in (0, 2, 4):
+        assert mapping_cone_check(st_f, p)["all"]
 
 
 def test_tropical_cs_fix_d_junction_values(st_d):

@@ -292,6 +292,17 @@ def test_from_columns_of_empty_columns_and_of_no_columns():
         RationalMatrix.from_columns(2, [[1, 2], [3]])
 
 
+def test_submatrix_keeps_the_listed_order_and_drops_the_rest():
+    m = RationalMatrix.from_rows([[1, 0, F(1, 2)], [0, 5, 6], [7, 8, 0]])
+    sub = m.submatrix([2, 0], [2, 0, 1])
+    assert sub.to_lists() == [[0, 7, 8], [F(1, 2), 1, 0]]
+    assert sub.entries == {(0, 1): 7, (0, 2): 8, (1, 0): F(1, 2), (1, 1): 1}
+    assert m.submatrix([1], [1]).to_lists() == [[5]]
+    for rows, cols in (([], [0, 1]), ([1, 2], []), ([], [])):
+        empty = m.submatrix(rows, cols)
+        assert (empty.rows, empty.cols, empty.entries) == (len(rows), len(cols), {})
+
+
 def fraction_solve(rows, b, nc):
     """Oracle: Gauss-Jordan over Fractions on [rows | b], free variables 0;
     None when the system is inconsistent."""
