@@ -8,18 +8,23 @@ sedentarity cone; each stratum carries a deterministic integer presentation
 The sign function on codimension-one face pairs is derived from stored
 orientation bases: each face is oriented by the HNF-reduced basis of its
 tangent lattice, and each sign is an integer determinant divided by a Gram
-determinant, with no rational arithmetic; it is computed once per pair and
-complex, and every p shares it.  For incidences that raise sedentarity the normal direction is
+determinant, with no rational arithmetic; it is computed once per complex
+and geometry (pairs with the same tangents and direction share it), and
+every p shares it.  For incidences that raise sedentarity the normal direction is
 taken pointing inward (away from infinity); the d^2 = 0 tests pin this.
 Integral vertex coordinates are int.  A face's tangent is the Hermite form of
 its generators when they are independent with maximal minors of gcd 1, and
-the saturation of their span otherwise.  The loader checks pairs of maximal
-cells that share a vertex or whose exact bounding boxes overlap.  A pair is
-settled by a fixed functional of either cell's frame (its generators'
-coordinates and the equations of their span) that is negative on the other
-cell's own generators, and otherwise by one Fourier-Motzkin run over the
-other cell's generator weights.  compactify projects each vertex and ray
-once per stratum.
+the saturation of their span otherwise; one build_complex or compactify call
+computes it once per distinct generator tuple.  The loader checks pairs of
+maximal cells that share a vertex or whose exact bounding boxes overlap.  Each such cell gets
+its generator bits, their mask and its frame (its generators' coordinates
+and the equations of their span) once.  A pair is settled by a fixed
+functional of either cell's frame that is negative on the other cell's own
+generators (the AND of per-generator sign masks), and otherwise by one
+Fourier-Motzkin run over the other cell's generator weights.  compactify
+projects each vertex and ray once per stratum, and walks ray subsets as
+submasks.  A star fan is unimodular without a check when every coface
+labelling one of its cones is.
 """
 
 from __future__ import annotations
@@ -139,11 +144,11 @@ def _int_vec(v: Sequence) -> IntVec:
     return out
 
 
-def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
-    """A face on int or Fraction vertices (normalised) and int rays."""
+def _make_face(index: int, vertices, rays, sed: SedKey, pairs, tangents: dict) -> Face:
+    """A face on int or Fraction vertices (normalised) and int rays; tangents
+    memoizes _tangent_of by generator tuple."""
     vertices = tuple(sorted(set(vertices)))
     rays = tuple(sorted(set(rays)))
-    rank = len(vertices[0])
     v0 = vertices[0]
     gens: list[IntVec] = []
     integral = True
@@ -154,15 +159,24 @@ def _make_face(index: int, vertices, rays, sed: SedKey, pairs) -> Face:
             integral = integral and scale == 1
             diff = [int(x * scale) for x in diff]
         gens.append(tuple(diff))
-    gens.extend(rays)
+    key = tuple(gens) + rays
+    found = tangents.get(key)
+    if found is None:
+        found = tangents[key] = _tangent_of(key, len(v0))
+    tangent, uni = found
+    return Face(index, vertices, rays, sed, tangent, integral and uni, tuple(pairs))
+
+
+def _tangent_of(gens: tuple, rank: int) -> tuple[tuple, bool]:
+    """The saturated tangent lattice of generators in Z^rank (nonempty
+    generators carry rank as their length, so it needs no place in a memo
+    key), and whether the generators are a basis of it."""
     # Independent generators whose maximal minors have gcd 1 span a saturated
     # lattice, and its reduced HNF is the one saturate returns.
     tangent = hnf_basis(gens)
     uni = len(tangent) == len(gens) and (prod(next(x for x in r if x) for r in tangent) == 1
                                          or maximal_minor_gcd(tangent) == 1)
-    if not uni:
-        tangent = saturate(gens, rank)
-    return Face(index, vertices, rays, sed, tuple(tangent), integral and uni, tuple(pairs))
+    return tuple(tangent if uni else saturate(gens, rank)), uni
 
 
 # ---------------------------------------------------------------------------
@@ -255,38 +269,45 @@ class FaceComplex:
     def sign(self, gamma_idx: int, delta_idx: int) -> int:
         """Orientation sign for a same-sedentarity codimension-one pair: the
         determinant of gamma's tangent and the direction into delta over
-        delta's tangent T, which is det(rows . T^T) / det(T . T^T)."""
+        delta's tangent T (_sign_of, shared by pairs of the same geometry)."""
         gamma, delta = self.faces[gamma_idx], self.faces[delta_idx]
         if gamma.sedentarity != delta.sedentarity:
             raise NotCodimOneError("faces have different sedentarity")
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
             raise NotCodimOneError("not a codimension-one face pair")
-        rows = gamma.tangent + (self.direction_into(gamma, delta),)
-        tangent = delta.tangent
+        return self._sign_of(gamma.tangent, self.direction_into(gamma, delta), delta.tangent)
+
+    @cached
+    def _sign_of(self, gamma_tangent: tuple, direction: IntVec, tangent: tuple) -> int:
+        """det(rows . T^T) / det(T . T^T), rows gamma's tangent and direction."""
+        rows = gamma_tangent + (direction,)
         return _unit_sign(det_int(_dots(rows, tangent)), det_int(_dots(tangent, tangent)), "sign")
 
     @cached
     def infinity_sign(self, gamma_idx: int, delta_idx: int) -> int:
-        """Orientation sign for a sedentarity-raising codimension-one pair.
-
-        gamma sits in a deeper stratum; the normal is taken pointing inward,
-        i.e. away from infinity.  Q, the stratum map from delta's stratum to
-        gamma's, kills rho, so the rows G . Q . T^T and -rho . T^T have
-        determinant det(G . G^T) |rho|^2 / det C, where C holds the
-        coordinates over T of G's lifts through Q and of -rho.
-        """
+        """Orientation sign for a sedentarity-raising codimension-one pair
+        (_infinity_sign_of, shared by pairs of the same geometry)."""
         gamma, delta = self.faces[gamma_idx], self.faces[delta_idx]
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
             raise NotCodimOneError("not a codimension-one face pair")
-        extra = set(gamma.sedentarity) - set(delta.sedentarity)
-        if len(extra) != 1:
+        if len(set(gamma.sedentarity) - set(delta.sedentarity)) != 1:
             raise NotCodimOneError("sedentarity does not rise by one ray")
-        ray_amb = next(iter(extra))
-        rho = primitive(apply_rows(self.stratum(delta.sedentarity)[1], ray_amb))
-        q_rows = self.stratum_map(gamma.sedentarity, delta.sedentarity)
-        images = [apply_rows(q_rows, t) for t in delta.tangent]
-        rows = _dots(gamma.tangent, images) + _dots([tuple(-x for x in rho)], delta.tangent)
-        gram = det_int(_dots(gamma.tangent, gamma.tangent)) * sum(x * x for x in rho)
+        return self._infinity_sign_of(gamma.sedentarity, delta.sedentarity, gamma.tangent, delta.tangent)
+
+    @cached
+    def _infinity_sign_of(self, gamma_sed: SedKey, delta_sed: SedKey, gamma_tangent: tuple,
+                          tangent: tuple) -> int:
+        """gamma sits in a deeper stratum; the normal is taken pointing inward,
+        i.e. away from infinity.  Q, the stratum map from delta's stratum to
+        gamma's, kills rho, so the rows G . Q . T^T and -rho . T^T have
+        determinant det(G . G^T) |rho|^2 / det C, where C holds the
+        coordinates over T of G's lifts through Q and of -rho."""
+        ray_amb = next(iter(set(gamma_sed) - set(delta_sed)))
+        rho = primitive(apply_rows(self.stratum(delta_sed)[1], ray_amb))
+        q_rows = self.stratum_map(gamma_sed, delta_sed)
+        images = [apply_rows(q_rows, t) for t in tangent]
+        rows = _dots(gamma_tangent, images) + _dots([tuple(-x for x in rho)], tangent)
+        gram = det_int(_dots(gamma_tangent, gamma_tangent)) * sum(x * x for x in rho)
         return _unit_sign(det_int(rows), gram, "infinity sign")
 
     def incidence_sign(self, gamma_idx: int, delta_idx: int) -> int:
@@ -316,7 +337,7 @@ def _compose(a_rows: Sequence[Sequence[int]], b_section: Sequence[Sequence[int]]
 
 def _dots(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """The integer matrix of dot products rows[i] . cols[j]."""
-    return [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
 def _unit_sign(det: int, gram: int, what: str) -> int:
@@ -338,6 +359,9 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
     reads the face order and, when validate is set, checks closure under
     faces; the intersection axiom is then checked on pairs of maximal cells.
     Without validate the order is still every strict containment of specs.
+    Faces with the same generators share one _tangent_of, memoized in a dict
+    that lives for this call only (the complex it would be cached on does not
+    exist yet).
     """
     vpool = [tuple(normal(rat(x)) for x in v) for v in vertices]
     if not all(any(r) for r in rays):
@@ -376,8 +400,9 @@ def build_complex(rank: int, vertices: Sequence[Sequence], rays: Sequence[Sequen
                             order.add((j, i))
 
     faces: list[Face] = []
+    tangents: dict = {}
     for i, (vs, rs) in enumerate(specs):
-        face = _make_face(i, [vpool[j] for j in vs], [rpool[j] for j in rs], (), [(i, ())])
+        face = _make_face(i, [vpool[j] for j in vs], [rpool[j] for j in rs], (), [(i, ())], tangents)
         if face.dim != len(vs) - 1 + len(rs):
             raise InputFormatError(f"face {vs}/{rs} is not simplicial")
         faces.append(face)
@@ -393,22 +418,26 @@ def _validate_intersections(cx: FaceComplex, specs, vpool, rpool) -> None:
     """Each pair of maximal cells must meet exactly in the face spanned by
     their shared generators (in the complex by closure under faces).  Every
     generator is lifted to an integer row once per complex, and a cell that
-    reaches a pair check gets its frame once.  Two cells whose boxes are
+    reaches a pair check gets its _cell data once.  Two cells whose boxes are
     disjoint in some coordinate cannot meet, and skip the check."""
     # Maximal pairs suffice: faces of one simplicial cell meet properly, and so do faces of two cells that do.
     top = [i for i in range(len(specs)) if not cx.cofaces(i)]
     vrows, rrows = _lifted_rows(vpool, rpool)
-    boxes = {i: _box(vpool, rpool, specs[i], cx.rank) for i in top}
-    vsets = {i: set(specs[i][0]) for i in top}
-    frames: dict[int, Optional[_Frame]] = {}
+    vmasks = {i: sum(1 << k for k in specs[i][0]) for i in top}
+    boxes: dict[int, list] = {}
+    cells: dict[int, tuple] = {}
     for i, j in itertools.combinations(top, 2):
         # Boxes of cells that share a vertex overlap, as on a fan.
-        if vsets[i].isdisjoint(vsets[j]) and _apart(boxes[i], boxes[j]):
-            continue
+        if not vmasks[i] & vmasks[j]:
+            for k in (i, j):
+                if k not in boxes:
+                    boxes[k] = _box(vpool, rpool, specs[k], cx.rank)
+            if _apart(boxes[i], boxes[j]):
+                continue
         for k in (i, j):
-            if k not in frames:
-                frames[k] = _frame(vrows, rrows, specs[k])
-        _check_pair_intersection(vrows, rrows, specs[i], specs[j], (frames[i], frames[j]))
+            if k not in cells:
+                cells[k] = _cell(vrows, rrows, specs[k])
+        _check_pair_intersection(vrows, rrows, specs[i], specs[j], (cells[i], cells[j]))
 
 
 def _box(vpool, rpool, cell, rank: int) -> list[tuple]:
@@ -437,27 +466,30 @@ def _lifted_rows(vpool, rpool) -> tuple[list[IntVec], list[IntVec]]:
 class _Frame:
     """The frame of a cell with independent lifted generators G: Q = adj(G G^T) G
     takes g_i to det(G G^T) e_i, and Z x = 0 exactly on span G.  at(gen), for
-    a generator gen = (is_ray, index), is computed once: Q g and Z g, and the
+    a generator bit gen (see _cell), is computed once: Q g and Z g, and the
     bit masks of the rows where Q g < 0, Z g < 0 and Z g > 0."""
 
-    def __init__(self, q: list[list[int]], z: list[IntVec], vrows, rrows):
-        self.q, self.z, self.rows = q, z, (vrows, rrows)
-        self._at: dict[tuple[bool, int], tuple] = {}
+    def __init__(self, q: list[list[int]], z: list[IntVec], rows: list[IntVec]):
+        self.q, self.z, self.rows = q, z, rows
+        self._at: dict[int, tuple] = {}
 
-    def at(self, gen: tuple[bool, int]) -> tuple[list[int], list[int], int, int, int]:
+    def at(self, gen: int) -> tuple[list[int], list[int], int, int, int]:
         out = self._at.get(gen)
         if out is None:
-            g = self.rows[gen[0]][gen[1]]
+            g = self.rows[gen]
             qg = [sum(map(mul, r, g)) for r in self.q]
             zg = [sum(map(mul, r, g)) for r in self.z]
-            out = self._at[gen] = (qg, zg, _mask(x < 0 for x in qg), _mask(x < 0 for x in zg),
-                                   _mask(x > 0 for x in zg))
+            qn = zn = zp = 0
+            for i, x in enumerate(qg):
+                if x < 0:
+                    qn |= 1 << i
+            for i, x in enumerate(zg):
+                if x < 0:
+                    zn |= 1 << i
+                elif x > 0:
+                    zp |= 1 << i
+            out = self._at[gen] = (qg, zg, qn, zn, zp)
         return out
-
-
-def _mask(flags: Iterable[bool]) -> int:
-    """The int with bit i set where the i-th flag is."""
-    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
 def _frame(vrows, rrows, cell) -> Optional[_Frame]:
@@ -465,10 +497,22 @@ def _frame(vrows, rrows, cell) -> Optional[_Frame]:
     vs, rs = cell
     g = [vrows[k] for k in vs] + [rrows[k] for k in rs]
     adj = gram_adjugate(_dots(g, g))
-    return None if adj is None else _Frame(_dots(adj, list(zip(*g))), kernel_basis_int(g), vrows, rrows)
+    if adj is None:
+        return None
+    # Independent rows as many as their length span everything: no equations.
+    z = [] if len(g) == len(g[0]) else kernel_basis_int(g)
+    return _Frame(_dots(adj, list(zip(*g))), z, vrows + rrows)
 
 
-def _certified(frame: _Frame, own: list[int], other: list[tuple[bool, int]]) -> bool:
+def _cell(vrows, rrows, cell) -> tuple[list[int], int, Optional[_Frame]]:
+    """A cell's generators as bits, vertex k as k and ray k as len(vrows) + k,
+    in the cell's order (vertices first), their mask, and the cell's frame."""
+    vs, rs = cell
+    gens = list(vs) + [len(vrows) + k for k in rs]
+    return gens, sum(1 << g for g in gens), _frame(vrows, rrows, cell)
+
+
+def _certified(frame: _Frame, own: list[int], other: list[int]) -> bool:
     """Whether a fixed functional h is < 0 on every generator in other: an own
     row of Q (own lists their positions), the sum of the own rows of Q, or
     +-a row of Z.  Every weighted sum y of those generators that the pair
@@ -478,58 +522,50 @@ def _certified(frame: _Frame, own: list[int], other: list[tuple[bool, int]]) -> 
     qneg = zneg = zpos = -1
     for _, _, qn, zn, zp in vals:
         qneg, zneg, zpos = qneg & qn, zneg & zn, zpos & zp
-    if qneg & sum(1 << i for i in own) or (zneg | zpos) & ((1 << len(frame.z)) - 1):
+    if (zneg | zpos) & ((1 << len(frame.z)) - 1) or any(qneg >> i & 1 for i in own):
         return True
     return bool(own) and all(sum(qg[i] for i in own) < 0 for qg, *_ in vals)
 
 
-def _own_and_other(cell, other_cell, shared_v, shared_r):
-    """The positions of cell's own (non-shared) generators, and other_cell's
-    own generators as (is_ray, index)."""
-    (vs, rs), (ovs, ors) = cell, other_cell
-    return ([p for p, k in enumerate(vs) if k not in shared_v] +
-            [len(vs) + p for p, k in enumerate(rs) if k not in shared_r],
-            [(False, k) for k in ovs if k not in shared_v] + [(True, k) for k in ors if k not in shared_r])
-
-
-def _check_pair_intersection(vrows, rrows, cell1, cell2, frames=None) -> None:
+def _check_pair_intersection(vrows, rrows, cell1, cell2, cells=None) -> None:
     """Exact check that two cells, given as (vertex, ray) index lists into
-    the lifted rows, meet exactly in their shared-generator face.  frames
-    holds both cells' frames (built here when not given).  In the frame of
-    cell1 (of cell2 when cell1 has none), one Fourier-Motzkin run over the
-    weights mu >= 0 of cell2's own generators b asks for y = sum mu b in
-    span G (Z y = 0) with coordinates >= 0 on cell1's own generators (the own
-    rows of Q y): with a shared vertex and mu > 0, y is off the shared face;
+    the lifted rows, meet exactly in their shared-generator face.  cells
+    holds both cells' _cell data (built here when not given), so that the
+    shared generators are the AND of the two masks.  In the frame of cell1
+    (of cell2 when cell1 has none), one Fourier-Motzkin run over the weights
+    mu >= 0 of cell2's own generators b asks for y = sum mu b in span G
+    (Z y = 0) with coordinates >= 0 on cell1's own generators (the own rows
+    of Q y): with a shared vertex and mu > 0, y is off the shared face;
     without one, y meets cell1 when its vertex weights are > 0.  The question
     is symmetric in the two cells, so a certificate in either frame
     (_certified) answers no without a run.  Without any frame, the run is
     over both cells' weights, a shared generator's of free sign."""
-    if frames is None:
-        frames = (_frame(vrows, rrows, cell1), _frame(vrows, rrows, cell2))
-    (vs1, rs1), (vs2, rs2) = cell1, cell2
-    shared_v, shared_r = set(vs1) & set(vs2), set(rs1) & set(rs2)
-    split = [None, None]
-    for c, frame in enumerate(frames):
-        if frame is not None:
-            split[c] = _own_and_other((cell1, cell2)[c], (cell2, cell1)[c], shared_v, shared_r)
-            if _certified(frame, *split[c]):
-                return
-    c = 0 if frames[0] is not None else 1
-    if frames[c] is not None:
-        own, other = split[c]
-        vals = [frames[c].at(g) for g in other]
+    if cells is None:
+        cells = (_cell(vrows, rrows, cell1), _cell(vrows, rrows, cell2))
+    (gens1, mask1, frame1), (gens2, mask2, frame2) = cells
+    shared, nv = mask1 & mask2, len(vrows)
+    own1 = [p for p, g in enumerate(gens1) if not shared >> g & 1]
+    own2 = [p for p, g in enumerate(gens2) if not shared >> g & 1]
+    tries = [(frame, own, [gens[p] for p in other]) for frame, own, gens, other in
+             ((frame1, own1, gens2, own2), (frame2, own2, gens1, own1)) if frame is not None]
+    for t in tries:
+        if _certified(*t):
+            return
+    shared_v = shared & ((1 << nv) - 1)
+    if tries:
+        frame, own, other = tries[0]
+        vals = [frame.at(g) for g in other]
         ineqs = [[qg[i] for qg, *_ in vals] for i in own]
-        eqs = [[zg[r] for _, zg, *_ in vals] for r in range(len(frames[c].z))]
+        eqs = [[zg[r] for _, zg, *_ in vals] for r in range(len(frame.z))]
         n = nonneg = len(vals)
-        positive = n if shared_v else sum(not ray for ray, _ in other)
+        positive = n if shared_v else sum(g < nv for g in other)
     else:
-        own1 = [vrows[k] for k in vs1 if k not in shared_v] + [rrows[k] for k in rs1 if k not in shared_r]
-        own2 = [vrows[k] for k in vs2 if k not in shared_v] + [rrows[k] for k in rs2 if k not in shared_r]
-        cols = own1 + [tuple(-x for x in row) for row in own2]
+        rows = vrows + rrows
+        cols = [rows[gens1[p]] for p in own1] + [tuple(-x for x in rows[gens2[p]]) for p in own2]
         nonneg = len(cols)
-        cols += [vrows[k] for k in shared_v] + [rrows[k] for k in shared_r]
+        cols += [rows[g] for g in gens1 if shared >> g & 1]
         eqs, ineqs, n = list(zip(*cols)), [], len(cols)
-        positive = nonneg if shared_v else len(vs1)
+        positive = nonneg if shared_v else len(cell1[0])
     ineqs = [(tuple(row) + (0,), False) for row in ineqs]
     ineqs += [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(nonneg)]
     ineqs.append((tuple(int(k < positive) for k in range(n)) + (0,), True))
@@ -596,7 +632,9 @@ def compactify(y: FaceComplex) -> FaceComplex:
     Faces are merged (gamma, sigma) pairs with sigma a face of the recession
     cone of gamma, realized by projecting gamma to the sigma-stratum;
     sedentarity of the new face is sigma, and the face order follows the
-    orbit-stratum combinatorics.
+    orbit-stratum combinatorics.  Faces with the same generators share one
+    _tangent_of, memoized in a dict that lives for this call only (the
+    complex it would be cached on does not exist yet).
     """
     # A validated y with one vertex is a translate of its recession fan: its
     # cones were checked already, and its faces carry the same flags.
@@ -604,53 +642,63 @@ def compactify(y: FaceComplex) -> FaceComplex:
     if not all(f.unimodular for f in (y if one_vertex else recession_fan(y)).faces):
         raise NotUnimodularError("recession fan is not unimodular")
 
-    # A vertex and a ray can be the same tuple (fixE x fixD x fixD has both),
-    # so an image is keyed by (stratum, generator, is_ray).
-    images: dict[tuple[SedKey, IntVec, bool], Optional[tuple]] = {}
+    # A set of y's rays is a mask, bit k for the k-th ray in sorted order, so
+    # a face's ray subsets come out as sorted tuples in the same order.
+    bit = {r: 1 << k for k, r in enumerate(sorted({r for f in y.faces for r in f.rays}))}
+    ray_mask = [sum(bit[r] for r in f.rays) for f in y.faces]
 
-    def image(sed: SedKey, gen: IntVec, is_ray: bool) -> Optional[tuple]:
-        key = (sed, gen, is_ray)
+    # A vertex and a ray can be the same tuple (fixE x fixD x fixD has both),
+    # so an image is keyed by (stratum mask, generator, is_ray).
+    images: dict[tuple[int, IntVec, bool], Optional[tuple]] = {}
+
+    def image(sed: SedKey, m: int, gen: IntVec, is_ray: bool) -> Optional[tuple]:
+        key = (m, gen, is_ray)
         if key not in images:
             img = apply_rows(y.stratum(sed)[1], gen)
             images[key] = (primitive(img) if any(img) else None) if is_ray else \
                 tuple(normal(x) for x in img)
         return images[key]
 
-    records: dict[tuple, dict] = {}
+    records: dict[tuple, list] = {}
     for f in y.faces:
-        for k in range(len(f.rays) + 1):
-            for sed in itertools.combinations(sorted(f.rays), k):
-                pverts = frozenset(image(sed, v, False) for v in f.vertices)
-                prays = frozenset(img for r in f.rays if (img := image(sed, r, True)) is not None)
-                entry = records.get((sed, pverts, prays))
-                if entry is None:
-                    vs, rs = tuple(sorted(pverts)), tuple(sorted(prays))
-                    entry = records[sed, pverts, prays] = {
-                        "pairs": set(), "sort": (len(vs) - 1 + len(rs), sed, vs, rs)}
-                entry["pairs"].add((f.index, sed))
+        subsets = [((), 0)]
+        for r in f.rays:
+            subsets += [(sed + (r,), m | bit[r]) for sed, m in subsets]
+        for sed, m in subsets:
+            pverts = frozenset(image(sed, m, v, False) for v in f.vertices)
+            prays = frozenset(img for r in f.rays if (img := image(sed, m, r, True)) is not None)
+            entry = records.get((m, pverts, prays))
+            if entry is None:
+                vs, rs = tuple(sorted(pverts)), tuple(sorted(prays))
+                entry = records[m, pverts, prays] = [(len(vs) - 1 + len(rs), sed, vs, rs), [], []]
+            entry[1].append((f.index, sed))
+            entry[2].append((f.index, m))
 
     faces = []
     pair_index = {}
-    for i, entry in enumerate(sorted(records.values(), key=lambda e: e["sort"])):
-        _, sed, vs, rs = entry["sort"]
-        faces.append(_make_face(i, vs, rs, sed, sorted(entry["pairs"])))
-        for pair in entry["pairs"]:
-            pair_index[pair] = i
+    tangents: dict = {}
+    entries = sorted(records.values(), key=lambda e: e[0])
+    for i, ((_, sed, vs, rs), pairs, keys) in enumerate(entries):
+        faces.append(_make_face(i, vs, rs, sed, sorted(pairs), tangents))
+        for key in keys:
+            pair_index[key] = i
 
-    # (ga, sa) lies below (gb, sb) when ga is a face of gb and sa contains sb.
+    # (ga, sa) lies below (gb, sb) when ga is a face of gb and sa contains
+    # sb; the masks sa = sb | e run over the submasks e of ga's other rays.
     order = set()
-    for j, face in enumerate(faces):
-        for gb, sb in face.pairs:
-            for ga in {gb} | y.subfaces(gb):
-                rays = y.faces[ga].rays
-                if not set(sb) <= set(rays):
+    for j, (_, _, keys) in enumerate(entries):
+        for gb, sb in keys:
+            for ga in (gb, *y.subfaces(gb)):
+                if sb & ~ray_mask[ga]:
                     continue
-                rest = [r for r in rays if r not in sb]
-                for k in range(len(rest) + 1):
-                    for extra in itertools.combinations(rest, k):
-                        i = pair_index[(ga, tuple(sorted(sb + extra)))]
-                        if i != j:
-                            order.add((i, j))
+                rest = e = ray_mask[ga] & ~sb
+                while True:
+                    i = pair_index[ga, sb | e]
+                    if i != j:
+                        order.add((i, j))
+                    if not e:
+                        break
+                    e = (e - 1) & rest
     return FaceComplex(y.rank, faces, order, open_complex=y)
 
 
@@ -700,10 +748,15 @@ class StarFan:
     @property
     @cached
     def unimodular(self) -> bool:
-        for _, rays in self.cones:
-            if not spans_unimodularly([self.ray_vectors[i] for i in sorted(rays)]):
-                return False
-        return True
+        """Whether every cone's rays are a basis of a saturated lattice.  A
+        coface whose generators are such a basis gives such a star cone: its
+        generators off the base project to a basis of a saturated lattice in
+        the base's quotient.  So unimodular labels settle it without a check."""
+        faces = self.complex.faces
+        if all(faces[label].unimodular for label, _ in self.cones):
+            return True
+        return all(spans_unimodularly([self.ray_vectors[i] for i in sorted(rays)])
+                   for _, rays in self.cones)
 
 
 def _build_star_fan(cx: FaceComplex, idx: int) -> StarFan:

@@ -6,12 +6,15 @@ import json
 import weakref
 from collections import Counter
 
+import pytest
+
 from conftest import grid_plane
-from trophodge import chow, clemens_schmid, cohomology, fixtures, polyhedral, steenbrink
+from trophodge import chow, clemens_schmid, cohomology, fixtures, lattice, polyhedral, steenbrink
 from trophodge.chow import ring_of
 from trophodge.cli import main
 from trophodge.cohomology import cochain_complex
-from trophodge.polyhedral import FaceComplex, compactify, complex_to_json
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
+from trophodge.polyhedral import FaceComplex, compactify, complex_to_json, make_fan, product_complex
 from trophodge.steenbrink import build_steenbrink, primitive_parts
 
 
@@ -89,24 +92,50 @@ def test_each_balancing_matrix_is_built_once_per_complex_and_dimension(tmp_path,
     assert reads and max(reads.values()) == 1
 
 
-def test_star_fan_unimodularity_is_computed_once_per_star_fan(tmp_path, capsys, monkeypatch):
-    # Computing the flag of a unimodular star fan checks each of its cones once.
-    checks, stars = [0], []
-    spans_unimodularly, build = polyhedral.spans_unimodularly, polyhedral._build_star_fan
+STAR_FAN_INPUTS = {
+    **{f"fix{c}": getattr(fixtures, f"fix_{c.lower()}") for c in "ABCDEF"},
+    **{f"grid{n}": (lambda n=n: grid_plane(n)) for n in (1, 2, 3)},
+    "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
+    "b4": lambda: bergman_fan(boolean_matroid(4)),
+    "prod": lambda: product_complex(product_complex(fixtures.fix_e(), fixtures.fix_d()), fixtures.fix_d()),
+}
 
-    def counting(rows):
-        checks[0] += 1
-        return spans_unimodularly(rows)
 
-    def recording(cx, idx):
-        stars.append(build(cx, idx))
-        return stars[-1]
+@pytest.mark.parametrize("name", sorted(STAR_FAN_INPUTS))
+def test_star_fan_unimodularity_matches_cone_by_cone_oracle(name, monkeypatch):
+    # Every face of these compactifications is unimodular, so the flag is
+    # read off the face flags without checking a cone; the oracle checks
+    # every cone of every star fan.
+    checks = []
+    monkeypatch.setattr(polyhedral, "spans_unimodularly", lambda rows: checks.append(rows) or True)
+    x = compactify(STAR_FAN_INPUTS[name]())
+    for face in x.faces:
+        star = x.star_fan(face.index)
+        want = all(lattice.spans_unimodularly([star.ray_vectors[i] for i in sorted(rays)])
+                   for _, rays in star.cones)
+        assert star.unimodular == want
+    assert not checks
 
-    monkeypatch.setattr(polyhedral, "spans_unimodularly", counting)
-    monkeypatch.setattr(polyhedral, "_build_star_fan", recording)
-    _check_all_grid1(tmp_path, capsys)
-    assert stars and all(star.unimodular for star in stars)
-    assert checks[0] == sum(len(star.cones) for star in stars)
+
+def test_star_fan_unimodularity_is_computed_once_per_star_fan(monkeypatch):
+    # The cone on (1, 0) and (1, 2) has index 2.  The star fan of the origin
+    # has it as a cone, so the flag falls back to checking each cone once,
+    # and finds it; in the star fan of the ray (1, 0) it projects to a
+    # unimodular cone, which the fallback confirms.  A second read is cached.
+    checks = []
+    spans_unimodularly = polyhedral.spans_unimodularly
+    monkeypatch.setattr(polyhedral, "spans_unimodularly",
+                        lambda rows: checks.append(rows) or spans_unimodularly(rows))
+    fan = make_fan(2, [[(1, 0), (1, 2)]])
+    cone = next(f for f in fan.faces if f.dim == 2)
+    assert not cone.unimodular
+    for base, want in (((), False), (((1, 0),), True)):
+        star = fan.star_fan(next(f.index for f in fan.faces if f.rays == base))
+        checks.clear()
+        assert star.unimodular is want and star.unimodular is want
+        assert len(checks) == len(star.cones) == (4 if base == () else 2)
+        assert sorted(map(tuple, checks)) == sorted(tuple(star.ray_vectors[i] for i in sorted(rays))
+                                                    for _, rays in star.cones)
 
 
 def test_hard_lefschetz_is_verified_once_per_page(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import lcm, prod
 import pytest
 
 from conftest import grid_plane
-from trophodge import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError
+from trophodge import InputFormatError, NotAFanError, NotCodimOneError, NotUnimodularError, fixtures
 from trophodge.cli import main
 from trophodge.lattice import (
     apply_rows,
@@ -17,7 +18,7 @@ from trophodge.lattice import (
     saturate,
     spans_unimodularly,
 )
-from trophodge.linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, solve
+from trophodge.linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors, normal, solve
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 from trophodge.polyhedral import (
     FaceComplex,
@@ -34,6 +35,7 @@ from trophodge.polyhedral import (
     complex_to_json,
     fm_feasible,
     make_fan,
+    product_complex,
     recession_fan,
 )
 
@@ -396,8 +398,8 @@ def test_face_tangent_matches_saturation_oracle():
     def check(rank, gens):
         want_tangent = tuple(saturate(gens, rank)) if gens else ()
         want_uni = len(want_tangent) == len(gens) and spans_unimodularly(gens)
-        for face in (_make_face(0, [(0,) * rank], gens, (), ()),
-                     _make_face(0, [(0,) * rank] + gens, [], (), ())):
+        for face in (_make_face(0, [(0,) * rank], gens, (), (), {}),
+                     _make_face(0, [(0,) * rank] + gens, [], (), (), {})):
             assert (face.tangent, face.unimodular) == (want_tangent, want_uni), gens
         return want_uni, want_tangent == tuple(hnf_basis(gens))
 
@@ -689,22 +691,164 @@ def test_half_integral_vertices_stay_fractions(fixe, tmp_path, capsys):
 
 
 def test_each_sign_is_built_once(tmp_path, capsys, monkeypatch):
+    # A sign is built once per complex and geometry: gamma's tangent, the
+    # direction into delta and delta's tangent for a same-sedentarity pair,
+    # both sedentarities and both tangents for one that raises sedentarity.
+    # Pairs of the same geometry share it, so there are fewer builds than pairs.
     import trophodge.polyhedral as polyhedral
 
-    built, pairs, owners = [], set(), []
+    built, pairs, keys, owners = [], set(), set(), []
     unit_sign = polyhedral._unit_sign
     monkeypatch.setattr(polyhedral, "_unit_sign", lambda *args: built.append(1) or unit_sign(*args))
     for name in ("sign", "infinity_sign"):
         def recording(x, gamma, delta, method=getattr(FaceComplex, name), name=name):
             owners.append(x)  # keeps each complex alive, so its id() stays unique
+            out = method(x, gamma, delta)
+            g, d = x.faces[gamma], x.faces[delta]
             pairs.add((name, id(x), gamma, delta))
-            return method(x, gamma, delta)
+            keys.add((name, id(x), g.tangent, x.direction_into(g, d), d.tangent) if name == "sign"
+                     else (name, id(x), g.sedentarity, d.sedentarity, g.tangent, d.tangent))
+            return out
         monkeypatch.setattr(FaceComplex, name, recording)
     path = tmp_path / "grid1.json"
     path.write_text(json.dumps(complex_to_json(grid_plane(1))))
     assert main(["check-all", str(path), "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["all"]
-    assert pairs and len(built) == len(pairs)
+    assert {name for name, *_ in keys} == {"sign", "infinity_sign"}
+    assert len(built) == len(keys) < len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# compactify and its tangent memo against the enumeration they replaced
+
+def _compactify_oracle(y):
+    """The faces and order of compactify(y) by the record-and-order
+    enumeration over sorted ray tuples and sets, one tangent per face."""
+    images = {}
+
+    def image(sed, gen, is_ray):
+        key = (sed, gen, is_ray)
+        if key not in images:
+            img = apply_rows(y.stratum(sed)[1], gen)
+            images[key] = (primitive(img) if any(img) else None) if is_ray else \
+                tuple(normal(x) for x in img)
+        return images[key]
+
+    records = {}
+    for f in y.faces:
+        for k in range(len(f.rays) + 1):
+            for sed in itertools.combinations(sorted(f.rays), k):
+                pverts = frozenset(image(sed, v, False) for v in f.vertices)
+                prays = frozenset(img for r in f.rays if (img := image(sed, r, True)) is not None)
+                entry = records.get((sed, pverts, prays))
+                if entry is None:
+                    vs, rs = tuple(sorted(pverts)), tuple(sorted(prays))
+                    entry = records[sed, pverts, prays] = {
+                        "pairs": set(), "sort": (len(vs) - 1 + len(rs), sed, vs, rs)}
+                entry["pairs"].add((f.index, sed))
+
+    faces, pair_index = [], {}
+    for i, entry in enumerate(sorted(records.values(), key=lambda e: e["sort"])):
+        _, sed, vs, rs = entry["sort"]
+        faces.append(_make_face(i, vs, rs, sed, sorted(entry["pairs"]), {}))
+        for pair in entry["pairs"]:
+            pair_index[pair] = i
+
+    order = set()
+    for j, face in enumerate(faces):
+        for gb, sb in face.pairs:
+            for ga in {gb} | y.subfaces(gb):
+                rays = y.faces[ga].rays
+                if not set(sb) <= set(rays):
+                    continue
+                rest = [r for r in rays if r not in sb]
+                for k in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, k):
+                        i = pair_index[(ga, tuple(sorted(sb + extra)))]
+                        if i != j:
+                            order.add((i, j))
+    return faces, order
+
+
+def _product_e_d_d():
+    return product_complex(product_complex(fixtures.fix_e(), fixtures.fix_d()), fixtures.fix_d())
+
+
+def _sheared(y):
+    """y moved by the unimodular shear (x, y, z) -> (x + y, y, z)."""
+    data = complex_to_json(y)
+    move = lambda v: [v[0] + v[1], v[1], v[2]]  # noqa: E731
+    data["vertices"] = [[str(x) for x in move([Fraction(x) for x in v])] for v in data["vertices"]]
+    data["rays"] = [move(r) for r in data["rays"]]
+    return complex_from_json(data)
+
+
+COMPACTIFY_INPUTS = {
+    **{f"fix{c}": getattr(fixtures, f"fix_{c.lower()}") for c in "ABCDEF"},
+    **{f"grid{n}": (lambda n=n: grid_plane(n)) for n in (1, 2, 3)},
+    "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
+    "b4": lambda: complex_from_json(complex_to_json(bergman_fan(boolean_matroid(4)))),
+    "u45": lambda: bergman_fan(uniform_matroid(5, 4)),
+    "prod": _product_e_d_d,
+    "shear": lambda: _sheared(_product_e_d_d()),
+    "p2-unvalidated": lambda: make_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]],
+                                       validate=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPACTIFY_INPUTS))
+def test_compactify_matches_record_and_order_oracle(name):
+    y = COMPACTIFY_INPUTS[name]()
+    x = compactify(y)
+    faces, order = _compactify_oracle(y)
+    assert x.faces == faces and x.order == order
+
+
+@pytest.mark.parametrize("name", sorted(COMPACTIFY_INPUTS))
+def test_tangent_memo_gives_the_faces_built_without_it(name):
+    tangents = {}
+    for face in compactify(COMPACTIFY_INPUTS[name]()).faces:
+        args = (face.index, face.vertices, face.rays, face.sedentarity, face.pairs)
+        assert _make_face(*args, tangents) == _make_face(*args, {})
+
+
+def test_tangent_memo_keeps_each_face_its_own_integrality():
+    # The segment to (1/2, 0) has the generator of the one to (1, 0) once
+    # scaled, but only the latter is unimodular, whichever fills the memo
+    # first; dependent and non-saturated generator sets share one memo.
+    rng = random.Random(613)
+    for first, second in (((F(1, 2), 0), (1, 0)), ((1, 0), (F(1, 2), 0))):
+        tangents = {}
+        faces = [_make_face(0, [(0, 0), v], [], (), (), tangents) for v in (first, second)]
+        assert faces == [_make_face(0, [(0, 0), v], [], (), (), {}) for v in (first, second)]
+        assert [face.unimodular for face in faces] == [type(v[0]) is int for v in (first, second)]
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+        gens = list({tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, rank + 1))}
+                    - {(0,) * rank})
+        for args in ((0, [(0,) * rank], gens, (), ()), (0, [(0,) * rank] + gens, [], (), ())):
+            assert _make_face(*args, tangents) == _make_face(*args, {})
+
+
+@pytest.mark.parametrize("name, distinct", [("b4", 91), ("u35", 43), ("grid3", 17)])
+def test_compactify_takes_one_tangent_per_distinct_generator_tuple(name, distinct, monkeypatch):
+    # B4's compactification has 365 faces, U(3,5)'s 111 and grid_plane(3)'s
+    # 139; the recession fan that compactify builds first has a memo of its own.
+    import trophodge.polyhedral as polyhedral
+
+    y, calls = COMPACTIFY_INPUTS[name](), []
+    tangent_of, fan_of = polyhedral._tangent_of, polyhedral.recession_fan
+
+    def outside_recession_fan(y):
+        start = len(calls)
+        fan = fan_of(y)
+        del calls[start:]
+        return fan
+
+    monkeypatch.setattr(polyhedral, "_tangent_of", lambda gens, rank: calls.append(gens) or tangent_of(gens, rank))
+    monkeypatch.setattr(polyhedral, "recession_fan", outside_recession_fan)
+    x = compactify(y)
+    assert len(calls) == len(set(calls)) == distinct < len(x.faces)
 
 
 # ---------------------------------------------------------------------------
