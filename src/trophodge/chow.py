@@ -1,5 +1,5 @@
 """Chow rings of unimodular fans, degree maps, restriction and Gysin maps,
-Minkowski weights, and the Chow / Minkowski-weight duality.
+Minkowski weights, and the evaluation pairing of classes with weights.
 
 A ring is presented on squarefree cone monomials: degree p is spanned by
 x_sigma for p-dimensional cones sigma, modulo the linear-functional
@@ -28,7 +28,7 @@ from . import (
     cached,
 )
 from .lattice import kernel_basis_int
-from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, normal, rank, solve
+from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, normal, solve
 from .polyhedral import FaceComplex, StarFan
 
 Vec = tuple[Rational, ...]
@@ -282,16 +282,6 @@ def fan_ring(f) -> ChowRing:
     return ring_of(fan_star(f))
 
 
-def chow_ring(f, p: int) -> dict:
-    """Degree-p piece of the Chow ring: dimension plus basis monomial labels."""
-    ring = fan_ring(f)
-    return {
-        "p": p,
-        "dim": ring.dim(p),
-        "basis": [tuple(sorted(ring.star.ray_labels[i] for i in mono)) for mono in ring.basis(p)],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Restriction and Gysin maps between star fans
 
@@ -518,34 +508,3 @@ def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Rational:
         lbl = ring.star.cone_label(mono)
         total += c * wd.get(lbl, 0)
     return total
-
-
-def chow_mw_duality(f, p: int) -> list[list[Rational]]:
-    """The pairing matrix between A^p and MW_(d-p); raises when degenerate."""
-    ring = fan_ring(f)
-    d = ring.top
-    mw_basis = star_fan_weights(ring.star if isinstance(f, StarFan) else f, d - p)
-    a_basis = ring.basis(p)
-    matrix = []
-    for mono in a_basis:
-        cls = ring.reduce_class(p, {mono: 1})
-        wcls = weight_from_class(ring, cls)
-        row = []
-        for w in mw_basis:
-            row.append(mw_evaluate_weights(wcls, w))
-        matrix.append(row)
-    if len(a_basis) != len(mw_basis):
-        raise RankDeficientError(
-            f"A^{p} has dim {len(a_basis)} but MW_{d-p} has dim {len(mw_basis)}")
-    if a_basis and rank(RationalMatrix.from_rows(matrix)) != len(a_basis):
-        raise RankDeficientError("Chow/Minkowski pairing is degenerate")
-    return matrix
-
-
-def mw_evaluate_weights(wa: MinkowskiWeight, wb: MinkowskiWeight) -> Rational:
-    """Pair a class's canonical weight against a Minkowski weight by summing
-    products over common faces (works because wa stores deg(a . x_sigma))."""
-    if wa.dim != wb.dim:
-        raise DegreeMismatchError("weights of different dimensions")
-    db = wb.as_dict()
-    return sum(c * db.get(lbl, 0) for lbl, c in wa.weights)

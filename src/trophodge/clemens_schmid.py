@@ -248,7 +248,9 @@ def mapping_cone_check(st, p: int) -> dict:
     of R, and iso says the projection's kernel is acyclic at a and a+1,
     which makes H^a(total) -> H^a(R) an isomorphism; "all" holds iff the
     kernel is acyclic in every degree, that is iff the projection is a
-    quasi-isomorphism."""
+    quasi-isomorphism.  Where iso holds, h_total is derived, not computed:
+    the long exact sequence of 0 -> kernel -> total -> R -> 0 makes it
+    h_coker.  The total complex's own ranks are taken only where iso fails."""
     if p % 2:
         raise DegreeMismatchError(f"the mapping cone needs an even row, not p={p}")
     d = st.dim
@@ -295,10 +297,10 @@ def mapping_cone_check(st, p: int) -> dict:
                            {a: m.submatrix(off_r[a + 1], off_r[a]) for a, m in diffs.items()})
     result = {}
     for a in range(min(terms, default=0) - 1, max(terms, default=0) + 2):
-        h_total, h_coker = total.h_dim(a), rc.h_dim(a)
+        iso, h_coker = kernel.h_dim(a) == kernel.h_dim(a + 1) == 0, rc.h_dim(a)
+        h_total = h_coker if iso else total.h_dim(a)
         if h_total or h_coker:
-            result[a] = {"h_total": h_total, "h_coker": h_coker,
-                         "iso": kernel.h_dim(a) == kernel.h_dim(a + 1) == 0}
+            result[a] = {"h_total": h_total, "h_coker": h_coker, "iso": iso}
     return {"degrees": result, "all": all(v["iso"] for v in result.values())}
 
 

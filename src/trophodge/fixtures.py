@@ -41,11 +41,6 @@ def fix_f() -> FaceComplex:
     return product_complex(fix_d(), fix_d())
 
 
-def u34_fan() -> FaceComplex:
-    """Bergman fan of U(3,4); Chow dimensions (1, 7, 1)."""
-    return bergman_fan(uniform_matroid(4, 3))
-
-
 FIXTURES = {
     "fixA": fix_a,
     "fixB": fix_b,

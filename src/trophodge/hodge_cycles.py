@@ -29,7 +29,7 @@ from . import (
 )
 from .chow import ChowClass, MinkowskiWeight, gysin as chow_gysin, mw_evaluate, ring_of
 from .cohomology import cochain_complex, coefficient_space, wedge_vector
-from .linalg import Echelon, Rational, RationalMatrix, kernel_basis, kernel_vectors, rank, solve
+from .linalg import Echelon, Rational, RationalMatrix, kernel_vectors, rank, row_space_rank, solve
 from .steenbrink import SteenbrinkPage, n_power_h_matrix
 
 
@@ -93,11 +93,8 @@ def is_cocycle(st: SteenbrinkPage, alpha: HodgeClass) -> bool:
 @cached
 def hodge_locus_basis(st: SteenbrinkPage, p: int) -> list[HodgeClass]:
     """Cocycles of K^{0,2p} whose classes span ker N inside H^{p,p}."""
-    b = 2 * p
-    h0 = st.h_basis(b, 0)
-    nmat = n_power_h_matrix(st, 1, b, 0)
-    ker_coords = kernel_basis(nmat).basis
-    target_rank = len(ker_coords)
+    h0 = st.h_basis(2 * p, 0)
+    target_rank = h0.dim - rank(n_power_h_matrix(st, 1, 2 * p, 0))
     chosen: list[HodgeClass] = []
     chosen_span = Echelon()
     for vec in k_cocycle_vectors(st, p):
@@ -213,12 +210,9 @@ def numerical_vs_homological(st: SteenbrinkPage, p: int) -> dict:
     # Rank-level splitting of H^{p,p} into ker N and Im N.
     h0 = st.h_basis(2 * p, 0)
     ker_coords = [h0.coordinates(x) for _, _, x in basis_p]
-    im_coords = [h0.coordinates(st.apply_n((-2, 2 * p + 2, rep))[2])
-                 for rep in st.h_basis(2 * p + 2, -2).representatives]
-    im_rank = rank(RationalMatrix.from_rows(im_coords)) if im_coords else 0
-    ker_rank = rank(RationalMatrix.from_rows(ker_coords)) if ker_coords else 0
-    both = ker_coords + im_coords
-    direct = (rank(RationalMatrix.from_rows(both)) if both else 0) == ker_rank + im_rank
+    nmat = n_power_h_matrix(st, 1, 2 * p + 2, -2)
+    im_rank, ker_rank = rank(nmat), row_space_rank(ker_coords)
+    direct = row_space_rank(ker_coords + nmat.columns()) == ker_rank + im_rank
     splits = ker_rank + im_rank == h0.dim and direct
 
     # ker N (p side) is psi-orthogonal to Im N (q side).
@@ -387,55 +381,3 @@ def zigzag_representative(st: SteenbrinkPage, alpha: HodgeClass,
     for f in x.faces_of_dim(p):
         cochain.setdefault(f.index, [])
     return cochain
-
-
-def cochain_vector(x, p: int, cochain: dict[int, list[Rational]]) -> list[Rational]:
-    """Embed a face-indexed cochain into the C^{p,p} term coordinates."""
-    gc = cochain_complex(x, p)
-    labels = gc.labels[p]
-    out = [0] * gc.dim(p)
-    for idx, (face, t) in enumerate(labels):
-        vals = cochain.get(face)
-        if vals:
-            out[idx] = vals[t]
-    return out
-
-
-def is_cochain_coboundary(x, p: int, vec: Sequence[Rational]) -> bool:
-    gc = cochain_complex(x, p)
-    d_prev = gc.differential(p - 1)
-    return solve(d_prev, list(vec)) is not None
-
-
-def cochain_is_cocycle(x, p: int, vec: Sequence[Rational]) -> bool:
-    gc = cochain_complex(x, p)
-    return all(v == 0 for v in gc.differential(p).mul_vec(list(vec)))
-
-
-def pair_cochain_with_weight(x, p: int, cochain: dict[int, list[Rational]],
-                             w: MinkowskiWeight) -> Rational:
-    """<c, w> = sum over p-faces of w(eta) . c_eta(orientation multivector)."""
-    total = 0
-    wd = w.as_dict()
-    for f in x.faces_of_dim(p):
-        val = wd.get(f.index, 0)
-        if val == 0:
-            continue
-        vals = cochain.get(f.index)
-        if not vals:
-            continue
-        space = coefficient_space(x, f.index, p)
-        coords = space.coordinates(wedge_vector(f.tangent, space.stratum_rank))
-        total += val * sum(a * b for a, b in zip(vals, coords))
-    return total
-
-
-def pair_class_with_weight(st: SteenbrinkPage, alpha: HodgeClass,
-                           w: MinkowskiWeight) -> Rational:
-    """Steenbrink-side pairing of a kernel cocycle with a Minkowski weight."""
-    total = 0
-    for v in st.finite_by_dim.get(0, []):
-        ring = st.rings[v]
-        av = alpha.component(st, v)
-        total += mw_evaluate(ring, av, local_weight(st, w, v))
-    return total

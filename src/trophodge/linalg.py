@@ -123,9 +123,6 @@ class RationalMatrix:
                 out.entries[at_row[r], at_col[c]] = v
         return out
 
-    def to_lists(self) -> list[list[Rational]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def transpose(self) -> "RationalMatrix":
         t = RationalMatrix(self.cols, self.rows)
         for (i, j), v in self.entries.items():

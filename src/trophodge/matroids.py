@@ -1,4 +1,5 @@
-"""Matroids, lattices of flats, and Bergman fans.
+"""Matroids given by a rank function, with the uniform and Boolean matroids
+built in; their lattices of flats, and their Bergman fans.
 
 The ambient lattice of a Bergman fan is Z^E / Z e_E, realized by dropping
 the last coordinate (so e_last maps to minus the sum of the others); this
@@ -9,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Sequence
+from typing import Callable, FrozenSet
 
-from . import InputFormatError, NotSimpleError
+from . import NotSimpleError
 from .polyhedral import FaceComplex, make_fan
 
 MAX_GROUND = 20
@@ -43,25 +44,6 @@ class Matroid:
                 return False
         return True
 
-    def check_rank_axioms(self) -> bool:
-        """Spot-verify the rank axioms on all subsets (|E| <= 12 only)."""
-        if len(self.ground) > 12:
-            return True
-        subsets = [frozenset(c) for k in range(len(self.ground) + 1)
-                   for c in itertools.combinations(self.ground, k)]
-        ranks = {s: self.rank(s) for s in subsets}
-        if ranks[frozenset()] != 0:
-            return False
-        for s in subsets:
-            for e in self.ground:
-                up = ranks[s | {e}]
-                if not (ranks[s] <= up <= ranks[s] + 1):
-                    return False
-        for s, t in itertools.product(subsets, repeat=2):
-            if ranks[s | t] + ranks[s & t] > ranks[s] + ranks[t]:
-                return False
-        return True
-
 
 def uniform_matroid(n: int, r: int) -> Matroid:
     ground = tuple(range(n))
@@ -70,58 +52,6 @@ def uniform_matroid(n: int, r: int) -> Matroid:
 
 def boolean_matroid(n: int) -> Matroid:
     return Matroid(tuple(range(n)), lambda s: len(s), name=f"B{n}")
-
-
-def graphic_matroid(edges: Sequence[tuple[int, int]]) -> Matroid:
-    edges = [tuple(e) for e in edges]
-    ground = tuple(range(len(edges)))
-
-    def rk(s: frozenset) -> int:
-        verts = {v for i in s for v in edges[i]}
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        comps = len(verts)
-        for i in s:
-            a, b = find(edges[i][0]), find(edges[i][1])
-            if a != b:
-                parent[a] = b
-                comps -= 1
-        return len(verts) - comps
-
-    return Matroid(ground, rk, name=f"graphic({len(edges)} edges)")
-
-
-def bases_matroid(ground_size: int, bases: Sequence[Sequence[int]]) -> Matroid:
-    bsets = [frozenset(b) for b in bases]
-    if not bsets:
-        raise InputFormatError("a matroid needs at least one basis")
-
-    def rk(s: frozenset) -> int:
-        return max(len(s & b) for b in bsets)
-
-    return Matroid(tuple(range(ground_size)), rk, name="bases")
-
-
-def matroid_from_json(data: dict) -> Matroid:
-    try:
-        kind = data["type"]
-        if kind == "uniform":
-            return uniform_matroid(int(data["n"]), int(data["r"]))
-        if kind == "boolean":
-            return boolean_matroid(int(data["n"]))
-        if kind == "graphic":
-            return graphic_matroid([tuple(e) for e in data["edges"]])
-        if kind == "bases":
-            return bases_matroid(int(data["ground"]), data["bases"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed matroid JSON: {exc}") from exc
-    raise InputFormatError(f"unknown matroid type {kind!r}")
 
 
 @dataclass(frozen=True)

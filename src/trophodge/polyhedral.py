@@ -232,27 +232,11 @@ class FaceComplex:
         """Rows of the projection P_to . S_from from one stratum to a deeper one."""
         return _compose(self.stratum(sed_to)[1], self.stratum(sed_from)[2])
 
-    def is_pure(self, d: Optional[int] = None) -> bool:
-        d = self.dim if d is None else d
-        tops = {f.index for f in self.faces_of_dim(d)}
-        for f in self.faces:
-            if f.dim < d and not (self._above[f.index] & tops):
-                return False
-        return True
-
     def bounded_face_indices(self) -> list[int]:
         """Faces whose closure avoids infinity: sedentarity zero and no rays."""
         return [f.index for f in self.faces if f.sedentarity == () and not f.rays]
 
     # -- sign function ------------------------------------------------------
-
-    def same_sed_cover_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for a, b in self.order:
-            if self.faces[b].dim == self.faces[a].dim + 1 and \
-               self.faces[a].sedentarity == self.faces[b].sedentarity:
-                out.append((a, b))
-        return sorted(out)
 
     def direction_into(self, gamma: Face, delta: Face) -> IntVec:
         """An integer tangent vector of delta pointing from gamma into delta."""

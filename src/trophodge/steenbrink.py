@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowRing, gysin, restriction, ring_of
-from .cohomology import GradedComplex, QuotientBasis
+from .cohomology import GradedComplex, QuotientBasis, induced_map
 from .linalg import Rational, RationalMatrix, kernel_basis, normal, rank
 from .polyhedral import FaceComplex
 
@@ -277,10 +277,8 @@ def surviving_relative(st: SteenbrinkPage, p: int, q: int) -> tuple[int, int]:
 
 def n_power_h_matrix(st: SteenbrinkPage, k: int, b: int, a: int) -> RationalMatrix:
     """Matrix of N^k: H^a(ST^{.,b}) -> H^{a+2k}(ST^{.,b-2k})."""
-    src_h = st.h_basis(b, a)
-    dst_h = st.h_basis(b - 2 * k, a + 2 * k)
-    return RationalMatrix.from_columns(dst_h.dim, [
-        dst_h.coordinates(_n_power_vec(st, a, b, rep, k)) for rep in src_h.representatives])
+    return induced_map(st.row_complex(b), st.row_complex(b - 2 * k),
+                       lambda v: _n_power_vec(st, a, b, v, k), a, shift=2 * k)
 
 
 @cached

@@ -1,6 +1,7 @@
 import pytest
 
 from trophodge import fixtures as fx
+from trophodge.matroids import bergman_fan, uniform_matroid
 from trophodge.polyhedral import build_complex, compactify
 from trophodge.steenbrink import build_steenbrink
 
@@ -37,7 +38,8 @@ def fixf():
 
 @pytest.fixture(scope="session")
 def u34():
-    return fx.u34_fan()
+    """Bergman fan of U(3,4); Chow dimensions (1, 7, 1)."""
+    return bergman_fan(uniform_matroid(4, 3))
 
 
 def grid_plane(n: int):
@@ -75,6 +77,17 @@ def comp_grid1():
 @pytest.fixture(scope="session")
 def st_grid1(comp_grid1):
     return build_steenbrink(comp_grid1)
+
+
+@pytest.fixture(scope="session")
+def comp_genus1():
+    """A tropical curve of genus one: the unit triangle with one ray at each
+    corner.  Its diamond is [[1, 1], [1, 1]], so N: H^{1,0} -> H^{0,1} is
+    not a zero map, as it is on every fixture with a diagonal diamond."""
+    return compactify(build_complex(
+        2, [[0, 0], [1, 0], [0, 1]], [[-1, -1], [2, -1], [-1, 2]],
+        [([0], []), ([1], []), ([2], []), ([0, 1], []), ([0, 2], []), ([1, 2], []),
+         ([0], [0]), ([1], [1]), ([2], [2])]))
 
 
 @pytest.fixture(scope="session")

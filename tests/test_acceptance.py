@@ -4,17 +4,17 @@ all arithmetic is over the rationals).  Each test prints one PASS line."""
 import random
 from fractions import Fraction
 
+from chow_duality import chow_mw_duality
+from cochains import cochain_is_cocycle, cochain_vector, pair_class_with_weight, pair_cochain_with_weight
 from triples import d0_lift_independent, random_lefschetz_triple
 
-from trophodge.chow import chow_mw_duality, fan_ring, minkowski_weights
+from trophodge.chow import fan_ring, minkowski_weights
 from trophodge.clemens_schmid import clemens_schmid_sequences, mapping_cone_check, tropical_clemens_schmid
 from trophodge.cohomology import hodge_diamond
 from trophodge.hodge_cycles import (
     hodge_locus_basis,
     hodge_to_cycle,
     numerical_vs_homological,
-    pair_class_with_weight,
-    pair_cochain_with_weight,
     verify_class,
     zigzag_representative,
 )
@@ -181,8 +181,6 @@ def test_criterion_11_zigzag_pairings(st_d, st_f):
         mws = minkowski_weights(st.x, 1)
         for alpha in hodge_locus_basis(st, 1):
             cochain = zigzag_representative(st, alpha)
-            from trophodge.hodge_cycles import cochain_is_cocycle, cochain_vector
-
             ok = ok and cochain_is_cocycle(st.x, 1, cochain_vector(st.x, 1, cochain))
             for w in mws:
                 ok = ok and pair_cochain_with_weight(st.x, 1, cochain, w) == \

@@ -83,7 +83,8 @@ def test_subquotient_coordinates_reject_a_vector_outside_the_space():
                         {-1: RationalMatrix.from_rows([[1, -1]])})
     kc, rc = _kernel_and_cokernel(t)
     assert kc.gc.terms == {-1: 1} and kc.coordinates(-1, [3, 3]) == [3]
-    assert kc.inclusion(-1).to_lists() == [[1], [1]]
+    inclusion = kc.inclusion(-1)
+    assert [inclusion.row(i) for i in range(inclusion.rows)] == [[1], [1]]
     assert rc.gc.terms == {} and rc.coordinates(1, [5]) == []
     with pytest.raises(ChaseFailureError, match="degree -1"):
         kc.coordinates(-1, [1, 0])
@@ -140,6 +141,32 @@ def test_mapping_cone_fails_without_the_kernel_embedding(monkeypatch, st_d, st_e
     assert reports["D"]["degrees"] == {
         0: {"h_total": 2, "h_coker": 1, "iso": False},
         1: {"h_total": 1, "h_coker": 0, "iso": False}}
+
+
+def test_mapping_cone_derives_h_total_where_the_kernel_is_acyclic(monkeypatch, st_d, st_e, st_f,
+                                                                   st_grid1, comp_genus1):
+    # Where the projection's kernel is acyclic, h_total is read off R; it
+    # must equal dim H^a of the total complex, whose h_dim is not taken.
+    totals, queried = [], []
+    check, h_dim = GradedComplex.check, GradedComplex.h_dim
+
+    def recording_check(gc):
+        totals.append(gc)  # only the total complex is checked for d^2 = 0
+        return check(gc)
+
+    def recording_h_dim(gc, k):
+        queried.append(gc)
+        return h_dim(gc, k)
+
+    monkeypatch.setattr(GradedComplex, "check", recording_check)
+    monkeypatch.setattr(GradedComplex, "h_dim", recording_h_dim)
+    for st in (st_d, st_e, st_f, st_grid1, build_steenbrink(comp_genus1)):
+        for p in range(0, 2 * st.dim + 1, 2):
+            report = mapping_cone_check(st, p)
+            total = totals[-1]
+            assert report["all"] and not any(gc is total for gc in queried)
+            for a in range(-st.dim - 3, st.dim + 4):
+                assert report["degrees"].get(a, {"h_total": 0})["h_total"] == total.h_dim(a)
 
 
 def test_mapping_cone_rejects_a_projection_that_is_no_chain_map(monkeypatch, st_e):

@@ -2,19 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from cochains import (
+    cochain_is_cocycle,
+    cochain_vector,
+    is_cochain_coboundary,
+    pair_class_with_weight,
+    pair_cochain_with_weight,
+)
+
 from trophodge import IncompatibleClassError
 from trophodge.chow import ChowClass, is_balanced, minkowski_weights
 from trophodge.hodge_cycles import (
     HodgeClass,
-    cochain_is_cocycle,
-    cochain_vector,
     hodge_locus_basis,
     hodge_to_cycle,
-    is_cochain_coboundary,
     k_cocycle_vectors,
     numerical_vs_homological,
-    pair_class_with_weight,
-    pair_cochain_with_weight,
     verify_class,
     zigzag_representative,
 )

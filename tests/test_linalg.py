@@ -19,6 +19,10 @@ from trophodge.linalg import (
 F = Fraction
 
 
+def dense(m: RationalMatrix) -> list[list]:
+    return [m.row(i) for i in range(m.rows)]
+
+
 def naive_rank(rows):
     """Independent oracle: plain Gauss-Jordan over Fractions."""
     rows = [list(map(F, r)) for r in rows]
@@ -261,7 +265,7 @@ def test_integral_entries_are_stored_as_int():
     assert all(type(v) is int for v in RationalMatrix.identity(3).entries.values())
     m = RationalMatrix.from_columns(2, [[F(6, 3), F(1, 2)], [F(0), -1]])
     assert normalised(m.entries.values()) and type(m[0, 0]) is int and m[0, 0] == 2
-    assert (0, 1) not in m.entries and m.to_lists() == [[2, 0], [F(1, 2), -1]]
+    assert (0, 1) not in m.entries and dense(m) == [[2, 0], [F(1, 2), -1]]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -295,9 +299,9 @@ def test_from_columns_of_empty_columns_and_of_no_columns():
 def test_submatrix_keeps_the_listed_order_and_drops_the_rest():
     m = RationalMatrix.from_rows([[1, 0, F(1, 2)], [0, 5, 6], [7, 8, 0]])
     sub = m.submatrix([2, 0], [2, 0, 1])
-    assert sub.to_lists() == [[0, 7, 8], [F(1, 2), 1, 0]]
+    assert dense(sub) == [[0, 7, 8], [F(1, 2), 1, 0]]
     assert sub.entries == {(0, 1): 7, (0, 2): 8, (1, 0): F(1, 2), (1, 1): 1}
-    assert m.submatrix([1], [1]).to_lists() == [[5]]
+    assert dense(m.submatrix([1], [1])) == [[5]]
     for rows, cols in (([], [0, 1]), ([1, 2], []), ([], [])):
         empty = m.submatrix(rows, cols)
         assert (empty.rows, empty.cols, empty.entries) == (len(rows), len(cols), {})
@@ -345,8 +349,8 @@ def test_mixed_int_and_fraction_input_matches_fraction_oracle(seed):
 
     product = m.matmul(RationalMatrix.from_rows(b))
     assert normalised(product.entries.values())
-    assert product.to_lists() == [[sum((fa[i][j] * fb[j][k] for j in range(nc)), F(0))
-                                   for k in range(nk)] for i in range(nr)]
+    assert dense(product) == [[sum((fa[i][j] * fb[j][k] for j in range(nc)), F(0))
+                               for k in range(nk)] for i in range(nr)]
     mv = m.mul_vec(v)
     assert mv == [sum((fa[i][j] * fv[j] for j in range(nc)), F(0)) for i in range(nr)]
 

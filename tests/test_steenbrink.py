@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from conftest import grid_plane
+
 from trophodge.chow import ChowClass
 from trophodge.cohomology import hodge_diamond
 from trophodge.linalg import RationalMatrix, rank
-from trophodge.polyhedral import FaceComplex
+from trophodge.polyhedral import FaceComplex, compactify
 from trophodge.steenbrink import (
     SteenbrinkPage,
     _n_power_vec,
     build_steenbrink,
     cohomology_pairing_matrix,
+    n_power_h_matrix,
     primitive_parts,
     random_homogeneous,
     steenbrink_cohomology,
@@ -296,6 +301,34 @@ def test_n_power_vec_equals_n_matrix_powers(st_a, comp_b, st_c, st_d, st_e, st_f
                         v = st.n_matrix(aa, bb).mul_vec(v)
                         aa, bb = aa + 2, bb - 2
                     assert _n_power_vec(st, a, b, vec, k) == v
+
+
+@pytest.mark.parametrize("name", ["comp_a", "comp_b", "comp_c", "comp_d", "comp_e", "comp_f",
+                                  "grid1", "grid2", "comp_genus1"])
+def test_n_power_h_matrix_matches_n_applied_k_times(name, request):
+    # Oracle: apply N k times to each representative of H^a(row b), one step
+    # at a time, and take the class coordinates in H^{a+2k}(row b-2k).
+    x = compactify(grid_plane(int(name[-1]))) if name.startswith("grid") \
+        else request.getfixturevalue(name)
+    st = build_steenbrink(x)
+    nonzero = 0
+    for b in range(0, 2 * st.dim + 1, 2):
+        for a in range(-st.dim, st.dim + 1):
+            reps = st.h_basis(b, a).representatives
+            for k in range(b // 2 + 1 if reps else 0):
+                target = st.h_basis(b - 2 * k, a + 2 * k)
+                columns = []
+                for rep in reps:
+                    element = (a, b, rep)
+                    for _ in range(k):
+                        element = st.apply_n(element)
+                    columns.append(target.coordinates(element[2]))
+                got = n_power_h_matrix(st, k, b, a)
+                assert got == RationalMatrix.from_columns(target.dim, columns), (k, b, a)
+                nonzero += k > 0 and not got.is_zero()
+    # Every diamond here but the genus-one curve's is diagonal, so N^k with
+    # k > 0 maps into a zero group; the curve's N: H^{1,0} -> H^{0,1} is onto.
+    assert nonzero == (1 if name == "comp_genus1" else 0)
 
 
 def _random_homogeneous_oracle(st, rng):
