@@ -4,19 +4,25 @@ tropical Clemens-Schmid sequence.
 
 A LefschetzTriple is a pair of bounded complexes C, D with a degree-two
 chain map L: C^k -> D^{k+2} that is injective in degrees <= -1 and
-surjective in degrees >= -1, on the nose and on cohomology.  The kernel
-complex K = ker L and the cokernel complex R = D / im L are one kind of
-object, a subquotient span Z / span B of a complex in each degree with the
-differential it induces: K takes Z = ker L^k in C^k and no B, R takes all of
-D^k as Z and the columns of L^{k-2} as B.  The two long sequences
+surjective in degrees >= -1, on the nose and on cohomology.  Its kernel
+complex K = ker L is a subcomplex of C, and its cokernel complex
+R = D / im L a quotient of D, with L^{k-2} landing in D^k.  The two long
+sequences
 
   ... -> H^k(K) -> H^k(C) -L-> H^{k+2}(D) -> H^{k+2}(R) -> H^{k+2}(K) -> ...
 
-are verified junction by junction.  The only nontrivial connecting map is
-d0: H^0(R) -> H^0(K); it is computed by the chase: lift a cocycle to D^0,
-push by d_D, take the unique L-preimage in C^{-1}, push by d_C, certify
-the result is killed by L, and read off its class.  Every existence step
-records a witness and every uniqueness step asserts kernel triviality.
+are verified junction by junction, with no coordinates.  Each group H^k(X),
+for X in C, D, K or R, lives in the ambient term (C^k for K, D^k for R) as
+representatives of a basis and the echelon of rows that span the
+boundaries.  Every map acts on ambient vectors, so every number of a
+junction counts the vectors that are independent modulo a boundary span:
+dim H counts the representatives, the rank of a map the images of the
+source's representatives, and a composite is zero when none of its images
+is independent.  The only nontrivial connecting map is d0: H^0(R) ->
+H^0(K), the chase: push a cocycle of R^0 by d_D, take the unique
+L-preimage in C^{-1}, push by d_C, and certify the result is killed by L.
+Every existence step records a witness and every uniqueness step asserts
+kernel triviality.
 
 The mapping cone check builds the double-cone total complex of a row pair
 of the Steenbrink page and verifies that its projection onto R is a
@@ -29,12 +35,22 @@ other coordinates (its kernel) is acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
-from . import ChaseFailureError, DegeneratePairingError, DegreeMismatchError, HLFailureError, cached
-from .cohomology import GradedComplex, QuotientBasis, induced_map
-from .linalg import Echelon, Rational, RationalMatrix, column_echelon, kernel_vectors, rank
+from . import ChaseFailureError, DegreeMismatchError, HLFailureError, cached
+from .cohomology import GradedComplex
+from .linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors
+
+# The maps of the sequences by kind: (source, target, degree shift).
+_MAPS = {"incl": ("K", "C", 0), "lmap": ("C", "D", 2), "proj": ("D", "R", 0),
+         "conn": ("R", "K", 0)}
+
+
+def _independent(boundaries: Echelon, vectors: Sequence) -> list:
+    """The vectors independent modulo the boundaries and the vectors before
+    them: those whose remainders modulo the boundaries are independent."""
+    rest = Echelon()
+    return [v for v in vectors if rest.add(boundaries.reduce(v)[0])]
 
 
 @dataclass
@@ -57,11 +73,42 @@ class LefschetzTriple:
         return column_echelon(self.l_matrix(k))
 
     @cached
-    def l_on_cohomology(self, k: int) -> tuple[RationalMatrix, int]:
-        """The map H^k(C) -> H^{k+2}(D) that L induces, and its rank, built
-        once for check_hl and the sequences."""
-        m = induced_map(self.C, self.D, self.l_matrix(k).mul_vec, k, shift=2)
-        return m, _rank(m)
+    def group(self, name: str, k: int) -> tuple[list, Echelon]:
+        """H^k of C, D, K or R as its representatives and the echelon of its
+        boundaries, in the ambient term; the representatives are the
+        cocycles that are independent modulo the boundaries."""
+        if name in ("C", "D"):
+            gc = self.C if name == "C" else self.D
+            return gc.h_basis(k).representatives, Echelon(gc.coboundary_rows(k))
+        if name == "K":  # cocycles ker [L^k; d_C^k], boundaries d_C(ker L^{k-1})
+            top = self.l_matrix(k)
+            columns = [{**lc, **{i + top.rows: v for i, v in dc.items()}}
+                       for lc, dc in zip(top.columns(), self.C.differential(k).columns())]
+            cocycles = kernel_vectors(Echelon(columns, keyed=True), self.C.dim(k))
+            d = self.C.differential(k - 1)
+            bounds = Echelon(d.mul_vec(v) for v in kernel_vectors(self.l_echelon(k - 1),
+                                                                  self.C.dim(k - 1)))
+        else:  # R: cocycles the D^k part of ker [d_D^k | L^{k-1}], boundaries d_D and im L^{k-2}
+            columns = self.D.differential(k).columns() + self.l_matrix(k - 1).columns()
+            cocycles = kernel_vectors(Echelon(columns, keyed=True), self.D.dim(k))
+            bounds = Echelon(self.D.coboundary_rows(k) + self.l_matrix(k - 2).columns())
+        return _independent(bounds, cocycles), bounds
+
+    def push(self, kind: str, k: int, vec: Sequence) -> Sequence:
+        """The image of an ambient vector under the map of that kind out of H^k."""
+        if kind == "lmap":
+            return self.l_matrix(k).mul_vec(vec)
+        if kind == "conn":  # 0 for k != 0, where K^k = 0 (k < 0) or R^k = 0 (k > 0)
+            return _chase(self, vec) if k == 0 else [0] * self.C.dim(k)
+        return vec  # incl and proj are the identity on the ambient term
+
+    @cached
+    def map_rank(self, kind: str, k: int) -> int:
+        """The rank on H^k of the map of that kind: the number of images of
+        the source's representatives independent modulo the target's boundaries."""
+        source, target, shift = _MAPS[kind]
+        images = [self.push(kind, k, z) for z in self.group(source, k)[0]]
+        return len(_independent(self.group(target, k + shift)[1], images))
 
     def degrees(self) -> list[int]:
         ks = set(self.C.terms) | {k - 2 for k in self.D.terms}
@@ -94,11 +141,6 @@ class ExactnessReport:
         return all(j.exact and j.composition_zero for j in self.junctions)
 
 
-def _rank(m: RationalMatrix) -> int:
-    """The rank of m, with no elimination when m is zero."""
-    return 0 if m.is_zero() else rank(m)
-
-
 def check_hl(t: LefschetzTriple) -> None:
     """Raise HLFailureError unless L is HL around 0 (page and cohomology)."""
     if not t.check_commutes():
@@ -110,125 +152,56 @@ def check_hl(t: LefschetzTriple) -> None:
         if k >= -1 and r != t.D.dim(k + 2):
             raise HLFailureError(f"L not surjective onto degree {k + 2}")
     for k in t.degrees():
-        r = t.l_on_cohomology(k)[1]
+        r = t.map_rank("lmap", k)
         if k <= -1 and r != t.C.h_basis(k).dim:
             raise HLFailureError(f"L not injective on cohomology in degree {k}")
         if k >= -1 and r != t.D.h_basis(k + 2).dim:
             raise HLFailureError(f"L not surjective on cohomology onto degree {k + 2}")
 
 
-# ---------------------------------------------------------------------------
-# Kernel and cokernel complexes of a triple
-
-class _Subquotient:
-    """The complex that ambient induces on span Z / span B in each degree,
-    for rows Z and B of its terms with d(Z) in Z and d(B) in B.  quot[k] is
-    the QuotientBasis of degree k; gc leaves out the degrees where it is 0."""
-
-    def __init__(self, ambient: GradedComplex, zrows: dict[int, Sequence],
-                 brows: dict[int, Sequence]):
-        self.ambient = ambient
-        self.quot = {k: QuotientBasis(ambient.dim(k), z, brows.get(k, ()))
-                     for k, z in zrows.items()}
-        terms = {k: qb.dim for k, qb in self.quot.items() if qb.dim}
-        diffs = {k: RationalMatrix.from_columns(terms[k + 1], [
-                     self.coordinates(k + 1, ambient.differential(k).mul_vec(rep))
-                     for rep in self.quot[k].representatives])
-                 for k in terms if k + 1 in terms}
-        self.gc = GradedComplex(terms, diffs)
-
-    def _basis(self, k: int) -> QuotientBasis:
-        return self.quot.get(k) or QuotientBasis(self.ambient.dim(k), (), ())
-
-    def coordinates(self, k: int, vec: Sequence[Rational]) -> list[Rational]:
-        """The coordinates of vec's class over the degree-k representatives."""
-        try:
-            return self._basis(k).coordinates(vec)
-        except DegeneratePairingError:
-            raise ChaseFailureError(f"vector outside the subquotient in degree {k}") from None
-
-    def inclusion(self, k: int) -> RationalMatrix:
-        """The representatives of degree k as columns in the ambient term."""
-        return RationalMatrix.from_columns(self.ambient.dim(k), self._basis(k).representatives)
-
-
-def _kernel_and_cokernel(t: LefschetzTriple) -> tuple[_Subquotient, _Subquotient]:
-    """K = ker L in C, and R = D / im L with L^{k-2} landing in D^k."""
-    kc = _Subquotient(t.C, {k: kernel_vectors(t.l_echelon(k), t.C.dim(k))
-                            for k in t.degrees()}, {})
-    rc = _Subquotient(t.D, {k: [{j: 1} for j in range(n)] for k, n in t.D.terms.items()},
-                      {k: t.l_matrix(k - 2).columns() for k in t.D.terms})
-    return kc, rc
-
-
-def _chase_d0(t: LefschetzTriple, kc: _Subquotient, rc: _Subquotient,
-              lift_shift: Optional[list[Rational]] = None) -> RationalMatrix:
-    """The connecting map H^0(R) -> H^0(K) by certified diagram chase."""
-    h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
-    if h_r0.dim == 0:
-        return RationalMatrix(h_k0.dim, 0)
+def _chase(t: LefschetzTriple, c: Sequence) -> list:
+    """d0 of the class of a cocycle c of R^0, as a cocycle of K^0 in C^0."""
     lift = t.l_echelon(-1)
-    # Uniqueness certificate for the L-preimage step.
-    if lift.relations:
+    if lift.relations:  # uniqueness certificate for the L-preimage step
         raise ChaseFailureError("L-preimage not unique in degree -1")
-    shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [0] * t.D.dim(0)
-    d_d0, d_cm1, l_0 = t.D.differential(0), t.C.differential(-1), t.l_matrix(0)
-    r_incl = rc.inclusion(0)
-    columns = []
-    for rep in h_r0.representatives:
-        c = [x + y for x, y in zip(r_incl.mul_vec(rep), shift)]
-        b_prime = lift.coordinates(d_d0.mul_vec(c), range(t.C.dim(-1)))
-        if b_prime is None:
-            raise ChaseFailureError("no L-preimage for the pushed lift")
-        b_second = d_cm1.mul_vec(b_prime)
-        if any(v != 0 for v in l_0.mul_vec(b_second)):
-            raise ChaseFailureError("chase output is not in ker L")
-        columns.append(h_k0.coordinates(kc.coordinates(0, b_second)))
-    return RationalMatrix.from_columns(h_k0.dim, columns)
+    b_prime = lift.coordinates(t.D.differential(0).mul_vec(c), range(t.C.dim(-1)))
+    if b_prime is None:
+        raise ChaseFailureError("no L-preimage for the pushed lift")
+    b_second = t.C.differential(-1).mul_vec(b_prime)
+    if any(t.l_matrix(0).mul_vec(b_second)):
+        raise ChaseFailureError("chase output is not in ker L")
+    return b_second
 
 
 def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
     """Verify both long exact sequences of the triple, junction by junction."""
     check_hl(t)
-    kc, rc = _kernel_and_cokernel(t)
     degrees = t.degrees()
     kmin = min(degrees) - 2 if degrees else 0
     kmax = max(degrees) + 4 if degrees else 0
-
-    incl = {k: induced_map(kc.gc, t.C, kc.inclusion(k).mul_vec, k)
-            for k in range(kmin, kmax - 1)}
-    lmap = {k: t.l_on_cohomology(k)[0] for k in range(kmin, kmax - 1)}
-    proj = {k: induced_map(t.D, rc.gc, partial(rc.coordinates, k), k)
-            for k in range(kmin + 2, kmax + 1)}
-    conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
-            for k in range(kmin, kmax + 1)}
-    conn[0] = _chase_d0(t, kc, rc)
-    # Each map is the outgoing map of one junction and the incoming map of
-    # the next, so it is ranked once, here (most of them are zero).
-    maps = {"incl": incl, "lmap": lmap, "proj": proj, "conn": conn}
-    ranks = {kind: {k: _rank(m) for k, m in by_k.items()} for kind, by_k in maps.items()
-             if kind != "lmap"}
-    ranks["lmap"] = {k: t.l_on_cohomology(k)[1] for k in lmap}
-
     report = ExactnessReport()
 
-    def junction(node: str, incoming: tuple[str, int], outgoing: tuple[str, int]):
-        """Exactness at node between two maps, each named by (kind, degree)."""
-        m_in, m_out = maps[incoming[0]][incoming[1]], maps[outgoing[0]][outgoing[1]]
-        dim = m_in.rows
-        if dim == 0 and m_in.cols == 0 and m_out.rows == 0:
+    def junction(node: str, k: int, incoming: tuple[str, int], outgoing: tuple[str, int]):
+        """Exactness at H^k(node) between two maps, each named by (kind, degree)."""
+        (kind_in, k_in), (kind_out, k_out) = incoming, outgoing
+        source = _MAPS[kind_in][0]
+        _, target, shift = _MAPS[kind_out]
+        reps = t.group(source, k_in)[0]
+        dim = len(t.group(node, k)[0])
+        if dim == 0 and not reps and not t.group(target, k_out + shift)[0]:
             return
-        rk_in = ranks[incoming[0]][incoming[1]]
-        ker_out = dim - ranks[outgoing[0]][outgoing[1]]
-        comp = m_out.matmul(m_in)
-        report.junctions.append(Junction(node, rk_in, ker_out,
-                                         rk_in == ker_out, comp.is_zero()))
+        rk_in = t.map_rank(kind_in, k_in)
+        ker_out = dim - t.map_rank(kind_out, k_out)
+        composite = [t.push(kind_out, k_out, t.push(kind_in, k_in, z)) for z in reps]
+        zero = not _independent(t.group(target, k_out + shift)[1], composite)
+        report.junctions.append(Junction(f"H^{k}({node})", rk_in, ker_out,
+                                         rk_in == ker_out, zero))
 
     for k in range(kmin, kmax - 1):
-        junction(f"H^{k}(K)", ("conn", k), ("incl", k))
-        junction(f"H^{k}(C)", ("incl", k), ("lmap", k))
-        junction(f"H^{k + 2}(D)", ("lmap", k), ("proj", k + 2))
-        junction(f"H^{k + 2}(R)", ("proj", k + 2), ("conn", k + 2))
+        junction("K", k, ("conn", k), ("incl", k))
+        junction("C", k, ("incl", k), ("lmap", k))
+        junction("D", k + 2, ("lmap", k), ("proj", k + 2))
+        junction("R", k + 2, ("proj", k + 2), ("conn", k + 2))
     return report
 
 

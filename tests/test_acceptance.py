@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from chow_duality import chow_mw_duality
 from cochains import cochain_is_cocycle, cochain_vector, pair_class_with_weight, pair_cochain_with_weight
+from conftest import grid_plane
 from triples import d0_lift_independent, random_lefschetz_triple
 
 from trophodge.chow import fan_ring, minkowski_weights
@@ -19,8 +20,10 @@ from trophodge.hodge_cycles import (
     zigzag_representative,
 )
 from trophodge.linalg import RationalMatrix, rank
+from trophodge.polyhedral import compactify
 from trophodge.steenbrink import (
     random_homogeneous,
+    build_steenbrink,
     steenbrink_cohomology,
     verify_hl,
 )
@@ -120,29 +123,40 @@ def test_criterion_5_hard_lefschetz(st_d, st_e, st_f, st_a, st_c):
 
 
 def test_criterion_6_abstract_clemens_schmid():
+    # The last 100 triples have a crossing summand, on which d0 is nonzero.
     rng = random.Random(20260808)
+    triples = [random_lefschetz_triple(rng) for _ in range(200)]
+    triples += [random_lefschetz_triple(rng, crossing=1) for _ in range(100)]
     ok = True
-    for _ in range(200):
-        t = random_lefschetz_triple(rng)
+    for t in triples:
         rep = clemens_schmid_sequences(t)
         ok = ok and rep.all_exact
         ok = ok and d0_lift_independent(t)
-    report("criterion 6: 200 random Lefschetz triples exact, d0 lift-independent", ok)
+    ok = ok and sum(t.map_rank("conn", 0) > 0 for t in triples) >= 100
+    report("criterion 6: 300 random Lefschetz triples exact, d0 lift-independent, "
+           "d0 nonzero on 100", ok)
 
 
-def test_criterion_7_tropical_clemens_schmid(st_d, st_e, st_f):
+def _pages(st_d, st_e, st_f, comp_genus1):
+    grids = [build_steenbrink(compactify(grid_plane(n))) for n in (1, 2)]
+    return [st_d, st_e, st_f, *grids, build_steenbrink(comp_genus1)]
+
+
+def test_criterion_7_tropical_clemens_schmid(st_d, st_e, st_f, comp_genus1):
     ok = True
-    for st in (st_d, st_e, st_f):
+    for st in _pages(st_d, st_e, st_f, comp_genus1):
         ok = ok and tropical_clemens_schmid(st)["all"]
-    report("criterion 7: tropical Clemens-Schmid junction exactness on D, E, F", ok)
+    report("criterion 7: tropical Clemens-Schmid junction exactness on D, E, F, "
+           "grid_plane(1..2) and a genus-one curve", ok)
 
 
-def test_criterion_8_mapping_cone(st_d, st_e):
+def test_criterion_8_mapping_cone(st_d, st_e, st_f, comp_genus1):
     ok = True
-    for st in (st_d, st_e):
-        for p in (0, 2):
+    for st in _pages(st_d, st_e, st_f, comp_genus1):
+        for p in range(0, 2 * st.dim + 1, 2):
             ok = ok and mapping_cone_check(st, p)["all"]
-    report("criterion 8: mapping-cone projection quasi-isomorphism on D, E at p in {0,2}", ok)
+    report("criterion 8: mapping-cone projection quasi-isomorphism on D, E, F, "
+           "grid_plane(1..2) and a genus-one curve, every even row", ok)
 
 
 def test_criterion_9_hodge_round_trip(st_d, st_f, st_c):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import grid_plane
-from trophodge import chow, clemens_schmid, cohomology, fixtures, lattice, polyhedral, steenbrink
+from trophodge import cached, chow, clemens_schmid, cohomology, fixtures, lattice, polyhedral, steenbrink
 from trophodge.chow import ring_of
 from trophodge.cli import main
 from trophodge.cohomology import cochain_complex
@@ -155,21 +155,33 @@ def test_hard_lefschetz_is_verified_once_per_page(tmp_path, capsys, monkeypatch)
     assert builds and max(builds.values()) == 1
 
 
-def test_each_induced_map_of_l_is_built_once_per_triple(monkeypatch):
-    # check_hl and the exact sequences both read the map that L induces on
-    # cohomology; it is built once per (triple, degree).
-    builds, owners = Counter(), []
-    induced_map = clemens_schmid.induced_map
+def test_check_hl_and_the_sequences_share_the_rank_of_l(monkeypatch):
+    # check_hl and the exact sequences both read the rank of the map that L
+    # induces on cohomology; check_hl computes it, once per (triple, degree),
+    # and the sequences read that same rank again.
+    builds, reads, triples = Counter(), Counter(), []
+    raw = clemens_schmid.LefschetzTriple.map_rank.__wrapped__
 
-    def counting(source, target, f, k, shift=0):
-        owners.append((source, target))  # keeps each complex alive, so its id() stays unique
-        builds[id(source), id(target), k, shift] += 1
-        return induced_map(source, target, f, k, shift)
+    @cached
+    def computing(t, kind, k):
+        builds[id(t), kind, k] += 1
+        return raw(t, kind, k)
 
-    monkeypatch.setattr(clemens_schmid, "induced_map", counting)
+    def reading(t, kind, k):
+        triples.append(t)  # keeps each triple alive, so its id() stays unique
+        reads[id(t), kind, k] += 1
+        return computing(t, kind, k)
+
+    monkeypatch.setattr(clemens_schmid.LefschetzTriple, "map_rank", reading)
     st = build_steenbrink(compactify(grid_plane(2)))
-    assert clemens_schmid.tropical_clemens_schmid(st)["all"]
-    assert any(shift == 2 for *_, shift in builds) and max(builds.values()) == 1
+    for p in range(st.dim + 1):
+        t = clemens_schmid.steenbrink_triple(st, p)
+        clemens_schmid.check_hl(t)
+        keys = [(id(t), "lmap", k) for k in t.degrees()]
+        assert all(builds[key] == reads[key] == 1 for key in keys)
+        assert clemens_schmid.clemens_schmid_sequences(t).all_exact
+        assert all(builds[key] == 1 for key in keys)
+        assert sum(reads[key] for key in keys) > 2 * len(keys)
 
 
 def test_caches_die_with_their_complex():

@@ -1,27 +1,36 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import grid_plane
-from triples import d0_boundary_compositions_zero, d0_lift_independent, random_lefschetz_triple
+from triples import (
+    chase_d0,
+    d0_boundary_compositions_zero,
+    d0_lift_independent,
+    kernel_and_cokernel,
+    oracle_sequences,
+    random_lefschetz_triple,
+)
 
-from trophodge import ChaseFailureError, HLFailureError
+from trophodge import ChaseFailureError, HLFailureError, cached, cohomology
+from trophodge import fixtures as fx
 from trophodge.cli import main
 from trophodge.clemens_schmid import (
     LefschetzTriple,
-    _chase_d0,
-    _kernel_and_cokernel,
+    _chase,
     check_hl,
     clemens_schmid_sequences,
     mapping_cone_check,
     steenbrink_triple,
     tropical_clemens_schmid,
 )
-from trophodge.cohomology import GradedComplex, induced_map
+from trophodge.cohomology import GradedComplex, QuotientBasis, induced_map
 from trophodge.linalg import RationalMatrix, column_echelon
-from trophodge.polyhedral import compactify, complex_to_json
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
+from trophodge.polyhedral import compactify, complex_to_json, product_complex
 from trophodge.steenbrink import SteenbrinkPage, build_steenbrink
 
 
@@ -69,19 +78,25 @@ def test_random_triples_exact():
 
 
 def test_kernel_vanishes_negative_cokernel_positive():
+    # On the oracle's complexes and on the groups of the sequences, so that
+    # d_k, which the sequences take as 0 for k != 0, maps into or out of 0.
     rng = random.Random(17)
-    for _ in range(20):
-        t = random_lefschetz_triple(rng)
-        kc, rc = _kernel_and_cokernel(t)
+    for i in range(20):
+        t = random_lefschetz_triple(rng, crossing=i % 2)
+        kc, rc = kernel_and_cokernel(t)
         assert all(k >= 0 for k in kc.gc.terms)
         assert all(k <= 0 for k in rc.gc.terms)
+        degrees = range(min(t.degrees()) - 2, max(t.degrees()) + 5)
+        assert not any(t.group("K", k)[0] for k in degrees if k < 0)
+        assert not any(t.group("R", k)[0] for k in degrees if k > 0)
 
 
 def test_subquotient_coordinates_reject_a_vector_outside_the_space():
-    # K = ker L in degree -1 is spanned by e_0 + e_1 (L = [1, -1] onto D^1).
+    # The oracle's subquotients.  K = ker L in degree -1 is spanned by
+    # e_0 + e_1 (L = [1, -1] onto D^1).
     t = LefschetzTriple(GradedComplex({-1: 2}, {}), GradedComplex({1: 1}, {}),
                         {-1: RationalMatrix.from_rows([[1, -1]])})
-    kc, rc = _kernel_and_cokernel(t)
+    kc, rc = kernel_and_cokernel(t)
     assert kc.gc.terms == {-1: 1} and kc.coordinates(-1, [3, 3]) == [3]
     inclusion = kc.inclusion(-1)
     assert [inclusion.row(i) for i in range(inclusion.rows)] == [[1], [1]]
@@ -92,12 +107,102 @@ def test_subquotient_coordinates_reject_a_vector_outside_the_space():
         kc.coordinates(5, [1])
 
 
+PAGE_INPUTS = {**{f"fix{c}": getattr(fx, f"fix_{c}") for c in "abcdef"},
+               **{f"grid{n}": (lambda n=n: grid_plane(n)) for n in (1, 2, 3)},
+               "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
+               "b4": lambda: bergman_fan(boolean_matroid(4)),
+               "prod": lambda: product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d())}
+
+
+def _page(name: str, request) -> SteenbrinkPage:
+    if name == "genus1":
+        return build_steenbrink(request.getfixturevalue("comp_genus1"))
+    return build_steenbrink(compactify(PAGE_INPUTS[name]()))
+
+
+def _same_report(t: LefschetzTriple) -> None:
+    # The oracle gets a triple of its own, so that it reads no echelon or rank
+    # that the sequences cached.
+    want = oracle_sequences(LefschetzTriple(t.C, t.D, t.L)).junctions
+    assert clemens_schmid_sequences(t).junctions == want
+
+
+@pytest.mark.parametrize("name", [*PAGE_INPUTS, "genus1"])
+def test_sequences_equal_the_oracle_on_page_inputs(name, request):
+    st = _page(name, request)
+    for p in range(st.dim + 2):
+        _same_report(steenbrink_triple(st, p))
+
+
+def test_sequences_equal_the_oracle_on_random_triples():
+    rng = random.Random(20260808)
+    nonzero = 0
+    for i in range(600):
+        t = random_lefschetz_triple(rng, crossing=int(i % 3 == 0))
+        _same_report(t)
+        nonzero += _d0_rank(t) > 0
+    assert nonzero >= 200
+
+
+def test_sequences_need_no_coordinates(monkeypatch, st_e, st_f, st_grid1, comp_genus1):
+    # The reports come out the same when no class coordinates and no matrix
+    # of a map on cohomology can be made.
+    rng = random.Random(613)
+    triples = [random_lefschetz_triple(rng, crossing=i % 2) for i in range(40)]
+    pages = [st_e, st_f, st_grid1, build_steenbrink(comp_genus1)]
+    triples += [steenbrink_triple(st, p) for st in pages for p in range(st.dim + 2)]
+    want = [oracle_sequences(t).junctions for t in triples]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates taken")
+
+    monkeypatch.setattr(QuotientBasis, "coordinates", refuse)
+    monkeypatch.setattr(cohomology, "induced_map", refuse)
+    got = [clemens_schmid_sequences(LefschetzTriple(t.C, t.D, t.L)).junctions for t in triples]
+    assert got == want and any(_d0_rank(t) for t in triples)
+
+
+def _d0_rank(t: LefschetzTriple) -> int:
+    return t.map_rank("conn", 0)
+
+
 def test_d0_lift_independence_and_compositions():
     rng = random.Random(777)
-    for _ in range(30):
-        t = random_lefschetz_triple(rng)
+    nonzero = 0
+    for i in range(30):
+        t = random_lefschetz_triple(rng, crossing=i % 2)
         assert d0_lift_independent(t)
         assert d0_boundary_compositions_zero(t)
+        nonzero += _d0_rank(t) > 0
+    assert nonzero >= 15
+
+
+def _triple(c: dict, d: dict, lmaps: dict, c_diffs=None, d_diffs=None) -> LefschetzTriple:
+    """A triple from term dimensions and matrices given by rows."""
+    def mats(rows):
+        return {k: RationalMatrix.from_rows(r) for k, r in (rows or {}).items()}
+    return LefschetzTriple(GradedComplex(c, mats(c_diffs)), GradedComplex(d, mats(d_diffs)),
+                           mats(lmaps))
+
+
+def test_chase_certifies_each_step():
+    # L^{-1} = [1, 1] has a kernel: the preimage is not unique.
+    t = _triple({-1: 2}, {0: 1, 1: 1}, {-1: [[1, 1]]}, d_diffs={0: [[1]]})
+    with pytest.raises(ChaseFailureError, match="not unique"):
+        _chase(t, [1])
+    # d_D e = e' in D^1, and C^{-1} = 0: nothing maps onto e'.
+    t = _triple({}, {0: 1, 1: 1}, {}, d_diffs={0: [[1]]})
+    with pytest.raises(ChaseFailureError, match="no L-preimage"):
+        _chase(t, [1])
+    # d_C and L^0 are the identity, so L^0 d_C does not commute with
+    # d_D L^{-1} = 0, and the chase output is not in ker L.
+    t = _triple({-1: 1, 0: 1}, {0: 1, 1: 1, 2: 1}, {-1: [[1]], 0: [[1]]},
+                c_diffs={-1: [[1]]}, d_diffs={0: [[1]]})
+    with pytest.raises(ChaseFailureError, match="not in ker L"):
+        _chase(t, [1])
+    # With L^0 = 0 the same chase goes through.
+    t = _triple({-1: 1, 0: 1}, {0: 1, 1: 1}, {-1: [[1]]}, c_diffs={-1: [[1]]}, d_diffs={0: [[1]]})
+    assert _chase(t, [1]) == [1] and clemens_schmid_sequences(t).all_exact
 
 
 def test_mapping_cone_fix_d(st_d):
@@ -232,17 +337,27 @@ def _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=None):
 
 
 def test_chase_d0_equals_dense_chase():
+    # The chase of the sequences, on the oracle's representatives of H^0(R)
+    # moved by L^{-2} of a shift, read in the oracle's coordinates of H^0(K).
     rng = random.Random(41)
-    for _ in range(15):
-        t = random_lefschetz_triple(rng)
-        kc, rc = _kernel_and_cokernel(t)
+    nonzero = 0
+    for i in range(15):
+        t = random_lefschetz_triple(rng, crossing=i % 2)
+        kc, rc = kernel_and_cokernel(t)
         h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
         shifts = [None]
         if t.C.dim(-2):
             shifts.append([Fraction(rng.randint(-2, 2)) for _ in range(t.C.dim(-2))])
         for shift in shifts:
-            got = _chase_d0(t, kc, rc, lift_shift=shift)
-            assert got == _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+            moved = t.l_matrix(-2).mul_vec(shift) if shift else [0] * t.D.dim(0)
+            got = RationalMatrix.from_columns(h_k0.dim, [
+                h_k0.coordinates(kc.coordinates(0, _chase(t, [x + y for x, y in zip(
+                    rc.inclusion(0).mul_vec(rep), moved)])))
+                for rep in h_r0.representatives])
+            want = _chase_d0_dense(t, kc, rc, h_r0, h_k0, lift_shift=shift)
+            assert got == want == chase_d0(t, kc, rc, lift_shift=shift)
+            nonzero += not want.is_zero()
+    assert nonzero >= 7
 
 
 def _same_complex(got: GradedComplex, want: GradedComplex) -> None:
@@ -254,32 +369,40 @@ def _same_complex(got: GradedComplex, want: GradedComplex) -> None:
 
 @pytest.mark.parametrize("name", ["fixa", "fixb", "fixc", "fixd", "fixe", "fixf", "grid1", "grid2"])
 def test_kernel_and_cokernel_equal_the_s_parts_of_the_page(name, request):
-    # K = ker N on row 2p+2 and R = coker N on row 2p, built as subquotients,
-    # against the s = a and s = -a parts of those rows that the page cuts out.
+    # K = ker N on row 2p+2 and R = coker N on row 2p, built as the oracle's
+    # subquotients, against the s = a and s = -a parts of those rows that the
+    # page cuts out; the groups of the sequences have their dimensions.
     y = grid_plane(int(name[-1])) if name.startswith("grid") else request.getfixturevalue(name)
     st = build_steenbrink(compactify(y))
     for p in range(st.dim + 1):
-        kc, rc = _kernel_and_cokernel(steenbrink_triple(st, p))
+        t = steenbrink_triple(st, p)
+        kc, rc = kernel_and_cokernel(t)
         _same_complex(kc.gc, st.k_complex(p + 1))
         _same_complex(rc.gc, st.r_complex(p))
+        for a in range(-st.dim - 2, st.dim + 3):
+            assert len(t.group("K", a)[0]) == st.k_complex(p + 1).h_dim(a)
+            assert len(t.group("R", a)[0]) == st.r_complex(p).h_dim(a)
 
 
-def test_cs_check_ranks_each_matrix_once(tmp_path, capsys, monkeypatch):
-    from trophodge import clemens_schmid
+def test_cs_check_computes_each_group_and_map_rank_once(tmp_path, capsys, monkeypatch):
+    # The junctions read each group and each map's rank from the triple's
+    # cache: one computation per (triple, name or kind, degree).
+    calls, triples = Counter(), []
+    for method in ("group", "map_rank"):
+        raw = getattr(LefschetzTriple, method).__wrapped__
 
-    seen = []  # keeps each matrix alive, so its id() stays unique
-    original = clemens_schmid.rank
+        def counting(t, *args, raw=raw, method=method):
+            triples.append(t)  # keeps each triple alive, so its id() stays unique
+            calls[id(t), method, args] += 1
+            return raw(t, *args)
 
-    def recording_rank(m):
-        seen.append(m)
-        return original(m)
-
-    monkeypatch.setattr(clemens_schmid, "rank", recording_rank)
+        monkeypatch.setattr(LefschetzTriple, method, cached(counting))
     path = tmp_path / "grid1.json"
     path.write_text(json.dumps(complex_to_json(grid_plane(1))))
     assert main(["cs-check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["all_exact"]
-    assert seen and len({id(m) for m in seen}) == len(seen)
+    assert {"group", "map_rank"} == {method for _, method, _ in calls}
+    assert max(calls.values()) == 1
 
 
 def test_check_all_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):

@@ -1,35 +1,169 @@
 """Test-side helpers for Lefschetz triples: random triples that satisfy
-Hard Lefschetz around zero by construction, and two checks of the connecting
-map d0 that the test suite runs on them."""
+Hard Lefschetz around zero by construction, two checks of the connecting
+map d0 that the test suite runs on them, and an oracle for the exact
+sequences.
+
+The oracle is the coordinate implementation that `clemens_schmid` used
+before it counted independent vectors: it builds K = ker L and R = D / im L
+as subquotient complexes of QuotientBases, makes the matrix of every map on
+cohomology with `induced_map`, and ranks and multiplies those matrices.
+"""
 
 import random
 from functools import partial
+from typing import Optional, Sequence
 
-from trophodge.clemens_schmid import LefschetzTriple, _chase_d0, _kernel_and_cokernel
-from trophodge.cohomology import GradedComplex, induced_map
-from trophodge.linalg import RationalMatrix
+from trophodge import ChaseFailureError, DegeneratePairingError
+from trophodge.clemens_schmid import ExactnessReport, Junction, LefschetzTriple, _chase
+from trophodge.cohomology import GradedComplex, QuotientBasis, induced_map
+from trophodge.linalg import Rational, RationalMatrix, kernel_vectors, rank
 
+
+# ---------------------------------------------------------------------------
+# The oracle: K and R as subquotient complexes, maps as coordinate matrices
+
+def _rank(m: RationalMatrix) -> int:
+    """The rank of m, with no elimination when m is zero."""
+    return 0 if m.is_zero() else rank(m)
+
+
+class Subquotient:
+    """The complex that ambient induces on span Z / span B in each degree,
+    for rows Z and B of its terms with d(Z) in Z and d(B) in B.  quot[k] is
+    the QuotientBasis of degree k; gc leaves out the degrees where it is 0."""
+
+    def __init__(self, ambient: GradedComplex, zrows: dict[int, Sequence],
+                 brows: dict[int, Sequence]):
+        self.ambient = ambient
+        self.quot = {k: QuotientBasis(ambient.dim(k), z, brows.get(k, ()))
+                     for k, z in zrows.items()}
+        terms = {k: qb.dim for k, qb in self.quot.items() if qb.dim}
+        diffs = {k: RationalMatrix.from_columns(terms[k + 1], [
+                     self.coordinates(k + 1, ambient.differential(k).mul_vec(rep))
+                     for rep in self.quot[k].representatives])
+                 for k in terms if k + 1 in terms}
+        self.gc = GradedComplex(terms, diffs)
+
+    def _basis(self, k: int) -> QuotientBasis:
+        return self.quot.get(k) or QuotientBasis(self.ambient.dim(k), (), ())
+
+    def coordinates(self, k: int, vec: Sequence[Rational]) -> list[Rational]:
+        """The coordinates of vec's class over the degree-k representatives."""
+        try:
+            return self._basis(k).coordinates(vec)
+        except DegeneratePairingError:
+            raise ChaseFailureError(f"vector outside the subquotient in degree {k}") from None
+
+    def inclusion(self, k: int) -> RationalMatrix:
+        """The representatives of degree k as columns in the ambient term."""
+        return RationalMatrix.from_columns(self.ambient.dim(k), self._basis(k).representatives)
+
+
+def kernel_and_cokernel(t: LefschetzTriple) -> tuple[Subquotient, Subquotient]:
+    """K = ker L in C, and R = D / im L with L^{k-2} landing in D^k."""
+    kc = Subquotient(t.C, {k: kernel_vectors(t.l_echelon(k), t.C.dim(k))
+                           for k in t.degrees()}, {})
+    rc = Subquotient(t.D, {k: [{j: 1} for j in range(n)] for k, n in t.D.terms.items()},
+                     {k: t.l_matrix(k - 2).columns() for k in t.D.terms})
+    return kc, rc
+
+
+def l_on_cohomology(t: LefschetzTriple, k: int) -> RationalMatrix:
+    """The map H^k(C) -> H^{k+2}(D) that L induces."""
+    return induced_map(t.C, t.D, t.l_matrix(k).mul_vec, k, shift=2)
+
+
+def chase_d0(t: LefschetzTriple, kc: Subquotient, rc: Subquotient,
+             lift_shift: Optional[list[Rational]] = None) -> RationalMatrix:
+    """The connecting map H^0(R) -> H^0(K) by certified diagram chase, with
+    every lift moved by L^{-2} of lift_shift when it is given."""
+    h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
+    if h_r0.dim == 0:
+        return RationalMatrix(h_k0.dim, 0)
+    lift = t.l_echelon(-1)
+    if lift.relations:
+        raise ChaseFailureError("L-preimage not unique in degree -1")
+    shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [0] * t.D.dim(0)
+    d_d0, d_cm1, l_0 = t.D.differential(0), t.C.differential(-1), t.l_matrix(0)
+    r_incl = rc.inclusion(0)
+    columns = []
+    for rep in h_r0.representatives:
+        c = [x + y for x, y in zip(r_incl.mul_vec(rep), shift)]
+        b_prime = lift.coordinates(d_d0.mul_vec(c), range(t.C.dim(-1)))
+        if b_prime is None:
+            raise ChaseFailureError("no L-preimage for the pushed lift")
+        b_second = d_cm1.mul_vec(b_prime)
+        if any(v != 0 for v in l_0.mul_vec(b_second)):
+            raise ChaseFailureError("chase output is not in ker L")
+        columns.append(h_k0.coordinates(kc.coordinates(0, b_second)))
+    return RationalMatrix.from_columns(h_k0.dim, columns)
+
+
+def oracle_sequences(t: LefschetzTriple) -> ExactnessReport:
+    """Both long exact sequences of a triple that satisfies HL, junction by
+    junction, from the ranks and products of coordinate matrices."""
+    kc, rc = kernel_and_cokernel(t)
+    degrees = t.degrees()
+    kmin = min(degrees) - 2 if degrees else 0
+    kmax = max(degrees) + 4 if degrees else 0
+
+    incl = {k: induced_map(kc.gc, t.C, kc.inclusion(k).mul_vec, k)
+            for k in range(kmin, kmax - 1)}
+    lmap = {k: l_on_cohomology(t, k) for k in range(kmin, kmax - 1)}
+    proj = {k: induced_map(t.D, rc.gc, partial(rc.coordinates, k), k)
+            for k in range(kmin + 2, kmax + 1)}
+    conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
+            for k in range(kmin, kmax + 1)}
+    conn[0] = chase_d0(t, kc, rc)
+    maps = {"incl": incl, "lmap": lmap, "proj": proj, "conn": conn}
+    report = ExactnessReport()
+
+    def junction(node: str, incoming: tuple[str, int], outgoing: tuple[str, int]):
+        m_in, m_out = maps[incoming[0]][incoming[1]], maps[outgoing[0]][outgoing[1]]
+        dim = m_in.rows
+        if dim == 0 and m_in.cols == 0 and m_out.rows == 0:
+            return
+        rk_in = _rank(m_in)
+        ker_out = dim - _rank(m_out)
+        report.junctions.append(Junction(node, rk_in, ker_out, rk_in == ker_out,
+                                         m_out.matmul(m_in).is_zero()))
+
+    for k in range(kmin, kmax - 1):
+        junction(f"H^{k}(K)", ("conn", k), ("incl", k))
+        junction(f"H^{k}(C)", ("incl", k), ("lmap", k))
+        junction(f"H^{k + 2}(D)", ("lmap", k), ("proj", k + 2))
+        junction(f"H^{k + 2}(R)", ("proj", k + 2), ("conn", k + 2))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Checks of d0
 
 def d0_lift_independent(t: LefschetzTriple) -> bool:
-    """Recompute d0 with shifted lifts; the class must not change."""
-    kc, rc = _kernel_and_cokernel(t)
-    base = _chase_d0(t, kc, rc)
+    """The chase of c + L x equals the chase of c, for each representative c
+    of H^0(R) and a fixed x in C^{-2}."""
     n = t.C.dim(-2)
     if n == 0:
         return True
-    shift = [1 + (i % 3) for i in range(n)]
-    other = _chase_d0(t, kc, rc, lift_shift=shift)
-    return base == other
+    shift = t.l_matrix(-2).mul_vec([1 + (i % 3) for i in range(n)])
+    return all(_chase(t, [x + y for x, y in zip(c, shift)]) == _chase(t, c)
+               for c in t.group("R", 0)[0])
 
 
 def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
-    """d0 . d^{-1} = 0 and d^1 . d0 = 0 on cohomology."""
-    kc, rc = _kernel_and_cokernel(t)
-    d0 = _chase_d0(t, kc, rc)
-    dminus = induced_map(t.D, rc.gc, partial(rc.coordinates, 0), 0)
-    dplus = induced_map(kc.gc, t.C, kc.inclusion(0).mul_vec, 0)
-    return d0.matmul(dminus).is_zero() and dplus.matmul(d0).is_zero()
+    """d0 . d^{-1} = 0 and d^1 . d0 = 0 on cohomology, with the chase's
+    outputs read in the oracle's class coordinates."""
+    kc, rc = kernel_and_cokernel(t)
+    h_k0, h_c0 = kc.gc.h_basis(0), t.C.h_basis(0)
+    from_d = [h_k0.coordinates(kc.coordinates(0, _chase(t, z)))
+              for z in t.D.h_basis(0).representatives]
+    into_c = [h_c0.coordinates(_chase(t, rc.inclusion(0).mul_vec(rep)))
+              for rep in rc.gc.h_basis(0).representatives]
+    return not any(any(v) for v in from_d + into_c)
 
+
+# ---------------------------------------------------------------------------
+# Random triples
 
 def _rand_unimodular(rng: random.Random, n: int) -> tuple[RationalMatrix, RationalMatrix]:
     u = RationalMatrix.identity(n)
@@ -61,12 +195,19 @@ def _rank_pattern_matrix(rng: random.Random, rows: int, cols: int, mode: str) ->
 
 
 def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
-                            max_dim: int = 3) -> LefschetzTriple:
+                            max_dim: int = 3, crossing: int = 0) -> LefschetzTriple:
     """A random triple satisfying HL around zero by construction.
 
     The triple is generated in split form (harmonic summands plus identity
     pairs), with the Lefschetz map built from forced injection/surjection
     patterns, then conjugated by random unimodular changes of basis.
+
+    A crossing summand of dimension `crossing` adds Q^crossing to C^{-1},
+    C^0, D^0 and D^1, with d_C: C^{-1} -> C^0, d_D: D^0 -> D^1 and
+    L^{-1}: C^{-1} -> D^1 the identity on it.  It is acyclic in C and D and
+    adds Q^crossing to H^0(K) and to H^0(R), on which d0 is an isomorphism;
+    without it d0 is almost always zero.  The default draws the same random
+    numbers as before the option existed.
     """
     span = rng.randint(1, max_degree)
     degs = list(range(-span, span + 1))
@@ -84,11 +225,13 @@ def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
         else:
             hD[k + 2] = max(0, hC[k] - rng.randint(0, 2))
             aD[k + 2] = max(0, aC[k] - rng.randint(0, 2))
-    # Heads at degree k pair with tails at k+1.
+    # Heads at degree k pair with tails at k+1; the crossing summand comes last.
     dimsC = {k: hC.get(k, 0) + aC.get(k, 0) + aC.get(k - 1, 0) for k in range(-span, span + 2)}
     dimsD = {k: hD.get(k, 0) + aD.get(k, 0) + aD.get(k - 1, 0) for k in range(-span + 1, span + 4)}
+    for dims, k in ((dimsC, -1), (dimsC, 0), (dimsD, 0), (dimsD, 1)):
+        dims[k] += crossing
 
-    def build_d(h, a, dims):
+    def build_d(h, a, dims, cross_from):
         diffs = {}
         for k in sorted(dims):
             if not dims.get(k) or not dims.get(k + 1):
@@ -96,11 +239,14 @@ def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
             m = RationalMatrix(dims[k + 1], dims[k])
             for i in range(a.get(k, 0)):
                 m[h.get(k + 1, 0) + a.get(k + 1, 0) + i, h.get(k, 0) + i] = 1
+            if k == cross_from:
+                for i in range(1, crossing + 1):
+                    m[dims[k + 1] - i, dims[k] - i] = 1
             diffs[k] = m
         return diffs
 
-    dC = build_d(hC, aC, dimsC)
-    dD = build_d(hD, aD, dimsD)
+    dC = build_d(hC, aC, dimsC, -1)
+    dD = build_d(hD, aD, dimsD, 0)
 
     lmats = {}
     mpat = {}
@@ -123,6 +269,9 @@ def random_lefschetz_triple(rng: random.Random, max_degree: int = 3,
                 continue
             for (i, j), v in blk.entries.items():
                 m[roff + i, coff + j] = v
+        if k == -1:
+            for i in range(1, crossing + 1):
+                m[rows - i, cols - i] = 1
         lmats[k] = m
 
     # Conjugate by random changes of basis.
