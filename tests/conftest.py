@@ -68,6 +68,30 @@ def grid_plane(n: int):
     return build_complex(2, [list(v) for v in vid], rays, specs, validate=False)
 
 
+def plane_curve(d: int):
+    """The tropical plane curve of degree d (max convention) dual to the unit
+    triangulation of d times the standard triangle, induced by the lift
+    h(i, j) = i^2 + ij + j^2.  The up-triangle on (i,j), (i+1,j), (i,j+1)
+    gives the vertex (2i+j+1, i+2j+1), the down-triangle on (i+1,j), (i,j+1),
+    (i+1,j+1) the vertex (2i+j+2, i+2j+2); each interior edge is a segment
+    and each boundary edge a ray (0,-1), (-1,0) or (1,1).  Its genus is
+    (d-1)(d-2)/2."""
+    up = {(i, j): k for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(d - i))}
+    down = {(i, j): len(up) + k
+            for k, (i, j) in enumerate((i, j) for i in range(d - 1) for j in range(d - 1 - i))}
+    vertices = [[2 * i + j + 1, i + 2 * j + 1] for i, j in up]
+    vertices += [[2 * i + j + 2, i + 2 * j + 2] for i, j in down]
+    specs = [([v], []) for v in range(len(vertices))]
+    for (i, j), v in up.items():
+        for other in (down.get((i, j - 1)), down.get((i - 1, j)), down.get((i, j))):
+            if other is not None:  # across the bottom, left and diagonal edges
+                specs.append(([v, other], []))
+        for ray, on_boundary in ((0, j == 0), (1, i == 0), (2, i + j == d - 1)):
+            if on_boundary:
+                specs.append(([v], [ray]))
+    return build_complex(2, vertices, [[0, -1], [-1, 0], [1, 1]], specs)
+
+
 @pytest.fixture(scope="session")
 def comp_grid1():
     """grid_plane(1) compactified: two bounded triangles, so blocks with s = 2."""

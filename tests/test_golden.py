@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from conftest import grid_plane
+from conftest import grid_plane, plane_curve
 from trophodge.cli import main
 from trophodge.fixtures import fix_d, fix_e
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
@@ -36,14 +36,20 @@ FAN_COMMANDS = {"chow": ["--degrees", "all"], "mw": ["-k", "1"], "steenbrink": [
 # The two larger inputs of the benchmark's check-all workload.
 LADDER = ["grid3", "prod"]
 LADDER_COMMANDS = {"check-all": ["--seed", "3"], "cohomology": [], "hodge-cycle": ["--p", "1"]}
+# A genus-three curve: its diamond is not diagonal, so N maps H^{1,0} onto H^{0,1}.
+CURVES = ["curve4"]
+CURVE_COMMANDS = {"cohomology": [], "cs-check": [], "check-all": ["--seed", "3"],
+                  "hodge-cycle": ["--p", "1"]}
 CASES = [(cmd, name) for cmd in COMMANDS for name in INPUTS]
 CASES += [(cmd, name) for cmd in FAN_COMMANDS for name in FANS]
 CASES += [(cmd, name) for cmd in LADDER_COMMANDS for name in LADDER]
+CASES += [(cmd, name) for cmd in CURVE_COMMANDS for name in CURVES]
 GENERATED = {"grid1": lambda: grid_plane(1),
              "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
              "b4": lambda: bergman_fan(boolean_matroid(4)),
              "grid3": lambda: grid_plane(3),
-             "prod": lambda: product_complex(product_complex(fix_e(), fix_d()), fix_d())}
+             "prod": lambda: product_complex(product_complex(fix_e(), fix_d()), fix_d()),
+             "curve4": lambda: plane_curve(4)}
 
 
 def _output(cmd: str, name: str, tmp_dir: str) -> str:
@@ -52,7 +58,8 @@ def _output(cmd: str, name: str, tmp_dir: str) -> str:
         arg = os.path.join(tmp_dir, f"{name}.json")
         with open(arg, "w", encoding="utf-8") as fh:
             json.dump(complex_to_json(GENERATED[name]()), fh)
-    extra = (FAN_COMMANDS if name in FANS else LADDER_COMMANDS if name in LADDER else COMMANDS)[cmd]
+    extra = (FAN_COMMANDS if name in FANS else LADDER_COMMANDS if name in LADDER
+             else CURVE_COMMANDS if name in CURVES else COMMANDS)[cmd]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([cmd, arg, *extra])
