@@ -11,14 +11,14 @@ sequences
 
   ... -> H^k(K) -> H^k(C) -L-> H^{k+2}(D) -> H^{k+2}(R) -> H^{k+2}(K) -> ...
 
-are verified junction by junction, with no coordinates.  Each group H^k(X),
-for X in C, D, K or R, lives in the ambient term (C^k for K, D^k for R) as
-representatives of a basis and the echelon of rows that span the
-boundaries.  Every map acts on ambient vectors, so every number of a
-junction counts the vectors that are independent modulo a boundary span:
-dim H counts the representatives, the rank of a map the images of the
-source's representatives, and a composite is zero when none of its images
-is independent.  The only nontrivial connecting map is d0: H^0(R) ->
+are verified junction by junction, with no coordinates.  Each group H^k(X)
+is one `QuotientBasis` in the ambient term (C^k for K, D^k for R): C and D
+give their own `h_basis(k)`, and K and R read their cocycles and boundaries
+off echelons that extend ones already made.  Every map acts on ambient
+vectors, so every number of a junction counts the images that are
+`independent` modulo the target's boundaries: the rank of a map counts the
+images of the source's representatives, and a composite is zero when none
+of its images is.  The only nontrivial connecting map is d0: H^0(R) ->
 H^0(K), the chase: push a cocycle of R^0 by d_D, take the unique
 L-preimage in C^{-1}, push by d_C, and certify the result is killed by L.
 Every existence step records a witness and every uniqueness step asserts
@@ -38,19 +38,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import ChaseFailureError, DegreeMismatchError, HLFailureError, cached
-from .cohomology import GradedComplex
+from .cohomology import GradedComplex, QuotientBasis
 from .linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors
 
 # The maps of the sequences by kind: (source, target, degree shift).
 _MAPS = {"incl": ("K", "C", 0), "lmap": ("C", "D", 2), "proj": ("D", "R", 0),
          "conn": ("R", "K", 0)}
-
-
-def _independent(boundaries: Echelon, vectors: Sequence) -> list:
-    """The vectors independent modulo the boundaries and the vectors before
-    them: those whose remainders modulo the boundaries are independent."""
-    rest = Echelon()
-    return [v for v in vectors if rest.add(boundaries.reduce(v)[0])]
 
 
 @dataclass
@@ -73,26 +66,41 @@ class LefschetzTriple:
         return column_echelon(self.l_matrix(k))
 
     @cached
-    def group(self, name: str, k: int) -> tuple[list, Echelon]:
-        """H^k of C, D, K or R as its representatives and the echelon of its
-        boundaries, in the ambient term; the representatives are the
-        cocycles that are independent modulo the boundaries."""
+    def _span(self, name: str, k: int) -> Echelon:
+        """The keyed echelon that K^k's or R^k's cocycles are read from, whose
+        kept rows span the boundaries in degree k+1: for K, d_C of the kernel
+        vectors of L^k, keyed by position; for R, D's echelon of d_D^k
+        extended by the columns of L^{k-1}, whose relations' D^k parts are R^k's."""
+        if name == "K":
+            d, n = self.C.differential(k), self.C.dim(k)
+            return Echelon((d.mul_vec(v) for v in kernel_vectors(self.l_echelon(k), n)), keyed=True)
+        span, n = self.D.echelon(k).copy(), self.D.dim(k)
+        for j, column in enumerate(self.l_matrix(k - 1).columns()):
+            span.add(column, n + j)
+        return span
+
+    @cached
+    def group(self, name: str, k: int) -> QuotientBasis:
+        """H^k of C, D, K or R in the ambient term: `h_basis(k)` itself for C
+        and D.  K^k for k < 0 and R^k for k > 0 are zero, read without
+        eliminating (no cocycle but 0 in K^k, every vector a boundary in
+        R^k).  That needs HL on the nose, which `check_hl` certifies before
+        any group is read: L is injective in degrees <= -1, so ker L^k = 0,
+        and surjective onto degrees >= 1, so im L^{k-2} = D^k."""
         if name in ("C", "D"):
-            gc = self.C if name == "C" else self.D
-            return gc.h_basis(k).representatives, Echelon(gc.coboundary_rows(k))
-        if name == "K":  # cocycles ker [L^k; d_C^k], boundaries d_C(ker L^{k-1})
-            top = self.l_matrix(k)
-            columns = [{**lc, **{i + top.rows: v for i, v in dc.items()}}
-                       for lc, dc in zip(top.columns(), self.C.differential(k).columns())]
-            cocycles = kernel_vectors(Echelon(columns, keyed=True), self.C.dim(k))
-            d = self.C.differential(k - 1)
-            bounds = Echelon(d.mul_vec(v) for v in kernel_vectors(self.l_echelon(k - 1),
-                                                                  self.C.dim(k - 1)))
-        else:  # R: cocycles the D^k part of ker [d_D^k | L^{k-1}], boundaries d_D and im L^{k-2}
-            columns = self.D.differential(k).columns() + self.l_matrix(k - 1).columns()
-            cocycles = kernel_vectors(Echelon(columns, keyed=True), self.D.dim(k))
-            bounds = Echelon(self.D.coboundary_rows(k) + self.l_matrix(k - 2).columns())
-        return _independent(bounds, cocycles), bounds
+            return (self.C if name == "C" else self.D).h_basis(k)
+        if name == "K":
+            n = self.C.dim(k)
+            if k < 0:
+                return QuotientBasis(n, (), Echelon())
+            kernel = RationalMatrix.from_columns(n, kernel_vectors(self.l_echelon(k), n))
+            cocycles = [kernel.mul_vec(c) for c in kernel_vectors(self._span("K", k), kernel.cols)]
+        else:
+            n = self.D.dim(k)
+            if k > 0:
+                return QuotientBasis(n, (), Echelon({j: 1} for j in range(n)))
+            cocycles = kernel_vectors(self._span("R", k), n)
+        return QuotientBasis(n, cocycles, self._span(name, k - 1))
 
     def push(self, kind: str, k: int, vec: Sequence) -> Sequence:
         """The image of an ambient vector under the map of that kind out of H^k."""
@@ -107,8 +115,8 @@ class LefschetzTriple:
         """The rank on H^k of the map of that kind: the number of images of
         the source's representatives independent modulo the target's boundaries."""
         source, target, shift = _MAPS[kind]
-        images = [self.push(kind, k, z) for z in self.group(source, k)[0]]
-        return len(_independent(self.group(target, k + shift)[1], images))
+        images = [self.push(kind, k, z) for z in self.group(source, k).representatives]
+        return len(self.group(target, k + shift).independent(images))
 
     def degrees(self) -> list[int]:
         ks = set(self.C.terms) | {k - 2 for k in self.D.terms}
@@ -186,14 +194,14 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
         (kind_in, k_in), (kind_out, k_out) = incoming, outgoing
         source = _MAPS[kind_in][0]
         _, target, shift = _MAPS[kind_out]
-        reps = t.group(source, k_in)[0]
-        dim = len(t.group(node, k)[0])
-        if dim == 0 and not reps and not t.group(target, k_out + shift)[0]:
+        reps = t.group(source, k_in).representatives
+        dim = t.group(node, k).dim
+        if dim == 0 and not reps and not t.group(target, k_out + shift).dim:
             return
         rk_in = t.map_rank(kind_in, k_in)
         ker_out = dim - t.map_rank(kind_out, k_out)
         composite = [t.push(kind_out, k_out, t.push(kind_in, k_in, z)) for z in reps]
-        zero = not _independent(t.group(target, k_out + shift)[1], composite)
+        zero = not t.group(target, k_out + shift).independent(composite)
         report.junctions.append(Junction(f"H^{k}({node})", rk_in, ker_out,
                                          rk_in == ker_out, zero))
 

@@ -31,24 +31,21 @@ Vec = list[Rational]
 
 
 # ---------------------------------------------------------------------------
-# Small quotient-space helper (cohomology = cocycles / coboundaries)
+# Cohomology groups (cocycles / boundaries)
 
 class QuotientBasis:
-    """Basis handling for a quotient (span Z)/(span B) of row vectors.
+    """H^k, or any quotient (span Z)/(span B) of row vectors, as
+    representatives over an echelon of B that the caller passes in: for H^k
+    of a complex, its cached echelon of d_{k-1}, not eliminated again.  The
+    representatives are the rows of Z (dense, or sparse {column: value}
+    dicts) independent modulo B and the rows before them.  The class
+    coordinates of a vector are its tracked coefficients on them, in one
+    echelon that starts from B's kept rows; every rank on cohomology counts
+    `independent` vectors instead."""
 
-    The representatives are the rows of Z that are independent modulo B
-    and the rows of Z before them.  One echelon form holds B unkeyed and Z
-    keyed by position, so a vector's class coordinates are its tracked
-    coefficients on the representatives.  Rows of Z and B are dense
-    sequences or sparse {column: value} dicts; only the kept rows of Z are
-    made dense.
-    """
-
-    def __init__(self, ambient_dim: int, zrows: Sequence, brows: Sequence):
-        self.ambient_dim = ambient_dim
-        self._span = Echelon(keyed=True)
-        for r in brows:
-            self._span.add(r)
+    def __init__(self, ambient_dim: int, zrows: Sequence, boundaries: Echelon):
+        self.ambient_dim, self.boundaries = ambient_dim, boundaries
+        self._span = boundaries.copy(keyed=True)
         self._keys: list[int] = []
         self.representatives: list[Vec] = []
         for i, r in enumerate(zrows):
@@ -68,6 +65,15 @@ class QuotientBasis:
         if coords is None:
             raise DegeneratePairingError("vector is not a cocycle of this space")
         return coords
+
+    def independent(self, vectors: Sequence) -> list:
+        """The vectors independent modulo the boundaries and the vectors
+        before them.  They must be cocycles, as the caller checks where it is
+        not sure: none is independent when the group is zero."""
+        if not self.representatives:
+            return []
+        span = self.boundaries.copy(keyed=False)
+        return [v for v in vectors if span.add(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +116,17 @@ class GradedComplex:
         its rank and its cocycles are read from."""
         return column_echelon(self.differential(k))
 
-    def cocycle_rows(self, k: int) -> list[dict[int, Rational]]:
-        """The canonical kernel of d_k as sparse rows: the relations of its
-        column echelon ({i: 1} for each column of a zero differential)."""
-        return [combo for _, combo in self.echelon(k).relations]
-
-    def coboundary_rows(self, k: int) -> list[dict[int, Rational]]:
-        return self.differential(k - 1).columns() if self.dim(k) else []
-
     @cached
     def h_basis(self, k: int) -> QuotientBasis:
-        return QuotientBasis(self.dim(k), self.cocycle_rows(k), self.coboundary_rows(k))
-
-    def d_rank(self, k: int) -> int:
-        return self.echelon(k).rank
+        """H^k with the canonical kernel of d_k as cocycles (the relations of
+        its echelon), over the echelon of d_{k-1}, whose kept rows span the
+        coboundaries."""
+        return QuotientBasis(self.dim(k), [combo for _, combo in self.echelon(k).relations],
+                             self.echelon(k - 1))
 
     def h_dim(self, k: int) -> int:
         """dim C^k - rank d_k - rank d_{k-1}; builds no basis."""
-        return self.dim(k) - self.d_rank(k) - self.d_rank(k - 1)
+        return self.dim(k) - self.echelon(k).rank - self.echelon(k - 1).rank
 
 
 def induced_map(src: GradedComplex, dst: GradedComplex, f: Callable[[Vec], Vec],

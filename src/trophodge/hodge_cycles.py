@@ -29,8 +29,8 @@ from . import (
 )
 from .chow import ChowClass, MinkowskiWeight, gysin as chow_gysin, mw_evaluate, ring_of
 from .cohomology import cochain_complex, coefficient_space, wedge_vector
-from .linalg import Echelon, Rational, RationalMatrix, kernel_vectors, rank, row_space_rank, solve
-from .steenbrink import SteenbrinkPage, n_power_h_matrix
+from .linalg import Echelon, Rational, RationalMatrix, kernel_vectors, rank, solve
+from .steenbrink import SteenbrinkPage, n_power_image
 
 
 @dataclass
@@ -94,7 +94,7 @@ def is_cocycle(st: SteenbrinkPage, alpha: HodgeClass) -> bool:
 def hodge_locus_basis(st: SteenbrinkPage, p: int) -> list[HodgeClass]:
     """Cocycles of K^{0,2p} whose classes span ker N inside H^{p,p}."""
     h0 = st.h_basis(2 * p, 0)
-    target_rank = h0.dim - rank(n_power_h_matrix(st, 1, 2 * p, 0))
+    target_rank = h0.dim - len(n_power_image(st, 1, 2 * p, 0))
     chosen: list[HodgeClass] = []
     chosen_span = Echelon()
     for vec in k_cocycle_vectors(st, p):
@@ -208,12 +208,10 @@ def numerical_vs_homological(st: SteenbrinkPage, p: int) -> dict:
     nondeg = square and (not basis_p or rank(RationalMatrix.from_rows(matrix)) == len(basis_p))
 
     # Rank-level splitting of H^{p,p} into ker N and Im N.
-    h0 = st.h_basis(2 * p, 0)
-    ker_coords = [h0.coordinates(x) for _, _, x in basis_p]
-    nmat = n_power_h_matrix(st, 1, 2 * p + 2, -2)
-    im_rank, ker_rank = rank(nmat), row_space_rank(ker_coords)
-    direct = row_space_rank(ker_coords + nmat.columns()) == ker_rank + im_rank
-    splits = ker_rank + im_rank == h0.dim and direct
+    h0, kernel = st.h_basis(2 * p, 0), [x for _, _, x in basis_p]
+    image = n_power_image(st, 1, 2 * p + 2, -2)
+    ker_rank = len(h0.independent(kernel))
+    splits = len(h0.independent(kernel + image)) == ker_rank + len(image) == h0.dim
 
     # ker N (p side) is psi-orthogonal to Im N (q side).
     images_q = [st.apply_n((-2, 2 * q + 2, rep)) for rep in st.h_basis(2 * q + 2, -2).representatives]

@@ -222,6 +222,18 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self, keyed: Optional[bool] = None) -> "Echelon":
+        """A new echelon that starts from this one's kept rows (shared: no add
+        changes a kept row).  With keyed None it copies the combinations and
+        relations too; keyed True or False holds the kept rows as unkeyed."""
+        out = Echelon(keyed=self.combos is not None if keyed is None else keyed)
+        out.pivots = dict(self.pivots)
+        if keyed is None and self.combos is not None:
+            out.combos, out.relations = dict(self.combos), list(self.relations)
+        elif keyed:
+            out.combos = dict.fromkeys(self.pivots, {})  # combos are replaced, never changed
+        return out
+
     def _eliminate(self, row: Row, rem: Optional[Row] = None) -> Row:
         """Subtract kept rows from row, in place, while its leading column
         holds a pivot; returns the multiplier used at each pivot column.

@@ -281,6 +281,19 @@ def n_power_h_matrix(st: SteenbrinkPage, k: int, b: int, a: int) -> RationalMatr
                        lambda v: _n_power_vec(st, a, b, v, k), a, shift=2 * k)
 
 
+def n_power_image(st: SteenbrinkPage, k: int, b: int, a: int) -> list[list[Rational]]:
+    """The images under N^k of the representatives of H^a(ST^{.,b}) whose
+    classes are independent in H^{a+2k}(ST^{.,b-2k}), as many as the rank of
+    N^k there.  Raises HLFailureError when an image is not a cocycle."""
+    target = st.row_complex(b - 2 * k)
+    images = [_n_power_vec(st, a, b, rep, k) for rep in st.h_basis(b, a).representatives]
+    d = target.differential(a + 2 * k)
+    if any(any(d.mul_vec(v)) for v in images):
+        raise HLFailureError(f"N^{k} maps a cocycle of H^{a}(ST^{{.,{b}}}) outside the cocycles "
+                             f"of ST^{{.,{b - 2 * k}}}: N does not commute with d")
+    return target.h_basis(a + 2 * k).independent(images)
+
+
 @cached
 def verify_hl(st: SteenbrinkPage) -> dict:
     """Page-level and cohomology-level Hard Lefschetz around zero, once per page.
@@ -288,24 +301,16 @@ def verify_hl(st: SteenbrinkPage) -> dict:
     Keys are (k, source row b); N^k must map ST^{-k, b} isomorphically onto
     ST^{k, b-2k}, and likewise on row cohomology.
     """
-    d = st.dim
-    page = {}
-    coh = {}
+    d, page, coh = st.dim, {}, {}
     for k in range(0, d + 1):
         for bs in range(0, 2 * d + 1, 2):
             bt = bs - 2 * k
-            sdim = st.term_dim(-k, bs)
-            tdim = st.term_dim(k, bt)
-            if sdim or tdim:
+            if st.term_dim(-k, bs) or st.term_dim(k, bt):
                 page[(k, bs)] = (st.term_labels(-k, bs) == st.term_labels(k, bt))
             hs = st.h_basis(bs, -k).dim
             ht = st.h_basis(bt, k).dim if bt >= 0 else 0
-            if hs == 0 and ht == 0:
-                continue
-            if hs != ht:
-                coh[(k, bs)] = False
-                continue
-            coh[(k, bs)] = rank(n_power_h_matrix(st, k, bs, -k)) == hs
+            if hs or ht:
+                coh[(k, bs)] = hs == ht and len(n_power_image(st, k, bs, -k)) == hs
     return {"page": page, "cohomology": coh,
             "all": all(page.values()) and all(coh.values())}
 
@@ -341,6 +346,13 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
     if not hl["all"]:
         raise HLFailureError("Hard Lefschetz fails; no primitive decomposition")
     d = st.dim
+
+    def summands(b0: int, a: int, extra: int) -> list:
+        """(s, N^(s+extra) of a basis of P^{-(a+2s), b0+2s}) for each s with one."""
+        return [(s, vecs) for s in range(d + 1)
+                if (vecs := [_n_power_vec(st, -(a + 2 * s), b0 + 2 * s, v, s + extra)
+                             for v in primitive_basis(st, a + 2 * s, b0 + 2 * s)])]
+
     dims: dict[tuple[int, int], int] = {}
     decomposition_ok: dict[tuple[int, int], bool] = {}
     orthogonal_ok: dict[tuple[int, int], bool] = {}
@@ -354,39 +366,17 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
             h = st.h_basis(b, -a)
             if h.dim == 0:
                 continue
-            rows = []
-            summands = []
-            for s in range(0, d + 1):
-                bb = b + 2 * s
-                vecs = [_n_power_vec(st, -(a + 2 * s), bb, v, s)
-                        for v in primitive_basis(st, a + 2 * s, bb)]
-                if vecs:
-                    summands.append((s, vecs))
-                for v in vecs:
-                    rows.append(h.coordinates(v))
+            mine = summands(b, a, 0)
+            rows = [h.coordinates(v) for _, vecs in mine for v in vecs]
             got = rank(RationalMatrix.from_rows(rows)) if rows else 0
             decomposition_ok[(-a, b)] = (got == h.dim == len(rows))
             # Orthogonality: N^s P (in row b) against N^s' P' (in the psi-dual
             # row) pair to zero under psi(., N^a .) whenever s != s'.  The
-            # dual summands are stored as N^(s'+a) P', the N^a already applied.
-            bdual = 2 * d - b + 2 * a
-            dual_summands = []
-            for s2 in range(0, d + 1):
-                bb2 = bdual + 2 * s2
-                nvecs2 = [_n_power_vec(st, -(a + 2 * s2), bb2, v, s2 + a)
-                          for v in primitive_basis(st, a + 2 * s2, bb2)]
-                if nvecs2:
-                    dual_summands.append((s2, nvecs2))
-            ok = True
-            for s, vecs in summands:
-                for s2, nvecs2 in dual_summands:
-                    if s == s2:
-                        continue
-                    for vx in vecs:
-                        for ny in nvecs2:
-                            if st.psi((-a, b, vx), (a, 2 * d - b, ny)) != 0:
-                                ok = False
-            orthogonal_ok[(-a, b)] = ok
+            # dual summands are N^(s'+a) P', the N^a already applied.
+            dual = summands(2 * d - b + 2 * a, a, a)
+            orthogonal_ok[(-a, b)] = all(st.psi((-a, b, vx), (a, 2 * d - b, ny)) == 0
+                                         for s, vecs in mine for s2, nvecs in dual if s != s2
+                                         for vx in vecs for ny in nvecs)
     return {"dims": dims, "decomposition": decomposition_ok,
             "orthogonality": orthogonal_ok,
             "all": all(decomposition_ok.values()) and all(orthogonal_ok.values())}
@@ -395,17 +385,10 @@ def primitive_parts(st: SteenbrinkPage) -> dict:
 def cohomology_pairing_matrix(st: SteenbrinkPage, p: int, q: int) -> list[list[Rational]]:
     """psi on H^{q-p}(ST^{.,2p}) x H^{p-q}(ST^{.,2(d-p)}), i.e. the
     Poincare pairing H^{p,q} x H^{d-p,d-q}."""
-    d = st.dim
-    a = q - p
-    hx = st.h_basis(2 * p, a)
-    hy = st.h_basis(2 * (d - p), -a)
-    out = []
-    for rx in hx.representatives:
-        row = []
-        for ry in hy.representatives:
-            row.append(st.psi((a, 2 * p, rx), (-a, 2 * (d - p), ry)))
-        out.append(row)
-    return out
+    d, a = st.dim, q - p
+    return [[st.psi((a, 2 * p, rx), (-a, 2 * (d - p), ry))
+             for ry in st.h_basis(2 * (d - p), -a).representatives]
+            for rx in st.h_basis(2 * p, a).representatives]
 
 
 def random_homogeneous(st: SteenbrinkPage, rng: random.Random) -> tuple[int, int, list[Rational]]:

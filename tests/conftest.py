@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from trophodge import fixtures as fx
@@ -90,6 +92,33 @@ def plane_curve(d: int):
             if on_boundary:
                 specs.append(([v], [ray]))
     return build_complex(2, vertices, [[0, -1], [-1, 0], [1, 1]], specs)
+
+
+def staircase_product(a, b):
+    """The product of two complexes with simplicial faces, each product of
+    simplices split into the staircase simplices of its vertex pairs (the
+    chains of pairs in the product of the two vertex orders), with both
+    factors' rays appended.  Sound when the rays are transverse to the
+    bounded part, as for a curve times fixE."""
+    order_a = sorted({v for f in a.faces for v in f.vertices})
+    order_b = sorted({v for f in b.faces for v in f.vertices})
+    vid, rid, specs = {}, {}, set()
+    for fa in a.faces:
+        for fb in b.faces:
+            pairs = [(u, v) for u in sorted(fa.vertices, key=order_a.index)
+                     for v in sorted(fb.vertices, key=order_b.index)]
+            rays = frozenset(rid.setdefault(r + (0,) * b.rank, len(rid)) for r in fa.rays) | \
+                frozenset(rid.setdefault((0,) * a.rank + r, len(rid)) for r in fb.rays)
+            for n in range(1, len(pairs) + 1):
+                for chain in itertools.combinations(pairs, n):  # pairs are listed in lex order
+                    if {u for u, _ in chain} == set(fa.vertices) and \
+                            {v for _, v in chain} == set(fb.vertices) and \
+                            all(order_b.index(v) <= order_b.index(w)
+                                for (_, v), (_, w) in zip(chain, chain[1:])):
+                        specs.add((frozenset(vid.setdefault(u + v, len(vid)) for u, v in chain),
+                                   rays))
+    return build_complex(a.rank + b.rank, list(vid), list(rid),
+                         sorted((sorted(vs), sorted(rs)) for vs, rs in specs))
 
 
 @pytest.fixture(scope="session")

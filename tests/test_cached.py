@@ -140,19 +140,20 @@ def test_star_fan_unimodularity_is_computed_once_per_star_fan(monkeypatch):
 
 def test_hard_lefschetz_is_verified_once_per_page(tmp_path, capsys, monkeypatch):
     # check-all reads verify_hl, and so does tropical_clemens_schmid; only
-    # verify_hl builds N^k: H^{-k} -> H^k on row cohomology, one per (k, b).
-    builds, pages = Counter(), []
-    n_power_h_matrix = steenbrink.n_power_h_matrix
+    # verify_hl reads the rank of N^k: H^{-k} -> H^k on row cohomology, once
+    # per (k, b).
+    reads, pages = Counter(), []
+    n_power_image = steenbrink.n_power_image
 
     def counting(st, k, b, a):
         pages.append(st)  # keeps each page alive, so its id() stays unique
         if a == -k:
-            builds[id(st), k, b] += 1
-        return n_power_h_matrix(st, k, b, a)
+            reads[id(st), k, b] += 1
+        return n_power_image(st, k, b, a)
 
-    monkeypatch.setattr(steenbrink, "n_power_h_matrix", counting)
+    monkeypatch.setattr(steenbrink, "n_power_image", counting)
     _check_all_grid1(tmp_path, capsys)
-    assert builds and max(builds.values()) == 1
+    assert reads and max(reads.values()) == 1
 
 
 def test_check_hl_and_the_sequences_share_the_rank_of_l(monkeypatch):

@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_plane
+from conftest import grid_plane, plane_curve
 from triples import (
+    RowQuotientBasis,
     chase_d0,
     d0_boundary_compositions_zero,
     d0_lift_independent,
+    h_rows,
+    k_rows,
     kernel_and_cokernel,
     oracle_sequences,
+    r_rows,
     random_lefschetz_triple,
+    row_h_basis,
 )
 
 from trophodge import ChaseFailureError, HLFailureError, cached, cohomology
@@ -87,8 +92,8 @@ def test_kernel_vanishes_negative_cokernel_positive():
         assert all(k >= 0 for k in kc.gc.terms)
         assert all(k <= 0 for k in rc.gc.terms)
         degrees = range(min(t.degrees()) - 2, max(t.degrees()) + 5)
-        assert not any(t.group("K", k)[0] for k in degrees if k < 0)
-        assert not any(t.group("R", k)[0] for k in degrees if k > 0)
+        assert not any(t.group("K", k).dim for k in degrees if k < 0)
+        assert not any(t.group("R", k).dim for k in degrees if k > 0)
 
 
 def test_subquotient_coordinates_reject_a_vector_outside_the_space():
@@ -111,7 +116,8 @@ PAGE_INPUTS = {**{f"fix{c}": getattr(fx, f"fix_{c}") for c in "abcdef"},
                **{f"grid{n}": (lambda n=n: grid_plane(n)) for n in (1, 2, 3)},
                "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
                "b4": lambda: bergman_fan(boolean_matroid(4)),
-               "prod": lambda: product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d())}
+               "prod": lambda: product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d()),
+               **{f"curve{d}": (lambda d=d: plane_curve(d)) for d in (3, 4, 5)}}
 
 
 def _page(name: str, request) -> SteenbrinkPage:
@@ -344,7 +350,7 @@ def test_chase_d0_equals_dense_chase():
     for i in range(15):
         t = random_lefschetz_triple(rng, crossing=i % 2)
         kc, rc = kernel_and_cokernel(t)
-        h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
+        h_r0, h_k0 = row_h_basis(rc.gc, 0), row_h_basis(kc.gc, 0)
         shifts = [None]
         if t.C.dim(-2):
             shifts.append([Fraction(rng.randint(-2, 2)) for _ in range(t.C.dim(-2))])
@@ -380,8 +386,8 @@ def test_kernel_and_cokernel_equal_the_s_parts_of_the_page(name, request):
         _same_complex(kc.gc, st.k_complex(p + 1))
         _same_complex(rc.gc, st.r_complex(p))
         for a in range(-st.dim - 2, st.dim + 3):
-            assert len(t.group("K", a)[0]) == st.k_complex(p + 1).h_dim(a)
-            assert len(t.group("R", a)[0]) == st.r_complex(p).h_dim(a)
+            assert t.group("K", a).dim == st.k_complex(p + 1).h_dim(a)
+            assert t.group("R", a).dim == st.r_complex(p).h_dim(a)
 
 
 def test_cs_check_computes_each_group_and_map_rank_once(tmp_path, capsys, monkeypatch):
@@ -428,3 +434,83 @@ def test_check_all_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["all"]
     twice = len(seen) - len({id(m) for m in seen})
     assert seen and twice == 0, f"{twice} of {len(seen)} eliminations repeat a matrix"
+
+
+def _dense(row, n: int) -> list:
+    return [row.get(j, 0) for j in range(n)] if isinstance(row, dict) else list(row)
+
+
+def _same_group(got: QuotientBasis, zrows: list, brows: list, rng: random.Random) -> None:
+    """got against the oracle's RowQuotientBasis of the same rows: the same
+    representatives, and the same coordinates of seeded cocycles plus
+    random coboundaries."""
+    want = RowQuotientBasis(got.ambient_dim, zrows, brows)
+    assert got.representatives == want.representatives
+    n = got.ambient_dim
+    for _ in range(3):
+        vec = [0] * n
+        for row in zrows + brows:
+            c = rng.randint(-2, 2)
+            for j, x in enumerate(_dense(row, n)):
+                vec[j] += c * x
+        assert got.coordinates(vec) == want.coordinates(vec)
+
+
+@pytest.mark.parametrize("name", ["fixa", "fixb", "fixc", "fixd", "fixe", "fixf",
+                                  "grid1", "grid2", "comp_genus1"])
+def test_groups_equal_the_row_quotient_oracle(name, request):
+    # Every cohomology group that the package reads, H^k of each cochain and
+    # row complex and of K and R of each triple of the page, against the
+    # quotient class that takes its boundaries as rows and eliminates them.
+    if name.startswith("grid"):
+        x = compactify(grid_plane(int(name[-1])))
+    else:
+        x = request.getfixturevalue(name)
+        x = x if name.startswith("comp") else compactify(x)
+    st = build_steenbrink(x)
+    rng = random.Random(name)
+    complexes = [cohomology.cochain_complex(x, p) for p in range(x.dim + 1)]
+    complexes += [st.row_complex(b) for b in range(0, 2 * st.dim + 1, 2)]
+    for gc in complexes:
+        for k in range(min(gc.terms, default=0) - 1, max(gc.terms, default=0) + 2):
+            _same_group(gc.h_basis(k), *h_rows(gc, k), rng)
+    groups = 0
+    for p in range(st.dim + 1):
+        t = steenbrink_triple(st, p)
+        check_hl(t)  # the precondition of the zero K^k (k < 0) and R^k (k > 0)
+        for k in range(min(t.degrees(), default=0) - 2, max(t.degrees(), default=0) + 5):
+            _same_group(t.group("K", k), *k_rows(t, k), rng)
+            _same_group(t.group("R", k), *r_rows(t, k), rng)
+            groups += t.group("K", k).dim + t.group("R", k).dim
+    assert groups
+
+
+def test_groups_read_the_cached_echelon_of_the_differential(tmp_path, capsys, monkeypatch):
+    # check-all on grid_plane(1): every H^k it builds holds the cached
+    # echelon of d_{k-1} as its boundaries, and the C and D groups of every
+    # triple are the row complexes' h_basis(k) themselves.
+    bases, groups = [], []
+    h_basis, group = GradedComplex.h_basis, LefschetzTriple.group
+
+    def recording_h_basis(gc, k):
+        bases.append((gc, k, h_basis(gc, k)))
+        return bases[-1][2]
+
+    def recording_group(t, name, k):
+        groups.append((t, name, k, group(t, name, k)))
+        return groups[-1][3]
+
+    monkeypatch.setattr(GradedComplex, "h_basis", recording_h_basis)
+    monkeypatch.setattr(LefschetzTriple, "group", recording_group)
+    path = tmp_path / "grid1.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(1))))
+    assert main(["check-all", str(path), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"]
+    assert bases and all(qb.boundaries is gc.echelon(k - 1) for gc, k, qb in bases)
+    own = [(t, name, k, g) for t, name, k, g in groups if name in ("C", "D")]
+    assert own and all(g is getattr(t, name).h_basis(k) for t, name, k, g in own)
+    x = compactify(grid_plane(1))
+    st = build_steenbrink(x)
+    for gc in [cohomology.cochain_complex(x, p) for p in range(x.dim + 1)] + \
+            [st.row_complex(b) for b in range(0, 2 * st.dim + 1, 2)]:
+        assert all(gc.h_basis(k).boundaries is gc.echelon(k - 1) for k in gc.terms)

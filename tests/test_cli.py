@@ -7,11 +7,11 @@ import sys
 import pytest
 
 import trophodge
-from conftest import grid_plane
-from trophodge import cli
+from conftest import grid_plane, plane_curve, staircase_product
+from trophodge import cli, steenbrink
 from trophodge.chow import ChowRing
 from trophodge.cli import main
-from trophodge.fixtures import named_fixture
+from trophodge.fixtures import fix_e, named_fixture
 from trophodge.linalg import RationalMatrix
 from trophodge.polyhedral import compactify, complex_from_json, complex_to_json
 from trophodge.steenbrink import SteenbrinkPage, build_steenbrink, random_homogeneous
@@ -212,6 +212,30 @@ def test_broken_psi_identity_fails_check_all(name, mutation, capsys, monkeypatch
     if mutation == "gysin-doubled":
         assert all(v == "pass" for k, v in checks.items() if k.startswith("steenbrink-d2-zero"))
     assert not _random_psi_identities(build_steenbrink(compactify(y)), random.Random(3))
+
+
+def test_n_that_does_not_commute_with_d_fails_check_all(capsys, monkeypatch, tmp_path):
+    # On curve(3) x fixE, whose bounded 2-cells give ST^{.,0} a degree 2, N maps
+    # H^{-1}(ST^{.,2}) = H^{1,0} onto H^1(ST^{.,0}) = H^{0,1}, below the top
+    # degree.  The broken N adds e_j, with d e_j != 0, to every nonzero image
+    # of ST^{-1,2}: N d != d N there, and N maps cocycles outside the
+    # cocycles, whose images would still count as independent classes.
+    arg = str(tmp_path / "input.json")
+    with open(arg, "w", encoding="utf-8") as fh:
+        json.dump(complex_to_json(staircase_product(plane_curve(3), fix_e())), fh)
+    n_power_vec = steenbrink._n_power_vec
+
+    def broken(st, a, b, vec, k):
+        out = n_power_vec(st, a, b, vec, k)
+        if (a, b, k) == (-1, 2, 1) and any(vec):
+            out[min(j for _, j in st.row_complex(0).differential(1).entries)] += 1
+        return out
+
+    monkeypatch.setattr(steenbrink, "_n_power_vec", broken)
+    code, out = run(capsys, "check-all", arg, "--seed", "3")
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert "N^1 maps a cocycle of H^-1" in detail and "does not commute with d" in detail
 
 
 def test_malformed_input_exit_two(capsys, tmp_path):

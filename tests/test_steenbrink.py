@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_plane
+from conftest import grid_plane, plane_curve
 
 from trophodge.chow import ChowClass
 from trophodge.cohomology import hodge_diamond
@@ -15,6 +15,7 @@ from trophodge.steenbrink import (
     build_steenbrink,
     cohomology_pairing_matrix,
     n_power_h_matrix,
+    n_power_image,
     primitive_parts,
     random_homogeneous,
     steenbrink_cohomology,
@@ -325,10 +326,24 @@ def test_n_power_h_matrix_matches_n_applied_k_times(name, request):
                     columns.append(target.coordinates(element[2]))
                 got = n_power_h_matrix(st, k, b, a)
                 assert got == RationalMatrix.from_columns(target.dim, columns), (k, b, a)
+                assert len(n_power_image(st, k, b, a)) == rank(got), (k, b, a)
                 nonzero += k > 0 and not got.is_zero()
     # Every diamond here but the genus-one curve's is diagonal, so N^k with
     # k > 0 maps into a zero group; the curve's N: H^{1,0} -> H^{0,1} is onto.
     assert nonzero == (1 if name == "comp_genus1" else 0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_plane_curve_has_hard_lefschetz_with_n_of_rank_g(d):
+    # Inputs where N is not zero on cohomology: a plane curve of
+    # genus g has diamond [[1, g], [g, 1]], and N: H^{1,0} -> H^{0,1}, that is
+    # H^{-1}(ST^{.,2}) -> H^1(ST^{.,0}), is onto.
+    g = (d - 1) * (d - 2) // 2
+    x = compactify(plane_curve(d))
+    assert hodge_diamond(x) == [[1, g], [g, 1]]
+    st = build_steenbrink(x)
+    assert verify_hl(st)["all"]
+    assert len(n_power_image(st, 1, 2, -1)) == rank(n_power_h_matrix(st, 1, 2, -1)) == g
 
 
 def _random_homogeneous_oracle(st, rng):

@@ -4,38 +4,118 @@ map d0 that the test suite runs on them, and an oracle for the exact
 sequences.
 
 The oracle is the coordinate implementation that `clemens_schmid` used
-before it counted independent vectors: it builds K = ker L and R = D / im L
-as subquotient complexes of QuotientBases, makes the matrix of every map on
-cohomology with `induced_map`, and ranks and multiplies those matrices.
+before it counted independent vectors, and it shares no cohomology code
+with the package: its groups are `RowQuotientBasis`, the quotient class the
+package used before its groups were read over the cached echelon of the
+differential, which takes the boundaries as rows and eliminates them
+itself.  It builds K = ker L and R = D / im L as subquotient complexes,
+makes the matrix of every map on cohomology from class coordinates, and
+ranks and multiplies those matrices.
 """
 
 import random
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from trophodge import ChaseFailureError, DegeneratePairingError
 from trophodge.clemens_schmid import ExactnessReport, Junction, LefschetzTriple, _chase
-from trophodge.cohomology import GradedComplex, QuotientBasis, induced_map
-from trophodge.linalg import Rational, RationalMatrix, kernel_vectors, rank
+from trophodge.cohomology import GradedComplex
+from trophodge.linalg import Echelon, Rational, RationalMatrix, column_echelon, kernel_vectors, normal, rank
 
 
 # ---------------------------------------------------------------------------
-# The oracle: K and R as subquotient complexes, maps as coordinate matrices
+# The oracle: quotients from rows, K and R as subquotient complexes, maps as
+# coordinate matrices
+
+class RowQuotientBasis:
+    """Basis handling for a quotient (span Z)/(span B) of row vectors.
+
+    The representatives are the rows of Z that are independent modulo B and
+    the rows of Z before them.  One echelon form holds B unkeyed and Z
+    keyed by position, so a vector's class coordinates are its tracked
+    coefficients on the representatives.  Rows of Z and B are dense
+    sequences or sparse {column: value} dicts; only the kept rows of Z are
+    made dense.
+    """
+
+    def __init__(self, ambient_dim: int, zrows: Sequence, brows: Sequence):
+        self.ambient_dim = ambient_dim
+        self._span = Echelon(keyed=True)
+        for r in brows:
+            self._span.add(r)
+        self._keys: list[int] = []
+        self.representatives: list[list[Rational]] = []
+        for i, r in enumerate(zrows):
+            if self._span.add(r, i):
+                self._keys.append(i)
+                rep = [r.get(j, 0) for j in range(ambient_dim)] if isinstance(r, dict) else r
+                self.representatives.append([normal(x) for x in rep])
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def coordinates(self, vec) -> list[Rational]:
+        """Coordinates of a vector's class over the representative basis."""
+        coords = self._span.coordinates(vec, self._keys)
+        if coords is None:
+            raise DegeneratePairingError("vector is not a cocycle of this space")
+        return coords
+
+
+def h_rows(gc: GradedComplex, k: int) -> tuple[list, list]:
+    """Cocycles and boundary rows of H^k(gc): the canonical kernel of d_k,
+    and the columns of d_{k-1}."""
+    cocycles = kernel_vectors(column_echelon(gc.differential(k)), gc.dim(k))
+    return list(cocycles), gc.differential(k - 1).columns() if gc.dim(k) else []
+
+
+def row_h_basis(gc: GradedComplex, k: int) -> RowQuotientBasis:
+    return RowQuotientBasis(gc.dim(k), *h_rows(gc, k))
+
+
+def k_rows(t: LefschetzTriple, k: int) -> tuple[list, list]:
+    """Cocycles and boundary rows of K^k in C^k: the canonical kernel of the
+    stacked [L^k; d_C^k], and d_C of the canonical kernel of L^{k-1}."""
+    top = t.l_matrix(k)
+    stacked = [{**lc, **{i + top.rows: v for i, v in dc.items()}}
+               for lc, dc in zip(top.columns(), t.C.differential(k).columns())]
+    cocycles = kernel_vectors(Echelon(stacked, keyed=True), t.C.dim(k))
+    d = t.C.differential(k - 1)
+    return list(cocycles), [d.mul_vec(v) for v in kernel_vectors(column_echelon(t.l_matrix(k - 1)),
+                                                                  t.C.dim(k - 1))]
+
+
+def r_rows(t: LefschetzTriple, k: int) -> tuple[list, list]:
+    """Cocycles and boundary rows of R^k in D^k: the D^k part of the canonical
+    kernel of [d_D^k | L^{k-1}], and the columns of d_D^{k-1} and L^{k-2}."""
+    stacked = t.D.differential(k).columns() + t.l_matrix(k - 1).columns()
+    cocycles = kernel_vectors(Echelon(stacked, keyed=True), t.D.dim(k))
+    coboundaries = t.D.differential(k - 1).columns() if t.D.dim(k) else []
+    return list(cocycles), coboundaries + t.l_matrix(k - 2).columns()
+
 
 def _rank(m: RationalMatrix) -> int:
     """The rank of m, with no elimination when m is zero."""
     return 0 if m.is_zero() else rank(m)
 
 
+def _induced(src: RowQuotientBasis, dst: RowQuotientBasis,
+             f: Callable[[Sequence], Sequence]) -> RationalMatrix:
+    """The matrix of the map of classes that f induces, from class coordinates."""
+    return RationalMatrix.from_columns(dst.dim, [dst.coordinates(f(rep))
+                                                 for rep in src.representatives])
+
+
 class Subquotient:
     """The complex that ambient induces on span Z / span B in each degree,
     for rows Z and B of its terms with d(Z) in Z and d(B) in B.  quot[k] is
-    the QuotientBasis of degree k; gc leaves out the degrees where it is 0."""
+    the RowQuotientBasis of degree k; gc leaves out the degrees where it is 0."""
 
     def __init__(self, ambient: GradedComplex, zrows: dict[int, Sequence],
                  brows: dict[int, Sequence]):
         self.ambient = ambient
-        self.quot = {k: QuotientBasis(ambient.dim(k), z, brows.get(k, ()))
+        self.quot = {k: RowQuotientBasis(ambient.dim(k), z, brows.get(k, ()))
                      for k, z in zrows.items()}
         terms = {k: qb.dim for k, qb in self.quot.items() if qb.dim}
         diffs = {k: RationalMatrix.from_columns(terms[k + 1], [
@@ -44,8 +124,8 @@ class Subquotient:
                  for k in terms if k + 1 in terms}
         self.gc = GradedComplex(terms, diffs)
 
-    def _basis(self, k: int) -> QuotientBasis:
-        return self.quot.get(k) or QuotientBasis(self.ambient.dim(k), (), ())
+    def _basis(self, k: int) -> RowQuotientBasis:
+        return self.quot.get(k) or RowQuotientBasis(self.ambient.dim(k), (), ())
 
     def coordinates(self, k: int, vec: Sequence[Rational]) -> list[Rational]:
         """The coordinates of vec's class over the degree-k representatives."""
@@ -61,26 +141,21 @@ class Subquotient:
 
 def kernel_and_cokernel(t: LefschetzTriple) -> tuple[Subquotient, Subquotient]:
     """K = ker L in C, and R = D / im L with L^{k-2} landing in D^k."""
-    kc = Subquotient(t.C, {k: kernel_vectors(t.l_echelon(k), t.C.dim(k))
+    kc = Subquotient(t.C, {k: kernel_vectors(column_echelon(t.l_matrix(k)), t.C.dim(k))
                            for k in t.degrees()}, {})
     rc = Subquotient(t.D, {k: [{j: 1} for j in range(n)] for k, n in t.D.terms.items()},
                      {k: t.l_matrix(k - 2).columns() for k in t.D.terms})
     return kc, rc
 
 
-def l_on_cohomology(t: LefschetzTriple, k: int) -> RationalMatrix:
-    """The map H^k(C) -> H^{k+2}(D) that L induces."""
-    return induced_map(t.C, t.D, t.l_matrix(k).mul_vec, k, shift=2)
-
-
 def chase_d0(t: LefschetzTriple, kc: Subquotient, rc: Subquotient,
              lift_shift: Optional[list[Rational]] = None) -> RationalMatrix:
     """The connecting map H^0(R) -> H^0(K) by certified diagram chase, with
     every lift moved by L^{-2} of lift_shift when it is given."""
-    h_r0, h_k0 = rc.gc.h_basis(0), kc.gc.h_basis(0)
+    h_r0, h_k0 = row_h_basis(rc.gc, 0), row_h_basis(kc.gc, 0)
     if h_r0.dim == 0:
         return RationalMatrix(h_k0.dim, 0)
-    lift = t.l_echelon(-1)
+    lift = column_echelon(t.l_matrix(-1))
     if lift.relations:
         raise ChaseFailureError("L-preimage not unique in degree -1")
     shift = t.l_matrix(-2).mul_vec(lift_shift) if lift_shift is not None else [0] * t.D.dim(0)
@@ -106,14 +181,20 @@ def oracle_sequences(t: LefschetzTriple) -> ExactnessReport:
     degrees = t.degrees()
     kmin = min(degrees) - 2 if degrees else 0
     kmax = max(degrees) + 4 if degrees else 0
+    groups = {name: {} for name in "KCDR"}
 
-    incl = {k: induced_map(kc.gc, t.C, kc.inclusion(k).mul_vec, k)
+    def h(name: str, k: int) -> RowQuotientBasis:
+        if k not in groups[name]:
+            groups[name][k] = row_h_basis({"K": kc.gc, "C": t.C, "D": t.D, "R": rc.gc}[name], k)
+        return groups[name][k]
+
+    incl = {k: _induced(h("K", k), h("C", k), kc.inclusion(k).mul_vec)
             for k in range(kmin, kmax - 1)}
-    lmap = {k: l_on_cohomology(t, k) for k in range(kmin, kmax - 1)}
-    proj = {k: induced_map(t.D, rc.gc, partial(rc.coordinates, k), k)
+    lmap = {k: _induced(h("C", k), h("D", k + 2), t.l_matrix(k).mul_vec)
+            for k in range(kmin, kmax - 1)}
+    proj = {k: _induced(h("D", k), h("R", k), partial(rc.coordinates, k))
             for k in range(kmin + 2, kmax + 1)}
-    conn = {k: RationalMatrix(kc.gc.h_basis(k).dim, rc.gc.h_basis(k).dim)
-            for k in range(kmin, kmax + 1)}
+    conn = {k: RationalMatrix(h("K", k).dim, h("R", k).dim) for k in range(kmin, kmax + 1)}
     conn[0] = chase_d0(t, kc, rc)
     maps = {"incl": incl, "lmap": lmap, "proj": proj, "conn": conn}
     report = ExactnessReport()
@@ -147,18 +228,18 @@ def d0_lift_independent(t: LefschetzTriple) -> bool:
         return True
     shift = t.l_matrix(-2).mul_vec([1 + (i % 3) for i in range(n)])
     return all(_chase(t, [x + y for x, y in zip(c, shift)]) == _chase(t, c)
-               for c in t.group("R", 0)[0])
+               for c in t.group("R", 0).representatives)
 
 
 def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
     """d0 . d^{-1} = 0 and d^1 . d0 = 0 on cohomology, with the chase's
     outputs read in the oracle's class coordinates."""
     kc, rc = kernel_and_cokernel(t)
-    h_k0, h_c0 = kc.gc.h_basis(0), t.C.h_basis(0)
+    h_k0, h_c0 = row_h_basis(kc.gc, 0), row_h_basis(t.C, 0)
     from_d = [h_k0.coordinates(kc.coordinates(0, _chase(t, z)))
-              for z in t.D.h_basis(0).representatives]
+              for z in row_h_basis(t.D, 0).representatives]
     into_c = [h_c0.coordinates(_chase(t, rc.inclusion(0).mul_vec(rep)))
-              for rep in rc.gc.h_basis(0).representatives]
+              for rep in row_h_basis(rc.gc, 0).representatives]
     return not any(any(v) for v in from_d + into_c)
 
 
