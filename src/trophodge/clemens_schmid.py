@@ -111,12 +111,17 @@ class LefschetzTriple:
         return vec  # incl and proj are the identity on the ambient term
 
     @cached
+    def images(self, kind: str, k: int) -> list:
+        """The images of the source group's representatives under the map of
+        that kind out of H^k, each pushed once (d0 is one chase each)."""
+        return [self.push(kind, k, z) for z in self.group(_MAPS[kind][0], k).representatives]
+
+    @cached
     def map_rank(self, kind: str, k: int) -> int:
-        """The rank on H^k of the map of that kind: the number of images of
-        the source's representatives independent modulo the target's boundaries."""
-        source, target, shift = _MAPS[kind]
-        images = [self.push(kind, k, z) for z in self.group(source, k).representatives]
-        return len(self.group(target, k + shift).independent(images))
+        """The rank on H^k of the map of that kind: the number of its images
+        independent modulo the target's boundaries."""
+        _, target, shift = _MAPS[kind]
+        return len(self.group(target, k + shift).independent(self.images(kind, k)))
 
     def degrees(self) -> list[int]:
         ks = set(self.C.terms) | {k - 2 for k in self.D.terms}
@@ -200,7 +205,7 @@ def clemens_schmid_sequences(t: LefschetzTriple) -> ExactnessReport:
             return
         rk_in = t.map_rank(kind_in, k_in)
         ker_out = dim - t.map_rank(kind_out, k_out)
-        composite = [t.push(kind_out, k_out, t.push(kind_in, k_in, z)) for z in reps]
+        composite = [t.push(kind_out, k_out, y) for y in t.images(kind_in, k_in)]
         zero = not t.group(target, k_out + shift).independent(composite)
         report.junctions.append(Junction(f"H^{k}({node})", rk_in, ker_out,
                                          rk_in == ker_out, zero))

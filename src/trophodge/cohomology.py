@@ -102,6 +102,7 @@ class GradedComplex:
             return self.diffs[k]
         return RationalMatrix(self.dim(k + 1), self.dim(k))
 
+    @cached
     def check(self) -> bool:
         """d o d = 0, verified exactly."""
         for k in list(self.terms):
@@ -167,10 +168,7 @@ class CoefficientSpace:
         m, _, _ = complex_.stratum(face.sedentarity)
         self.stratum_rank = m
         self.ambient_dim = n = comb(m, p)
-        same = {face_idx} | {j for j in complex_.cofaces(face_idx)
-                             if complex_.faces[j].sedentarity == face.sedentarity}
-        tops = sorted(j for j in same if not complex_.cofaces(j) & same)
-        self.full = any(complex_.faces[j].dim == m for j in tops)
+        tops, self.full = _maximal_cofaces(complex_)[face_idx]
         if self.full:
             self.pivots = list(range(n))
             self.basis: list[Vec] = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -209,26 +207,40 @@ def _fp_spaces(x: FaceComplex, p: int) -> dict[int, CoefficientSpace]:
 
 
 @cached
+def _maximal_cofaces(x: FaceComplex) -> dict[int, tuple[list[int], bool]]:
+    """Per face, its maximal cofaces of equal sedentarity (or itself), and
+    whether one of them spans the stratum: the same for every p."""
+    out = {}
+    for f in x.faces:
+        same = {f.index} | {j for j in x.cofaces(f.index) if x.faces[j].sedentarity == f.sedentarity}
+        tops = sorted(j for j in same if not x.cofaces(j) & same)
+        out[f.index] = tops, any(x.faces[j].dim == x.stratum(f.sedentarity)[0] for j in tops)
+    return out
+
+
+@cached
 def _stratum_wedge_map(x: FaceComplex, sed_to, sed_from, p: int) -> RationalMatrix:
     return wedge_map_matrix(x.stratum_map(sed_to, sed_from), x.stratum(sed_from)[0], p)
 
 
 def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> RationalMatrix:
-    """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence."""
+    """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence,
+    but for a same-sedentarity pair of full spaces (the identity)."""
     fg, fd = x.faces[gamma], x.faces[delta]
     sg, sd = spaces[gamma], spaces[delta]
     wm = None
     if fg.sedentarity != fd.sedentarity:
         wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
-    if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
-        return RationalMatrix.identity(sd.dim) if wm is None else wm
+        if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
+            return wm
     imgs = sd.basis if wm is None else [wm.mul_vec(b) for b in sd.basis]
     return RationalMatrix.from_columns(sg.dim, [sg.coordinates(img) for img in imgs])
 
 
 @cached
 def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
-    """The cellular cochain complex C^{p,*} with signed dual differentials."""
+    """The cellular cochain complex C^{p,*} with signed dual differentials,
+    each block written straight into the entries (no two blocks overlap)."""
     spaces = _fp_spaces(x, p)
     by_dim: dict[int, list[int]] = {}
     for f in x.faces:
@@ -236,33 +248,27 @@ def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     for v in by_dim.values():
         v.sort()
     offsets: dict[int, dict[int, int]] = {}
-    terms = {}
-    labels = {}
+    terms, labels = {}, {}
     for q, idxs in by_dim.items():
-        off = {}
-        pos = 0
-        lab = []
-        for i in idxs:
-            off[i] = pos
-            pos += spaces[i].dim
-            lab.extend((i, t) for t in range(spaces[i].dim))
-        offsets[q] = off
-        terms[q] = pos
-        labels[q] = lab
+        offsets[q], labels[q] = {}, []
+        for i in idxs:  # a face's block starts after the labels before it
+            offsets[q][i] = len(labels[q])
+            labels[q].extend((i, t) for t in range(spaces[i].dim))
+        terms[q] = len(labels[q])
     diffs = {}
     for q in sorted(terms):
         if q + 1 not in terms:
             continue
-        d = RationalMatrix(terms[q + 1], terms[q])
+        d = diffs[q] = RationalMatrix(terms[q + 1], terms[q])
         for delta in by_dim.get(q + 1, []):
+            od, sd = offsets[q + 1][delta], spaces[delta]
             for gamma in x.covered_by(delta):
-                sign = x.incidence_sign(gamma, delta)
-                block = _chain_map_block(x, spaces, gamma, delta)
-                # Cochain differential: transpose of the chain-level block.
-                for (i, j), v in block.entries.items():
-                    d[offsets[q + 1][delta] + j, offsets[q][gamma] + i] = \
-                        d[offsets[q + 1][delta] + j, offsets[q][gamma] + i] + sign * v
-        diffs[q] = d
+                og, sg, sign = offsets[q][gamma], spaces[gamma], x.incidence_sign(gamma, delta)
+                if sd.full and sg.full and x.faces[gamma].sedentarity == x.faces[delta].sedentarity:
+                    d.entries.update(((od + t, og + t), sign) for t in range(sd.dim))
+                else:  # the cochain differential: transpose of the chain-level block
+                    block = _chain_map_block(x, spaces, gamma, delta).entries
+                    d.entries.update(((od + j, og + i), sign * v) for (i, j), v in block.items())
     gc = GradedComplex(terms, diffs, labels)
     if not gc.check():
         raise NotAComplexError(f"cellular differential of C^{{{p},*}} does not square to zero")

@@ -7,7 +7,9 @@ it, in the order given).  Rank, kernel bases, particular solutions, in-span
 and quotient coordinates are all read from it.  Results do not depend on
 the elimination order: kernel vectors are the canonical ones (1 on their
 free column, 0 on the others) and solutions set every free variable to 0.
-All results are exact; there is no tolerance anywhere.
+All results are exact; there is no tolerance anywhere.  What an echelon
+tracks of its keyed rows (their combinations and relations) is expanded on
+first read, so an echelon read only for its rank costs its elimination.
 
 An integral value is held as an int, and a Fraction only where a division
 made a non-integral one: matrix entries, kept rows, coordinates and kernel
@@ -82,13 +84,6 @@ class RationalMatrix:
                     entries[i, j] = normal(v)
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m[i, i] = 1
-        return m
-
     def __getitem__(self, key) -> Rational:
         return self.entries.get(key, 0)
 
@@ -135,15 +130,16 @@ class RationalMatrix:
         by_row: dict[int, Row] = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, {})[k] = v
-        out = RationalMatrix(self.rows, other.cols)
-        acc: dict[tuple[int, int], Rational] = {}
+        acc: dict[int, Row] = {}
         for (i, j), v in self.entries.items():
-            for k, w in by_row.get(j, {}).items():
-                key = (i, k)
-                acc[key] = acc.get(key, 0) + v * w
-        for key, v in acc.items():
-            if v != 0:
-                out.entries[key] = normal(v)
+            w_row = by_row.get(j)
+            if w_row:
+                out_row = acc.setdefault(i, {})
+                for k, w in w_row.items():
+                    out_row[k] = out_row.get(k, 0) + v * w
+        out = RationalMatrix(self.rows, other.cols)
+        out.entries = {(i, k): normal(v) for i, out_row in acc.items()
+                       for k, v in out_row.items() if v}
         return out
 
     def mul_vec(self, vec: Sequence) -> list[Rational]:
@@ -194,7 +190,7 @@ def _sparse(row: Union[Mapping[int, Rational], Sequence]) -> Row:
     """A fresh {column: value} dict of the nonzero entries of a dict or a
     dense sequence, normalised."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: normal(v) for j, v in items if v}
+    return {j: v if type(v) is int else normal(v) for j, v in items if v}
 
 
 class Echelon:
@@ -207,14 +203,20 @@ class Echelon:
     `relations` lists, for each keyed row that was dropped, the combination
     of keyed rows that vanishes because of it.  The rows given to the
     constructor are added in order, keyed by position when `keyed` is set.
+
+    An add only logs the multipliers its elimination produced; `combos` and
+    `relations` are expanded from the log, in the order of the adds, when
+    first read (by them, `coordinates` or `copy`), so an echelon read only
+    for its rank or its kept rows never expands them.
     """
 
-    __slots__ = ("pivots", "combos", "relations")
+    __slots__ = ("pivots", "_combos", "_relations", "_log")
 
     def __init__(self, rows: Iterable = (), keyed: bool = False):
         self.pivots: dict[int, Row] = {}
-        self.combos: Optional[dict[int, Row]] = {} if keyed else None
-        self.relations: list[tuple[Hashable, Row]] = []
+        self._combos: Optional[dict[int, Row]] = {} if keyed else None
+        self._relations: list[tuple[Hashable, Row]] = []
+        self._log: list[tuple[Optional[int], Optional[Hashable], Row, Rational]] = []
         for i, row in enumerate(rows):
             self.add(row, i if keyed else None)
 
@@ -222,23 +224,50 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def combos(self) -> Optional[dict[int, Row]]:
+        return self._expand()._combos
+
+    @property
+    def relations(self) -> list[tuple[Hashable, Row]]:
+        return self._expand()._relations
+
+    def _expand(self) -> "Echelon":
+        """Turn the logged adds into combinations and relations, in order:
+        each add's combination is minus the multipliers' combination of the
+        kept rows it was reduced by, plus its key, over its lead entry."""
+        for lead, key, mult, inv in self._log:
+            combo = {k: -normal(v) for k, v in self._combination(mult).items() if v}
+            if key is not None:
+                combo[key] = 1
+            if lead is None:
+                self._relations.append((key, combo))
+                continue
+            if inv == -1:  # negation keeps integral entries ints
+                combo = {k: -v for k, v in combo.items()}
+            elif inv != 1:  # the Fraction `add` divided the row by
+                combo = {k: normal(v / inv) for k, v in combo.items()}
+            self._combos[lead] = combo
+        self._log.clear()
+        return self
+
     def copy(self, keyed: Optional[bool] = None) -> "Echelon":
         """A new echelon that starts from this one's kept rows (shared: no add
         changes a kept row).  With keyed None it copies the combinations and
         relations too; keyed True or False holds the kept rows as unkeyed."""
-        out = Echelon(keyed=self.combos is not None if keyed is None else keyed)
+        out = Echelon(keyed=self._combos is not None if keyed is None else keyed)
         out.pivots = dict(self.pivots)
-        if keyed is None and self.combos is not None:
-            out.combos, out.relations = dict(self.combos), list(self.relations)
+        if keyed is None and self._combos is not None:
+            out._combos, out._relations = dict(self.combos), list(self._relations)
         elif keyed:
-            out.combos = dict.fromkeys(self.pivots, {})  # combos are replaced, never changed
+            out._combos = dict.fromkeys(self.pivots, {})  # combos are replaced, never changed
         return out
 
     def _eliminate(self, row: Row, rem: Optional[Row] = None) -> Row:
         """Subtract kept rows from row, in place, while its leading column
-        holds a pivot; returns the multiplier used at each pivot column.
-        With rem given, a leading entry without a pivot moves into rem and
-        elimination goes on, so that row ends empty."""
+        holds a pivot; returns the multiplier used at each pivot column (its
+        lead entry).  With rem given, a leading entry without a pivot moves
+        into rem and elimination goes on, so that row ends empty."""
         pivots = self.pivots
         mult: Row = {}
         while row:
@@ -249,20 +278,21 @@ class Echelon:
                     break
                 rem[lead] = row.pop(lead)
                 continue
-            c = mult[lead] = row[lead]
+            c = mult[lead] = row.pop(lead)
             for j, v in prow.items():
-                x = row.get(j, 0) - c * v
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+                if j != lead:
+                    x = row.get(j, 0) - c * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         return mult
 
     def _combination(self, mult: Mapping[int, Rational]) -> Row:
         """The keyed-row coefficients of the sum of mult[c] times the row kept at c."""
         out: Row = {}
         for lead, c in mult.items():
-            for k, v in self.combos[lead].items():
+            for k, v in self._combos[lead].items():
                 out[k] = out.get(k, 0) + c * v
         return out
 
@@ -270,29 +300,20 @@ class Echelon:
         """Reduce row and keep it when it is independent of the kept rows."""
         row = _sparse(row)
         mult = self._eliminate(row)
-        combo = None
-        if self.combos is not None:
-            combo = {k: -normal(v) for k, v in self._combination(mult).items() if v}
-            if key is not None:
-                combo[key] = 1
         if not row:
-            if combo is not None and key is not None:
-                self.relations.append((key, combo))
+            if key is not None and self._combos is not None:
+                self._log.append((None, key, mult, 1))
             return False
         lead = min(row)
         inv = row[lead]
         if inv == -1:  # negation keeps integral entries ints
             row = {j: -v for j, v in row.items()}
-            if combo is not None:
-                combo = {k: -v for k, v in combo.items()}
         elif inv != 1:
             inv = Fraction(inv)  # a Fraction operand: `/` never makes a float
             row = {j: normal(v / inv) for j, v in row.items()}
-            if combo is not None:
-                combo = {k: normal(v / inv) for k, v in combo.items()}
         self.pivots[lead] = row
-        if combo is not None:
-            self.combos[lead] = combo
+        if self._combos is not None:
+            self._log.append((lead, key, mult, inv))
         return True
 
     def reduce(self, row) -> tuple[Row, Row]:
@@ -310,6 +331,7 @@ class Echelon:
         rem, mult = self.reduce(row)
         if rem:
             return None
+        self._expand()
         combo = self._combination(mult)
         return [normal(combo.get(k, 0)) for k in keys]
 

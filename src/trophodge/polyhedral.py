@@ -210,10 +210,12 @@ class FaceComplex:
     def cofaces(self, idx: int) -> set[int]:
         return self._above[idx]
 
+    @cached
     def covers_of(self, idx: int) -> list[int]:
         d = self.faces[idx].dim
         return sorted(j for j in self._above[idx] if self.faces[j].dim == d + 1)
 
+    @cached
     def covered_by(self, idx: int) -> list[int]:
         d = self.faces[idx].dim
         return sorted(j for j in self._below[idx] if self.faces[j].dim == d - 1)

@@ -2,14 +2,19 @@
 zigzag representative returns it) as a vector of C^{p,p}, whether it is a
 cocycle or a coboundary, and its pairing with a Minkowski weight, against
 the Steenbrink-side pairing of a kernel cocycle with the same weight.
-Acceptance criterion 11 compares the two pairings."""
+Acceptance criterion 11 compares the two pairings.
+
+`oracle_differentials` is the cellular differential assembled as
+`cochain_complex` did before it wrote its blocks straight into the
+entries: every incidence, a same-sedentarity pair of full spaces too,
+builds a block matrix (an identity there) and adds it in entry by entry."""
 
 from typing import Sequence
 
 from trophodge.chow import MinkowskiWeight, mw_evaluate
-from trophodge.cohomology import cochain_complex, coefficient_space, wedge_vector
+from trophodge.cohomology import _fp_spaces, _stratum_wedge_map, cochain_complex, coefficient_space, wedge_vector
 from trophodge.hodge_cycles import HodgeClass, local_weight
-from trophodge.linalg import Rational, solve
+from trophodge.linalg import Rational, RationalMatrix, solve
 from trophodge.steenbrink import SteenbrinkPage
 
 
@@ -63,3 +68,55 @@ def pair_class_with_weight(st: SteenbrinkPage, alpha: HodgeClass,
         av = alpha.component(st, v)
         total += mw_evaluate(ring, av, local_weight(st, w, v))
     return total
+
+
+# ---------------------------------------------------------------------------
+# The cellular assembly oracle
+
+def identity(n: int) -> RationalMatrix:
+    m = RationalMatrix(n, n)
+    for i in range(n):
+        m[i, i] = 1
+    return m
+
+
+def oracle_chain_map_block(x, spaces, gamma: int, delta: int) -> RationalMatrix:
+    """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence."""
+    fg, fd = x.faces[gamma], x.faces[delta]
+    sg, sd = spaces[gamma], spaces[delta]
+    wm = None
+    if fg.sedentarity != fd.sedentarity:
+        wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
+    if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
+        return identity(sd.dim) if wm is None else wm
+    imgs = sd.basis if wm is None else [wm.mul_vec(b) for b in sd.basis]
+    return RationalMatrix.from_columns(sg.dim, [sg.coordinates(img) for img in imgs])
+
+
+def oracle_differentials(x, p: int) -> dict[int, RationalMatrix]:
+    """The differentials of C^{p,*}, each block added in entry by entry."""
+    spaces = _fp_spaces(x, p)
+    by_dim: dict[int, list[int]] = {}
+    for f in x.faces:
+        by_dim.setdefault(f.dim, []).append(f.index)
+    offsets, terms = {}, {}
+    for q, idxs in by_dim.items():
+        offsets[q], pos = {}, 0
+        for i in sorted(idxs):
+            offsets[q][i] = pos
+            pos += spaces[i].dim
+        terms[q] = pos
+    diffs = {}
+    for q in sorted(terms):
+        if q + 1 not in terms:
+            continue
+        d = RationalMatrix(terms[q + 1], terms[q])
+        for delta in sorted(by_dim[q + 1]):
+            for gamma in x.covered_by(delta):
+                sign = x.incidence_sign(gamma, delta)
+                block = oracle_chain_map_block(x, spaces, gamma, delta)
+                for (i, j), v in block.entries.items():
+                    key = offsets[q + 1][delta] + j, offsets[q][gamma] + i
+                    d[key] = d[key] + sign * v
+        diffs[q] = d
+    return diffs

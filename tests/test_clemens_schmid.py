@@ -411,6 +411,30 @@ def test_cs_check_computes_each_group_and_map_rank_once(tmp_path, capsys, monkey
     assert max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cs_check_chases_each_class_once(n, tmp_path, capsys, monkeypatch):
+    # d0 is one chase per vector: each representative of R^0 once (the
+    # images that its rank and the junction at H^0(K) both read), and each
+    # representative of D^0 once, pushed through H^0(R) for the composite.
+    from trophodge import clemens_schmid
+
+    chases, triples = Counter(), {}
+
+    def counting(t, c):
+        triples[id(t)] = t  # keeps each triple alive, so its id() stays unique
+        chases[id(t)] += 1
+        return _chase(t, c)
+
+    monkeypatch.setattr(clemens_schmid, "_chase", counting)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(n))))
+    assert main(["cs-check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_exact"]
+    assert len(triples) == 3
+    for key, t in triples.items():
+        assert chases[key] == t.group("R", 0).dim + t.group("D", 0).dim > 0
+
+
 def test_check_all_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):
     import sys
 

@@ -1,13 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cochains import oracle_differentials
+from conftest import grid_plane
 from trophodge import DegeneratePairingError
+from trophodge import fixtures as fx
 from trophodge.chow import fan_ring
 from trophodge.cohomology import (
+    _fp_spaces,
     cochain_complex,
     coefficient_space,
     hodge_diamond,
@@ -16,8 +21,8 @@ from trophodge.cohomology import (
 )
 from trophodge.hodge_cycles import hodge_locus_basis, hodge_to_cycle, numerical_vs_homological
 from trophodge.linalg import RationalMatrix, rank
-from trophodge.matroids import bergman_fan, uniform_matroid
-from trophodge.polyhedral import compactify
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
+from trophodge.polyhedral import compactify, product_complex
 from trophodge.steenbrink import build_steenbrink, random_homogeneous
 
 F = Fraction
@@ -280,3 +285,36 @@ def test_chow_degree_is_never_a_float(fan, request):
         classes = [ring.class_from_monomial(m) for m in ring.basis(p)]
         duals = [ring.class_from_monomial(m) for m in ring.basis(ring.top - p)]
         assert exact(ring.pairing(a, b) for a in classes for b in duals)
+
+
+ASSEMBLY_INPUTS = {**{f"fix{c}": getattr(fx, f"fix_{c}") for c in "abcdef"},
+                   **{f"grid{n}": lambda n=n: grid_plane(n) for n in (1, 2, 3)},
+                   "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
+                   "b4": lambda: bergman_fan(boolean_matroid(4)),
+                   "prod": lambda: product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d())}
+
+
+def test_cellular_assembly_matches_the_blockwise_oracle(comp_genus1):
+    """Every differential written straight into its entries equals the one
+    assembled block by block and added in entry by entry: the same entries,
+    of the same types, in the same order.  The inputs reach both kinds of
+    block the direct write handles apart: a non-full coefficient space
+    (fixA has 14) and a sedentarity-raising pair of two full spaces."""
+    complexes = {name: compactify(make()) for name, make in ASSEMBLY_INPUTS.items()}
+    complexes["genus1"] = comp_genus1
+    non_full, raising_full = Counter(), Counter()
+    for name, x in complexes.items():
+        for p in range(x.dim + 1):
+            diffs, spaces = cochain_complex(x, p).diffs, _fp_spaces(x, p)
+            oracle = oracle_differentials(x, p)
+            assert diffs.keys() == oracle.keys()
+            for q, d in diffs.items():
+                assert (d.rows, d.cols) == (oracle[q].rows, oracle[q].cols)
+                assert [(key, type(v), v) for key, v in d.entries.items()] == \
+                    [(key, type(v), v) for key, v in oracle[q].entries.items()], (name, p, q)
+            non_full[name] += sum(not s.full for s in spaces.values())
+            raising_full[name] += sum(
+                spaces[g].full and spaces[f.index].full and x.faces[g].sedentarity != f.sedentarity
+                for f in x.faces for g in x.covered_by(f.index))
+    assert non_full["fixa"] == 14
+    assert raising_full["grid1"] and raising_full["prod"]

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from cochains import identity
 from trophodge import NotASubspaceError
 from trophodge.linalg import (
     Echelon,
     RationalMatrix,
     Subspace,
     fmt_rat,
+    normal,
     kernel_basis,
     rank,
     rat,
@@ -43,7 +45,7 @@ def naive_rank(rows):
 
 
 def test_rank_identity():
-    assert rank(RationalMatrix.identity(2)) == 2
+    assert rank(identity(2)) == 2
 
 
 def test_rank_zero_matrix():
@@ -55,7 +57,7 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RationalMatrix.identity(3)).basis == ()
+    assert kernel_basis(identity(3)).basis == ()
 
 
 def test_kernel_sum_vector():
@@ -70,7 +72,7 @@ def test_kernel_zero_matrix_full():
 
 
 def test_solve_identity():
-    x = solve(RationalMatrix.identity(3), [1, 2, 3])
+    x = solve(identity(3), [1, 2, 3])
     assert x == [F(1), F(2), F(3)]
 
 
@@ -262,7 +264,7 @@ def test_integral_entries_are_stored_as_int():
     assert type(m[0, 1]) is F and m[0, 1] == F(1, 2)
     assert type(m[1, 2]) is int and m[1, 2] == -2
     assert normalised(RationalMatrix.from_rows([[F(3, 3), F(2, 4)], [F(0), -1]]).entries.values())
-    assert all(type(v) is int for v in RationalMatrix.identity(3).entries.values())
+    assert all(type(v) is int for v in identity(3).entries.values())
     m = RationalMatrix.from_columns(2, [[F(6, 3), F(1, 2)], [F(0), -1]])
     assert normalised(m.entries.values()) and type(m[0, 0]) is int and m[0, 0] == 2
     assert (0, 1) not in m.entries and dense(m) == [[2, 0], [F(1, 2), -1]]
@@ -331,7 +333,16 @@ def fraction_solve(rows, b, nc):
     return x
 
 
-@pytest.mark.parametrize("seed", range(10))
+# Hand-made inputs besides the seeded ones: a product whose entries cancel
+# to 0 (an int and a Fraction term among them), and one whose Fraction sums
+# are integral.
+MIXED_INPUTS = {
+    "cancelling": ([[1, F(1, 2)], [2, -1]], [[1, 1], [-2, 2]], [F(1, 2), 1]),
+    "integral": ([[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]], [[1, F(3, 2)], [1, F(1, 2)]], [F(1, 3), F(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(10), *MIXED_INPUTS])
 def test_mixed_int_and_fraction_input_matches_fraction_oracle(seed):
     rng = random.Random(seed)
 
@@ -339,16 +350,25 @@ def test_mixed_int_and_fraction_input_matches_fraction_oracle(seed):
         return rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), rng.randint(1, 3)),
                            F(2 * rng.randint(-2, 2), 2)])
 
-    nr, nc, nk = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
-    a = [[value() for _ in range(nc)] for _ in range(nr)]
-    b = [[value() for _ in range(nk)] for _ in range(nc)]
-    v = [value() for _ in range(nc)]
+    if seed in MIXED_INPUTS:
+        a, b, v = MIXED_INPUTS[seed]
+        nr, nc, nk = len(a), len(b), len(b[0])
+    else:
+        nr, nc, nk = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        a = [[value() for _ in range(nc)] for _ in range(nr)]
+        b = [[value() for _ in range(nk)] for _ in range(nc)]
+        v = [value() for _ in range(nc)]
     fa, fb, fv = [list(map(F, row)) for row in a], [list(map(F, row)) for row in b], list(map(F, v))
     m = RationalMatrix.from_rows(a)
     assert normalised(m.entries.values())
 
     product = m.matmul(RationalMatrix.from_rows(b))
     assert normalised(product.entries.values())
+    if seed == "cancelling":
+        assert sorted(product.entries) == [(0, 1), (1, 0)]
+    if seed == "integral":
+        assert product.entries == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): F(5, 6)}
+        assert all(type(product.entries[key]) is int for key in [(0, 0), (0, 1), (1, 0)])
     assert dense(product) == [[sum((fa[i][j] * fb[j][k] for j in range(nc)), F(0))
                                for k in range(nk)] for i in range(nr)]
     mv = m.mul_vec(v)
@@ -367,3 +387,193 @@ def test_mixed_int_and_fraction_input_matches_fraction_oracle(seed):
     coords = Echelon(a, keyed=True).coordinates(target, range(nr))
     assert coords == [coeffs.get(i, 0) for i in range(nr)]
     assert normalised(coords)
+
+
+# ---------------------------------------------------------------------------
+# The lazy echelon against the eager one it replaced
+
+class EagerEchelon:
+    """The echelon as it was before its combinations were expanded on first
+    read: each add computes its combination or relation at once."""
+
+    def __init__(self, rows=(), keyed=False):
+        self.pivots, self.relations = {}, []
+        self.combos = {} if keyed else None
+        for i, row in enumerate(rows):
+            self.add(row, i if keyed else None)
+
+    def copy(self, keyed=None):
+        out = EagerEchelon(keyed=self.combos is not None if keyed is None else keyed)
+        out.pivots = dict(self.pivots)
+        if keyed is None and self.combos is not None:
+            out.combos, out.relations = dict(self.combos), list(self.relations)
+        elif keyed:
+            out.combos = dict.fromkeys(self.pivots, {})
+        return out
+
+    def _eliminate(self, row, rem=None):
+        mult = {}
+        while row:
+            lead = min(row)
+            prow = self.pivots.get(lead)
+            if prow is None:
+                if rem is None:
+                    break
+                rem[lead] = row.pop(lead)
+                continue
+            c = mult[lead] = row[lead]
+            for j, v in prow.items():
+                x = row.get(j, 0) - c * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        return mult
+
+    def _combination(self, mult):
+        out = {}
+        for lead, c in mult.items():
+            for k, v in self.combos[lead].items():
+                out[k] = out.get(k, 0) + c * v
+        return out
+
+    @staticmethod
+    def _sparse(row):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        return {j: normal(v) for j, v in items if v}
+
+    def add(self, row, key=None):
+        row = self._sparse(row)
+        mult = self._eliminate(row)
+        combo = None
+        if self.combos is not None:
+            combo = {k: -normal(v) for k, v in self._combination(mult).items() if v}
+            if key is not None:
+                combo[key] = 1
+        if not row:
+            if combo is not None and key is not None:
+                self.relations.append((key, combo))
+            return False
+        lead = min(row)
+        inv = row[lead]
+        if inv == -1:
+            row = {j: -v for j, v in row.items()}
+            if combo is not None:
+                combo = {k: -v for k, v in combo.items()}
+        elif inv != 1:
+            inv = F(inv)
+            row = {j: normal(v / inv) for j, v in row.items()}
+            if combo is not None:
+                combo = {k: normal(v / inv) for k, v in combo.items()}
+        self.pivots[lead] = row
+        if combo is not None:
+            self.combos[lead] = combo
+        return True
+
+    def coordinates(self, row, keys):
+        rem = {}
+        mult = self._eliminate(self._sparse(row), rem)
+        if rem:
+            return None
+        combo = self._combination(mult)
+        return [normal(combo.get(k, 0)) for k in keys]
+
+
+def _echelon_rows(rng, nc):
+    """Seeded rows for the lazy/eager comparison: sparse ints and Fractions
+    with leads other than +-1, zero rows, repeats, negations, scalings and
+    sums of earlier rows, dense or as dicts."""
+    rows = []
+    for _ in range(rng.randint(4, 14)):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            row = [0] * nc if kind < 0.05 else \
+                [rng.choice([0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(4, 2)]) for _ in range(nc)]
+        elif kind < 0.2:
+            row = list(rng.choice(rows))
+        elif kind < 0.3:
+            c = rng.choice([-1, 2, F(1, 3), F(-3, 2)])
+            row = [c * v for v in rng.choice(rows)]
+        elif kind < 0.45:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = [x + rng.choice([1, -2, F(1, 2)]) * y for x, y in zip(a, b)]
+        else:
+            row = [rng.choice([0, 0, 0, 1, -1, 2, -5, F(1, 2), F(-7, 3)]) for _ in range(nc)]
+        rows.append(row)
+    return [{j: v for j, v in enumerate(r) if v} if rng.random() < 0.3 else r for r in rows]
+
+
+def _typed(x):
+    """A structure with every value tagged by its type, so that an int and
+    an equal Fraction differ, and dict order counts."""
+    if isinstance(x, dict):
+        return [(k, _typed(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_typed(v) for v in x]
+    return type(x).__name__, x
+
+
+def _same_echelons(lazy, eager):
+    assert _typed(lazy.pivots) == _typed(eager.pivots)
+    assert lazy.rank == len(eager.pivots)
+    assert _typed(lazy.combos) == _typed(eager.combos)
+    assert _typed(lazy.relations) == _typed(eager.relations)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lazy_echelon_matches_the_eager_oracle(seed):
+    rng = random.Random(seed)
+    nc = rng.randint(1, 7)
+    keyed = seed % 4 != 3
+    pairs = [(Echelon(keyed=keyed), EagerEchelon(keyed=keyed))]
+    for step, row in enumerate(_echelon_rows(rng, nc)):
+        # Keyed rows with unkeyed ones between them, on every echelon made so far.
+        key = step if keyed and rng.random() < 0.75 else None
+        for lazy, eager in pairs:
+            assert lazy.add(dict(row) if isinstance(row, dict) else row, key) == eager.add(row, key)
+        lazy, eager = rng.choice(pairs)
+        action = rng.random()
+        if action < 0.2:  # read between adds
+            _same_echelons(lazy, eager)
+        elif action < 0.4:
+            target = [rng.choice([0, 1, -2, F(1, 2)]) for _ in range(nc)]
+            keys = range(step + 1)
+            if lazy.combos is not None:
+                assert _typed(lazy.coordinates(target, keys)) == _typed(eager.coordinates(target, keys))
+        elif action < 0.55 and len(pairs) < 4:
+            copy_keyed = rng.choice([None, True, False])
+            pairs.append((lazy.copy(copy_keyed), eager.copy(copy_keyed)))
+    for lazy, eager in pairs:
+        _same_echelons(lazy, eager)
+        for _ in range(3):
+            combo = [rng.choice([0, 1, F(-1, 2), 3]) for _ in lazy.pivots]
+            target = [sum((c * row.get(j, 0) for c, row in zip(combo, lazy.pivots.values())), 0)
+                      for j in range(nc)]
+            if lazy.combos is not None:
+                keys = sorted({k for c in lazy.combos.values() for k in c})
+                assert _typed(lazy.coordinates(target, keys)) == _typed(eager.coordinates(target, keys))
+
+
+def test_a_rank_read_expands_nothing(tmp_path, capsys, monkeypatch):
+    # `trophodge cohomology` reads only ranks of the cellular differentials,
+    # so no combination of any echelon's kept rows is ever formed.
+    import json
+
+    from conftest import grid_plane
+    from trophodge.cli import main
+    from trophodge.polyhedral import complex_to_json
+
+    calls = []
+    original = Echelon._combination
+
+    def counting(self, mult):
+        calls.append(len(mult))
+        return original(self, mult)
+
+    monkeypatch.setattr(Echelon, "_combination", counting)
+    path = tmp_path / "grid2.json"
+    path.write_text(json.dumps(complex_to_json(grid_plane(2))))
+    assert main(["cohomology", str(path)]) == 0
+    numbers = json.loads(capsys.readouterr().out)["hodge_numbers"]
+    assert numbers == {f"h^{p},{q}": int(p == q) + (p == q == 1) for p in range(3) for q in range(3)}
+    assert calls == []

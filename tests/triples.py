@@ -17,6 +17,7 @@ import random
 from functools import partial
 from typing import Callable, Optional, Sequence
 
+from cochains import identity
 from trophodge import ChaseFailureError, DegeneratePairingError
 from trophodge.clemens_schmid import ExactnessReport, Junction, LefschetzTriple, _chase
 from trophodge.cohomology import GradedComplex
@@ -247,8 +248,8 @@ def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
 # Random triples
 
 def _rand_unimodular(rng: random.Random, n: int) -> tuple[RationalMatrix, RationalMatrix]:
-    u = RationalMatrix.identity(n)
-    uinv = RationalMatrix.identity(n)
+    u = identity(n)
+    uinv = identity(n)
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
