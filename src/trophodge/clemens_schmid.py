@@ -11,25 +11,28 @@ sequences
 
   ... -> H^k(K) -> H^k(C) -L-> H^{k+2}(D) -> H^{k+2}(R) -> H^{k+2}(K) -> ...
 
-are verified junction by junction, with no coordinates.  Each group H^k(X)
-is one `QuotientBasis` in the ambient term (C^k for K, D^k for R): C and D
-give their own `h_basis(k)`, and K and R read their cocycles and boundaries
-off echelons that extend ones already made.  Every map acts on ambient
-vectors, so every number of a junction counts the images that are
-`independent` modulo the target's boundaries: the rank of a map counts the
-images of the source's representatives, and a composite is zero when none
-of its images is.  The only nontrivial connecting map is d0: H^0(R) ->
-H^0(K), the chase: push a cocycle of R^0 by d_D, take the unique
-L-preimage in C^{-1}, push by d_C, and certify the result is killed by L.
-Every existence step records a witness and every uniqueness step asserts
-kernel triviality.
+are verified junction by junction, with no class coordinates.  K and R are
+complexes in their own coordinates (`LefschetzTriple.complex`): K^k has the
+canonical kernel vectors of L^k, a vector of ker L^k read at the free
+columns of L^k's echelon; R^k has the unit vectors of D^k at no pivot of
+L^{k-2}'s echelon, a class read as its remainder there; each differential
+is P d B, for the basis matrix B and the coordinate matrix P.  Each group
+H^k(X) is that complex's `h_basis(k)`, and each map is a matrix on those
+coordinates (incl is B of K, proj is P of R), so every number of a junction
+counts the images that are `independent` modulo the target's boundaries:
+the rank of a map counts the images of the source's representatives, and a
+composite is zero when none of its images is.  The only nontrivial
+connecting map is d0: H^0(R) -> H^0(K), the chase: lift a cocycle of R^0
+to D^0, push it by d_D, take the unique L-preimage in C^{-1}, push by d_C,
+certify the result is killed by L, and read it in K^0.  Every existence
+step records a witness and every uniqueness step asserts kernel triviality.
 
 The mapping cone check builds the double-cone total complex of a row pair
 of the Steenbrink page and verifies that its projection onto R is a
-quasi-isomorphism from ranks alone: the projection keeps R's coordinates,
-so it is a chain map iff two submatrices of the total differential are
-right, and then a quasi-isomorphism iff the coordinate subcomplex on the
-other coordinates (its kernel) is acyclic.
+quasi-isomorphism from ranks alone: the projection keeps R's coordinates
+(the row positions that label R), so it is a chain map iff two submatrices
+of the total differential are right, and then a quasi-isomorphism iff the
+coordinate subcomplex on the other coordinates (its kernel) is acyclic.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Sequence
 
 from . import ChaseFailureError, DegreeMismatchError, HLFailureError, cached
 from .cohomology import GradedComplex, QuotientBasis
-from .linalg import Echelon, RationalMatrix, column_echelon, kernel_vectors
+from .linalg import Echelon, RationalMatrix, column_echelon
 
 # The maps of the sequences by kind: (source, target, degree shift).
 _MAPS = {"incl": ("K", "C", 0), "lmap": ("C", "D", 2), "proj": ("D", "R", 0),
@@ -66,49 +69,62 @@ class LefschetzTriple:
         return column_echelon(self.l_matrix(k))
 
     @cached
-    def _span(self, name: str, k: int) -> Echelon:
-        """The keyed echelon that K^k's or R^k's cocycles are read from, whose
-        kept rows span the boundaries in degree k+1: for K, d_C of the kernel
-        vectors of L^k, keyed by position; for R, D's echelon of d_D^k
-        extended by the columns of L^{k-1}, whose relations' D^k parts are R^k's."""
+    def _frame(self, name: str, k: int) -> tuple[RationalMatrix, RationalMatrix, list[int]]:
+        """(B, P, positions) of K^k or R^k (the module note): the basis matrix,
+        the coordinate matrix, and the ambient positions coordinates are read at."""
         if name == "K":
-            d, n = self.C.differential(k), self.C.dim(k)
-            return Echelon((d.mul_vec(v) for v in kernel_vectors(self.l_echelon(k), n)), keyed=True)
-        span, n = self.D.echelon(k).copy(), self.D.dim(k)
-        for j, column in enumerate(self.l_matrix(k - 1).columns()):
-            span.add(column, n + j)
-        return span
+            n, relations = self.C.dim(k), self.l_echelon(k).relations
+            at = [key for key, _ in relations]
+            columns = [combo for _, combo in relations]
+        else:
+            n, e = self.D.dim(k), self.l_echelon(k - 2)
+            at = [j for j in range(n) if j not in e.pivots]
+            columns = [{j: 1} for j in at]
+        basis = RationalMatrix(n, len(at))
+        basis.entries = {(j, i): v for i, column in enumerate(columns) for j, v in column.items()}
+        coords = RationalMatrix(len(at), n)
+        coords.entries = {(i, j): 1 for i, j in enumerate(at)}
+        if name == "R":  # a unit vector at a pivot is read as its remainder
+            index = {j: i for i, j in enumerate(at)}
+            for j in e.pivots:
+                coords.entries.update(((index[c], j), v) for c, v in e.reduce({j: 1})[0].items())
+        return basis, coords, at
+
+    @cached
+    def complex(self, name: str) -> GradedComplex:
+        """C or D itself, or K or R in its own coordinates, labelled by position.
+        K's are sound only if L^{k+1} d_C B = 0, which is checked."""
+        if name in ("C", "D"):
+            return getattr(self, name)
+        ambient = self.C if name == "K" else self.D
+        frames = {k: self._frame(name, k) for k in ambient.terms}
+        terms = {k: len(at) for k, (_, _, at) in frames.items() if at}
+        diffs = {}
+        for k in terms:
+            image = ambient.differential(k).matmul(frames[k][0])
+            if name == "K" and not self.l_matrix(k + 1).matmul(image).is_zero():
+                raise HLFailureError(f"d_C does not map ker L into ker L in degree {k}")
+            if k + 1 in terms:
+                diffs[k] = frames[k + 1][1].matmul(image)
+        return GradedComplex(terms, diffs, {k: frames[k][2] for k in terms})
 
     @cached
     def group(self, name: str, k: int) -> QuotientBasis:
-        """H^k of C, D, K or R in the ambient term: `h_basis(k)` itself for C
-        and D.  K^k for k < 0 and R^k for k > 0 are zero, read without
-        eliminating (no cocycle but 0 in K^k, every vector a boundary in
-        R^k).  That needs HL on the nose, which `check_hl` certifies before
-        any group is read: L is injective in degrees <= -1, so ker L^k = 0,
-        and surjective onto degrees >= 1, so im L^{k-2} = D^k."""
-        if name in ("C", "D"):
-            return (self.C if name == "C" else self.D).h_basis(k)
-        if name == "K":
-            n = self.C.dim(k)
-            if k < 0:
-                return QuotientBasis(n, (), Echelon())
-            kernel = RationalMatrix.from_columns(n, kernel_vectors(self.l_echelon(k), n))
-            cocycles = [kernel.mul_vec(c) for c in kernel_vectors(self._span("K", k), kernel.cols)]
-        else:
-            n = self.D.dim(k)
-            if k > 0:
-                return QuotientBasis(n, (), Echelon({j: 1} for j in range(n)))
-            cocycles = kernel_vectors(self._span("R", k), n)
-        return QuotientBasis(n, cocycles, self._span(name, k - 1))
+        """H^k of C, D, K or R, in that complex's own coordinates."""
+        return self.complex(name).h_basis(k)
 
     def push(self, kind: str, k: int, vec: Sequence) -> Sequence:
-        """The image of an ambient vector under the map of that kind out of H^k."""
+        """The image of a vector of the source complex in degree k under the
+        map of that kind, in the target's coordinates (the module note)."""
         if kind == "lmap":
             return self.l_matrix(k).mul_vec(vec)
-        if kind == "conn":  # 0 for k != 0, where K^k = 0 (k < 0) or R^k = 0 (k > 0)
-            return _chase(self, vec) if k == 0 else [0] * self.C.dim(k)
-        return vec  # incl and proj are the identity on the ambient term
+        if kind == "incl":
+            return self._frame("K", k)[0].mul_vec(vec)
+        if kind == "proj":
+            return self._frame("R", k)[1].mul_vec(vec)
+        if k != 0:  # conn is 0 for k != 0: under HL, K^k = 0 (k < 0) or R^k = 0 (k > 0)
+            return [0] * self.complex("K").dim(k)
+        return self._frame("K", 0)[1].mul_vec(_chase(self, self._frame("R", 0)[0].mul_vec(vec)))
 
     @cached
     def images(self, kind: str, k: int) -> list:
@@ -258,10 +274,9 @@ def mapping_cone_check(st, p: int) -> dict:
         (nk, nmid), (nk2, nmid2) = parts[a], parts[a + 1]
         m = diffs[a] = RationalMatrix(terms[a + 1], terms[a])
         _put(m, kc.differential(a), 0, 0)
-        # iota: embed the kernel block into the full term.
-        index = st.term_index(a, p + 2)
-        for j, f_i in enumerate(kc.labels.get(a, [])):
-            m.entries[nk2 + index[(a,) + f_i], j] = 1
+        # iota: embed the kernel block into the full term, at K's positions.
+        for j, at in enumerate(kc.labels.get(a, [])):
+            m.entries[nk2 + at, j] = 1
         _put(m, st.row_complex(p + 2).differential(a - 1), nk2, nk, -1)
         _put(m, st.n_matrix(a - 1, p + 2), nk2 + nmid2, nk)
         _put(m, st.row_complex(p).differential(a), nk2 + nmid2, nk + nmid)
@@ -271,8 +286,7 @@ def mapping_cone_check(st, p: int) -> dict:
     # The projection keeps R^{a,p}, the s = -a block of the bottom part.
     on_r, off_r = {}, {}
     for a, (nk, nmid) in parts.items():
-        index = st.term_index(a, p)
-        on_r[a] = [nk + nmid + index[(-a,) + f_i] for f_i in rc.labels.get(a, [])]
+        on_r[a] = [nk + nmid + at for at in rc.labels.get(a, [])]
         kept = set(on_r[a])
         off_r[a] = [j for j in range(terms[a]) if j not in kept]
     for a, m in diffs.items():
@@ -291,7 +305,8 @@ def mapping_cone_check(st, p: int) -> dict:
 
 
 def steenbrink_triple(st, p: int) -> LefschetzTriple:
-    """(C, D, L) = (ST^{.,2p+2}, ST^{.,2p}, N) with N of degree (2,-2)."""
+    """(C, D, L) = (ST^{.,2p+2}, ST^{.,2p}, N) with N of degree (2,-2); not
+    cached, so what the sequences hold goes with the triple."""
     C = st.row_complex(2 * p + 2)
     D = st.row_complex(2 * p)
     L = {}

@@ -478,19 +478,18 @@ class _Frame:
         return out
 
 
-def _frame(vrows, rrows, cell) -> Optional[_Frame]:
-    """The frame of a cell whose lifted generators are independent, else None."""
+def _frame(vrows, rrows, cell) -> _Frame:
+    """The frame of a cell; its lifted generators are independent, since
+    build_complex rejects a face with dependent ones as not simplicial."""
     vs, rs = cell
     g = [vrows[k] for k in vs] + [rrows[k] for k in rs]
     adj = gram_adjugate(_dots(g, g))
-    if adj is None:
-        return None
     # Independent rows as many as their length span everything: no equations.
     z = [] if len(g) == len(g[0]) else kernel_basis_int(g)
     return _Frame(_dots(adj, list(zip(*g))), z, vrows + rrows)
 
 
-def _cell(vrows, rrows, cell) -> tuple[list[int], int, Optional[_Frame]]:
+def _cell(vrows, rrows, cell) -> tuple[list[int], int, _Frame]:
     """A cell's generators as bits, vertex k as k and ray k as len(vrows) + k,
     in the cell's order (vertices first), their mask, and the cell's frame."""
     vs, rs = cell
@@ -517,41 +516,31 @@ def _check_pair_intersection(vrows, rrows, cell1, cell2, cells=None) -> None:
     """Exact check that two cells, given as (vertex, ray) index lists into
     the lifted rows, meet exactly in their shared-generator face.  cells
     holds both cells' _cell data (built here when not given), so that the
-    shared generators are the AND of the two masks.  In the frame of cell1
-    (of cell2 when cell1 has none), one Fourier-Motzkin run over the weights
+    shared generators are the AND of the two masks.  In the frame of cell1,
+    one Fourier-Motzkin run over the weights
     mu >= 0 of cell2's own generators b asks for y = sum mu b in span G
     (Z y = 0) with coordinates >= 0 on cell1's own generators (the own rows
     of Q y): with a shared vertex and mu > 0, y is off the shared face;
     without one, y meets cell1 when its vertex weights are > 0.  The question
     is symmetric in the two cells, so a certificate in either frame
-    (_certified) answers no without a run.  Without any frame, the run is
-    over both cells' weights, a shared generator's of free sign."""
+    (_certified) answers no without a run."""
     if cells is None:
         cells = (_cell(vrows, rrows, cell1), _cell(vrows, rrows, cell2))
     (gens1, mask1, frame1), (gens2, mask2, frame2) = cells
     shared, nv = mask1 & mask2, len(vrows)
     own1 = [p for p, g in enumerate(gens1) if not shared >> g & 1]
     own2 = [p for p, g in enumerate(gens2) if not shared >> g & 1]
-    tries = [(frame, own, [gens[p] for p in other]) for frame, own, gens, other in
-             ((frame1, own1, gens2, own2), (frame2, own2, gens1, own1)) if frame is not None]
+    tries = [(frame1, own1, [gens2[p] for p in own2]), (frame2, own2, [gens1[p] for p in own1])]
     for t in tries:
         if _certified(*t):
             return
     shared_v = shared & ((1 << nv) - 1)
-    if tries:
-        frame, own, other = tries[0]
-        vals = [frame.at(g) for g in other]
-        ineqs = [[qg[i] for qg, *_ in vals] for i in own]
-        eqs = [[zg[r] for _, zg, *_ in vals] for r in range(len(frame.z))]
-        n = nonneg = len(vals)
-        positive = n if shared_v else sum(g < nv for g in other)
-    else:
-        rows = vrows + rrows
-        cols = [rows[gens1[p]] for p in own1] + [tuple(-x for x in rows[gens2[p]]) for p in own2]
-        nonneg = len(cols)
-        cols += [rows[g] for g in gens1 if shared >> g & 1]
-        eqs, ineqs, n = list(zip(*cols)), [], len(cols)
-        positive = nonneg if shared_v else len(cell1[0])
+    frame, own, other = tries[0]
+    vals = [frame.at(g) for g in other]
+    ineqs = [[qg[i] for qg, *_ in vals] for i in own]
+    eqs = [[zg[r] for _, zg, *_ in vals] for r in range(len(frame.z))]
+    n = nonneg = len(vals)
+    positive = n if shared_v else sum(g < nv for g in other)
     ineqs = [(tuple(row) + (0,), False) for row in ineqs]
     ineqs += [(tuple(int(k == j) for k in range(n)) + (0,), False) for j in range(nonneg)]
     ineqs.append((tuple(int(k < positive) for k in range(n)) + (0,), True))

@@ -16,9 +16,9 @@ The differential is stitched in one place, `d_matrix`, once per bounded
 cover pair f < g: a restriction block from f into g and a Gysin block from
 g into f, each multiplied by the orientation sign of the pair, which is
 computed once when the page is built.  Every other reader of d takes it
-from the cached row complex.  In row b, d maps the s = a part only into
-itself, by restriction, and the s = -a part only into itself, by Gysin; the
-kernel and cokernel complexes K and R are these two parts of the row.
+from the cached row complex.  K = ker N and R = coker N of a row are those
+of its Lefschetz triple (`clemens_schmid.steenbrink_triple`), labelled by
+row position: the s = a part of the row and the s = -a part.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowRing, gysin, restriction, ring_of
+from .clemens_schmid import steenbrink_triple
 from .cohomology import GradedComplex, QuotientBasis, induced_map
 from .linalg import Rational, RationalMatrix, kernel_basis, normal, rank
 from .polyhedral import FaceComplex
@@ -156,28 +157,15 @@ class SteenbrinkPage:
         """H^a of row b, cached on the row complex."""
         return self.row_complex(b).h_basis(a)
 
+    @cached
     def k_complex(self, p: int) -> GradedComplex:
-        """K^{a,2p} = ST^{a,2p,a} with the restriction differential."""
-        return self._s_part(2 * p, range(0, self.dim + 1), 1)
-
-    def r_complex(self, p: int) -> GradedComplex:
-        """R^{a,2p} = ST^{a,2p,-a} with the Gysin differential."""
-        return self._s_part(2 * p, range(-self.dim, 1), -1)
+        """K^{.,2p}: ker N on row 2p, the s = a blocks, from the triple."""
+        return steenbrink_triple(self, p - 1).complex("K")
 
     @cached
-    def _s_part(self, b: int, degrees: range, sgn: int) -> GradedComplex:
-        """The blocks s = sgn * a of row b, labelled (face, basis position),
-        with the sub-blocks of the row differential between them.  d maps
-        s = a only to s = a+1 (by i*) and s = -a only to s = -a-1 (by Gys),
-        so these sub-blocks form a complex."""
-        labels = {a: self.block_labels(a, b, sgn * a) for a in degrees}
-        labels = {a: lab for a, lab in labels.items() if lab}
-        at = {a: [self.term_index(a, b)[(sgn * a,) + f_i] for f_i in lab]
-              for a, lab in labels.items()}
-        row = self.row_complex(b)
-        diffs = {a: row.differential(a).submatrix(at[a + 1], at[a])
-                 for a in labels if a + 1 in labels}
-        return GradedComplex({a: len(lab) for a, lab in labels.items()}, diffs, labels)
+    def r_complex(self, p: int) -> GradedComplex:
+        """R^{.,2p}: coker N on row 2p, the s = -a blocks, from the triple."""
+        return steenbrink_triple(self, p).complex("R")
 
     # -- psi, d and N on elements ---------------------------------------------
 

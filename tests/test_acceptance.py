@@ -84,11 +84,9 @@ def test_criterion_3_steenbrink_comparison(st_d, st_e, st_f, st_a, st_c,
         rows = []
         for rep in h_k.representatives:
             vec = [F(0)] * row.dim(q - p)
-            # kernel complex terms embed as the s = a block
-            labels = kc.labels.get(q - p, [])
-            index = st.term_index(q - p, 2 * p)
-            for (f, i), v in zip(labels, rep):
-                vec[index[(q - p, f, i)]] = v
+            # kernel complex terms embed at the row positions they are labelled by
+            for at, v in zip(kc.labels.get(q - p, []), rep):
+                vec[at] = v
             rows.append(h_row.coordinates(vec))
         return rank(RationalMatrix.from_rows(rows)) if rows else 0
 

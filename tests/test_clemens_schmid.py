@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_plane, plane_curve
+from conftest import grid_plane, plane_curve, staircase_product
+from test_steenbrink import _oracle_kr
 from triples import (
     RowQuotientBasis,
     chase_d0,
@@ -73,6 +74,35 @@ def test_hl_precondition_fails_loudly():
         clemens_schmid_sequences(t)
 
 
+def test_groups_need_no_check_hl():
+    # L = 0 from degree -1 is not injective, so K^{-1} = C^{-1} and
+    # R^1 = D^1: both groups are Q, read without certifying HL first.
+    t = LefschetzTriple(GradedComplex({-1: 1}, {}), GradedComplex({1: 1}, {}),
+                        {-1: RationalMatrix(1, 1)})
+    assert (t.group("K", -1).dim, t.group("R", 1).dim) == (1, 1)
+
+
+def test_kernel_complex_checks_that_d_keeps_the_kernel_of_l():
+    # ker L^0 = C^0, but d_C maps it onto C^1, where L^1 is injective.
+    t = _triple({0: 1, 1: 1}, {3: 1}, {1: [[1]]}, c_diffs={0: [[1]]})
+    with pytest.raises(HLFailureError, match="degree 0"):
+        t.complex("K")
+
+
+def test_kernel_and_cokernel_complexes_equal_the_oracle_on_random_triples():
+    # K in its own coordinates is the oracle's subquotient exactly; R has the
+    # oracle's terms and cohomology, over another basis of D / im L.
+    rng = random.Random(2029)
+    for i in range(60):
+        t = random_lefschetz_triple(rng, crossing=i % 2)
+        kc, rc = kernel_and_cokernel(t)
+        _same_complex(t.complex("K"), kc.gc)
+        got = t.complex("R")
+        assert {k: n for k, n in got.terms.items() if n} == rc.gc.terms
+        for k in range(min(t.degrees()) - 1, max(t.degrees()) + 4):
+            assert got.h_dim(k) == rc.gc.h_dim(k)
+
+
 def test_random_triples_exact():
     rng = random.Random(4242)
     for _ in range(60):
@@ -117,7 +147,8 @@ PAGE_INPUTS = {**{f"fix{c}": getattr(fx, f"fix_{c}") for c in "abcdef"},
                "u35": lambda: bergman_fan(uniform_matroid(5, 3)),
                "b4": lambda: bergman_fan(boolean_matroid(4)),
                "prod": lambda: product_complex(product_complex(fx.fix_e(), fx.fix_d()), fx.fix_d()),
-               **{f"curve{d}": (lambda d=d: plane_curve(d)) for d in (3, 4, 5)}}
+               **{f"curve{d}": (lambda d=d: plane_curve(d)) for d in (3, 4, 5)},
+               "curve3xE": lambda: staircase_product(plane_curve(3), fx.fix_e())}
 
 
 def _page(name: str, request) -> SteenbrinkPage:
@@ -385,6 +416,15 @@ def test_kernel_and_cokernel_equal_the_s_parts_of_the_page(name, request):
         kc, rc = kernel_and_cokernel(t)
         _same_complex(kc.gc, st.k_complex(p + 1))
         _same_complex(rc.gc, st.r_complex(p))
+        # The page's K and R are the triple's, and its s = a and s = -a blocks.
+        for got, want, row, kernel in ((st.k_complex(p + 1), t.complex("K"), 2 * p + 2, True),
+                                       (st.r_complex(p), t.complex("R"), 2 * p, False)):
+            _same_complex(got, want)
+            assert got.labels == want.labels
+            terms, diffs, labels = _oracle_kr(st, row // 2, kernel)
+            assert (got.terms, got.diffs) == (terms, diffs)
+            assert {a: [st.term_labels(a, row)[at][1:] for at in ats]
+                    for a, ats in got.labels.items()} == labels
         for a in range(-st.dim - 2, st.dim + 3):
             assert t.group("K", a).dim == st.k_complex(p + 1).h_dim(a)
             assert t.group("R", a).dim == st.r_complex(p).h_dim(a)
@@ -501,11 +541,13 @@ def test_groups_equal_the_row_quotient_oracle(name, request):
     groups = 0
     for p in range(st.dim + 1):
         t = steenbrink_triple(st, p)
-        check_hl(t)  # the precondition of the zero K^k (k < 0) and R^k (k > 0)
         for k in range(min(t.degrees(), default=0) - 2, max(t.degrees(), default=0) + 5):
-            _same_group(t.group("K", k), *k_rows(t, k), rng)
-            _same_group(t.group("R", k), *r_rows(t, k), rng)
-            groups += t.group("K", k).dim + t.group("R", k).dim
+            for name, rows, ambient in (("K", k_rows, t.C), ("R", r_rows, t.D)):
+                got = t.group(name, k)
+                _same_group(got, *h_rows(t.complex(name), k), rng)
+                # K and R cut out of the whole row, as the oracle of the dimension
+                assert got.dim == RowQuotientBasis(ambient.dim(k), *rows(t, k)).dim
+                groups += got.dim
     assert groups
 
 

@@ -26,7 +26,6 @@ from trophodge.polyhedral import (
     _box,
     _check_pair_intersection,
     _compose,
-    _frame,
     _lifted_rows,
     _make_face,
     build_complex,
@@ -498,17 +497,28 @@ def _pair_oracle(rank, v1, r1, v2, r2, shared_v, shared_r):
     return None
 
 
+def _simplicial(cell) -> bool:
+    """Whether build_complex accepts a cell (vertices, rays) as simplicial:
+    its vertices lifted to (v, 1) and its rays to (r, 0) are independent."""
+    vs, rs = cell
+    rows = [tuple(v) + (1,) for v in vs] + [tuple(r) + (0,) for r in rs]
+    return Echelon(rows).rank == len(rows)
+
+
 def _random_cell_pair(rng):
-    """Two cells in R^1..R^3 on small pools of half-integral vertices and
-    integer rays, sharing a random part of their generators."""
+    """Two simplicial cells in R^1..R^3 on small pools of half-integral
+    vertices and integer rays, sharing a random part of their generators;
+    each cell is drawn again until build_complex would accept it."""
     rank = rng.randint(1, 3)
     verts = list({tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(rank)) for _ in range(5)})
     rays = list({r for r in (tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(5)) if any(r)})
     cells = []
-    for _ in range(2):
+    while len(cells) < 2:
         nv = rng.randint(1, min(len(verts), rank + 1))
         nr = rng.randint(0, min(len(rays), rank + 1 - nv))
-        cells.append((rng.sample(verts, nv), rng.sample(rays, nr)))
+        cell = (rng.sample(verts, nv), rng.sample(rays, nr))
+        if _simplicial(cell):
+            cells.append(cell)
     (v1, r1), (v2, r2) = cells
     return (rank, v1, r1, v2, r2,
             [v for v in v1 if v in v2], [r for r in r1 if r in r2])
@@ -585,7 +595,8 @@ def test_pair_check_agrees_with_fraction_parametrisation(monkeypatch):
 
 PAIRS_WITH_DEPENDENT_CELLS = [
     # (rank, cell 1, cell 2, whether cell 2's lifted generators are
-    # independent, outcome); a cell is (vertices, rays).
+    # independent, the oracle's verdict on the pair); a cell is (vertices,
+    # rays), and cell 1's lifted generators are dependent.
     (1, ([(0,)], [(1,), (-1,)]), ([(1,)], []), True, "disjoint faces overlap"),
     (2, ([(0, 0)], [(1, 0), (-1, 0)]), ([(0, 0)], [(0, 1)]), True, "overlap beyond common face"),
     (2, ([(0, 0), (1, 0), (2, 0)], []), ([(1, 0), (1, 1)], []), True, "overlap beyond common face"),
@@ -601,25 +612,30 @@ PAIRS_WITH_DEPENDENT_CELLS = [
 
 
 @pytest.mark.parametrize("rank, cell1, cell2, independent2, outcome", PAIRS_WITH_DEPENDENT_CELLS)
-def test_pair_check_with_dependent_cells_agrees_with_oracle(rank, cell1, cell2, independent2, outcome):
-    # cell1's lifted generators are dependent: the check works in cell2's
-    # frame when it has one, and runs the full system when it has none.
+def test_pair_check_with_dependent_cells_agrees_with_oracle(monkeypatch, rank, cell1, cell2,
+                                                            independent2, outcome):
+    # Whatever the oracle says of the pair, build_complex rejects the two
+    # cells with their faces as not simplicial before it checks any pair: so
+    # the pair check only ever sees cells with independent lifted generators,
+    # each of which has a frame.
+    import trophodge.polyhedral as polyhedral
+
     v1, r1 = [tuple(map(F, v)) for v in cell1[0]], cell1[1]
     v2, r2 = [tuple(map(F, v)) for v in cell2[0]], cell2[1]
     args = (rank, v1, r1, v2, r2, [v for v in v1 if v in v2], [r for r in r1 if r in r2])
+    assert _pair_oracle(*args) == (outcome and f"intersection axiom violated: {outcome}")
+    assert not _simplicial((v1, r1)) and _simplicial((v2, r2)) == independent2
     vpool, rpool, cells = _pools_and_cells(v1, r1, v2, r2)
-    lifted = _lifted_rows(vpool, rpool)
-    assert _frame(*lifted, cells[0]) is None
-    assert (_frame(*lifted, cells[1]) is not None) == independent2
-    want = _pair_oracle(*args)
-    assert want == (outcome and f"intersection axiom violated: {outcome}")
-    for first, second in (cells, cells[::-1]):
-        try:
-            _check_pair_intersection(*lifted, first, second)
-            got = None
-        except InputFormatError as exc:
-            got = str(exc)
-        assert got == want
+    specs = {(sub_v, sub_r) for vs, rs in cells for kv in range(1, len(vs) + 1)
+             for sub_v in itertools.combinations(vs, kv) for kr in range(len(rs) + 1)
+             for sub_r in itertools.combinations(rs, kr)}
+
+    def refuse(*args):
+        raise AssertionError("a pair was checked")
+
+    monkeypatch.setattr(polyhedral, "_check_pair_intersection", refuse)
+    with pytest.raises(InputFormatError, match="not simplicial"):
+        build_complex(rank, vpool, rpool, sorted(specs))
 
 
 def test_cells_with_disjoint_boxes_never_meet():

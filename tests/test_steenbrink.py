@@ -252,7 +252,10 @@ def test_stitch_matches_per_column_oracle(st_a, st_c, st_d, st_e, st_f, st_grid1
         for p in range(st.dim + 1):
             for got, kernel in ((st.k_complex(p), True), (st.r_complex(p), False)):
                 terms, diffs, labels = _oracle_kr(st, p, kernel)
-                assert (got.terms, got.diffs, got.labels) == (terms, diffs, labels)
+                # K and R label each coordinate by its position in ST^{a,2p}
+                got_labels = {a: [st.term_labels(a, 2 * p)[at][1:] for at in ats]
+                              for a, ats in got.labels.items()}
+                assert (got.terms, got.diffs, got_labels) == (terms, diffs, labels)
 
 
 def test_grid_plane_has_two_cell_blocks(st_grid1):

@@ -222,14 +222,16 @@ def oracle_sequences(t: LefschetzTriple) -> ExactnessReport:
 # Checks of d0
 
 def d0_lift_independent(t: LefschetzTriple) -> bool:
-    """The chase of c + L x equals the chase of c, for each representative c
-    of H^0(R) and a fixed x in C^{-2}."""
+    """The chase of c + L x equals the chase of c, for the lift c to D^0 (by
+    the basis matrix of R^0) of each representative of H^0(R) and a fixed x
+    in C^{-2}."""
     n = t.C.dim(-2)
     if n == 0:
         return True
     shift = t.l_matrix(-2).mul_vec([1 + (i % 3) for i in range(n)])
+    lift = t._frame("R", 0)[0]
     return all(_chase(t, [x + y for x, y in zip(c, shift)]) == _chase(t, c)
-               for c in t.group("R", 0).representatives)
+               for c in map(lift.mul_vec, t.group("R", 0).representatives))
 
 
 def d0_boundary_compositions_zero(t: LefschetzTriple) -> bool:
