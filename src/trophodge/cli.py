@@ -16,7 +16,7 @@ from .chow import fan_ring, is_balanced, minkowski_weights
 from .cohomology import cochain_complex, hodge_diamond
 from .fixtures import FIXTURES, named_fixture, write_fixture_files
 from .linalg import fmt_rat, rat
-from .polyhedral import FaceComplex, compactify, load_complex
+from .polyhedral import FaceComplex, check_compactifiable, compactify, load_complex
 from .steenbrink import (
     build_steenbrink,
     steenbrink_cohomology,
@@ -104,9 +104,16 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
+def _open_page(arg: str):
+    """The Steenbrink page of an input, built on the input, not on its
+    compactification: the two share the bounded faces and stars it reads."""
+    y = _load(arg)
+    check_compactifiable(y)
+    return build_steenbrink(y)
+
+
 def cmd_steenbrink(args) -> int:
-    y = _load(args.input)
-    st = build_steenbrink(compactify(y))
+    st = _open_page(args.input)
     d = st.dim
     blocks = {}
     for b in range(0, 2 * d + 1, 2):
@@ -144,8 +151,7 @@ def cmd_steenbrink(args) -> int:
 
 
 def cmd_cs_check(args) -> int:
-    y = _load(args.input)
-    st = build_steenbrink(compactify(y))
+    st = _open_page(args.input)
     result = tropical_clemens_schmid(st)
     junctions = {}
     for p, rep in result["per_p"].items():

@@ -23,8 +23,10 @@ functional of either cell's frame that is negative on the other cell's own
 generators (the AND of per-generator sign masks), and otherwise by one
 Fourier-Motzkin run over the other cell's generator weights.  compactify
 projects each vertex and ray once per stratum, and walks ray subsets as
-submasks.  A star fan is unimodular without a check when every coface
-labelling one of its cones is.
+submasks.  Its precondition, a unimodular recession fan, is
+check_compactifiable, which a caller that reads only the open complex (as
+the Steenbrink page does) runs instead.  A star fan is unimodular without a
+check when every coface labelling one of its cones is.
 """
 
 from __future__ import annotations
@@ -601,6 +603,16 @@ def recession_fan(y: FaceComplex) -> FaceComplex:
 # ---------------------------------------------------------------------------
 # Canonical compactification
 
+def check_compactifiable(y: FaceComplex) -> None:
+    """Raise unless y has a canonical compactification: its recession fan must
+    be a unimodular fan (NotAFanError, NotUnimodularError)."""
+    # A validated y with one vertex is a translate of its recession fan: its
+    # cones were checked already, and its faces carry the same flags.
+    one_vertex = y.validated and len({v for f in y.faces for v in f.vertices}) == 1
+    if not all(f.unimodular for f in (y if one_vertex else recession_fan(y)).faces):
+        raise NotUnimodularError("recession fan is not unimodular")
+
+
 def compactify(y: FaceComplex) -> FaceComplex:
     """Face complex of the canonical compactification of y.
 
@@ -611,11 +623,7 @@ def compactify(y: FaceComplex) -> FaceComplex:
     _tangent_of, memoized in a dict that lives for this call only (the
     complex it would be cached on does not exist yet).
     """
-    # A validated y with one vertex is a translate of its recession fan: its
-    # cones were checked already, and its faces carry the same flags.
-    one_vertex = y.validated and len({v for f in y.faces for v in f.vertices}) == 1
-    if not all(f.unimodular for f in (y if one_vertex else recession_fan(y)).faces):
-        raise NotUnimodularError("recession fan is not unimodular")
+    check_compactifiable(y)
 
     # A set of y's rays is a mask, bit k for the k-th ray in sorted order, so
     # a face's ray subsets come out as sorted tuples in the same order.

@@ -31,11 +31,17 @@ from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowRing, gysin, restriction, ring_of
 from .clemens_schmid import steenbrink_triple
 from .cohomology import GradedComplex, QuotientBasis, induced_map
-from .linalg import Rational, RationalMatrix, kernel_basis, normal, rank
+from .linalg import Rational, RationalMatrix, fmt_rat, kernel_basis, normal, rank
 from .polyhedral import FaceComplex
 
 
 class SteenbrinkPage:
+    """The page of a complex x: a compactification X, or the open complex Y
+    that X compactifies.  It reads only the bounded faces of x and their
+    same-sedentarity cofaces and stars, which X and Y share, so the two pages
+    differ only in face labels.  `hodge_cycles.zigzag_representative` also
+    reads the faces at infinity, so it needs the page of X."""
+
     def __init__(self, x: FaceComplex, finite: list[int]):
         self.x = x
         self.dim = x.dim
@@ -205,24 +211,32 @@ class SteenbrinkPage:
 
 
 def build_steenbrink(x: FaceComplex) -> SteenbrinkPage:
-    """Assemble the page of a compactified unimodular triangulation.
+    """Assemble the page of a unimodular triangulation.  The page reads only
+    bounded faces and their same-sedentarity stars, so the compactification X
+    or the open complex Y (after `polyhedral.check_compactifiable(Y)`) will
+    do; `hodge_cycles.zigzag_representative` needs the page of X.
 
     Best-effort smoothness screening: each bounded face's star fan must be
     unimodular, pure of complementary dimension, and connected in
-    codimension one.
+    codimension one.  A failure names the face by its vertices (a bounded
+    face has no rays), which do not depend on the face order of x.
     """
     finite = x.bounded_face_indices()
     d = x.dim
     for i in finite:
         sf = x.star_fan(i)
-        if not sf.unimodular:
-            raise NotUnimodularError(f"star fan of face {i} is not unimodular")
         top = d - x.faces[i].dim
         dims = [len(r) for _, r in sf.cones]
-        if dims and max(dims) != top:
-            raise NotUnimodularError(f"star fan of face {i} is not pure of dim {top}")
-        if not _connected_codim_one(sf, top):
-            raise NotUnimodularError(f"star fan of face {i} is disconnected in codim 1")
+        if not sf.unimodular:
+            problem = "is not unimodular"
+        elif dims and max(dims) != top:
+            problem = f"is not pure of dim {top}"
+        elif not _connected_codim_one(sf, top):
+            problem = "is disconnected in codim 1"
+        else:
+            continue
+        vertices = ", ".join("(" + ", ".join(map(fmt_rat, v)) + ")" for v in x.faces[i].vertices)
+        raise NotUnimodularError(f"star fan of the bounded face with vertices {vertices} {problem}")
     return SteenbrinkPage(x, finite)
 
 

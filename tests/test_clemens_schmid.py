@@ -36,8 +36,14 @@ from trophodge.clemens_schmid import (
 from trophodge.cohomology import GradedComplex, QuotientBasis, induced_map
 from trophodge.linalg import RationalMatrix, column_echelon
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
-from trophodge.polyhedral import compactify, complex_to_json, product_complex
-from trophodge.steenbrink import SteenbrinkPage, build_steenbrink
+from trophodge.polyhedral import check_compactifiable, compactify, complex_to_json, product_complex
+from trophodge.steenbrink import (
+    SteenbrinkPage,
+    build_steenbrink,
+    steenbrink_cohomology,
+    surviving_relative,
+    verify_hl,
+)
 
 
 def test_zero_triple():
@@ -169,6 +175,26 @@ def test_sequences_equal_the_oracle_on_page_inputs(name, request):
     st = _page(name, request)
     for p in range(st.dim + 2):
         _same_report(steenbrink_triple(st, p))
+
+
+def _printed(st: SteenbrinkPage) -> tuple:
+    """What `steenbrink` and `cs-check` report, read off a page: block and row
+    cohomology dimensions, the HL verdicts, H_s and H_rel, and every junction
+    (incoming rank, kernel dimension, exact, composition zero)."""
+    d = st.dim
+    rows = {b: steenbrink_cohomology(st, b) for b in range(0, 2 * d + 1, 2)}
+    rel = {(p, q): surviving_relative(st, p, q) for p in range(d + 1) for q in range(d + 1)}
+    junctions = {p: rep.junctions for p, rep in tropical_clemens_schmid(st)["per_p"].items()}
+    return st.nonempty_blocks(), rows, verify_hl(st), rel, junctions
+
+
+@pytest.mark.parametrize("name", [*PAGE_INPUTS, "genus1"])
+def test_page_of_the_open_complex_reports_as_the_compactification(name, request):
+    # The page reads only bounded faces and their same-sedentarity stars, which
+    # Y and its compactification X share; only the face labels differ.
+    y = request.getfixturevalue("comp_genus1").open_complex if name == "genus1" else PAGE_INPUTS[name]()
+    check_compactifiable(y)
+    assert _printed(build_steenbrink(y)) == _printed(build_steenbrink(compactify(y)))
 
 
 def test_sequences_equal_the_oracle_on_random_triples():

@@ -8,12 +8,15 @@ import pytest
 
 import trophodge
 from conftest import grid_plane, plane_curve, staircase_product
+from test_polyhedral import NOT_COMPACTIFIABLE
+from test_steenbrink import UNSMOOTH
 from trophodge import cli, steenbrink
 from trophodge.chow import ChowRing
 from trophodge.cli import main
 from trophodge.fixtures import fix_e, named_fixture
 from trophodge.linalg import RationalMatrix
-from trophodge.polyhedral import compactify, complex_from_json, complex_to_json
+from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
+from trophodge.polyhedral import build_complex, compactify, complex_from_json, complex_to_json
 from trophodge.steenbrink import SteenbrinkPage, build_steenbrink, random_homogeneous
 
 
@@ -78,6 +81,46 @@ def test_cs_check_exit_code(capsys):
     code, out = run(capsys, "cs-check", "fixE")
     assert code == 0
     assert json.loads(out)["all_exact"] is True
+
+
+def test_page_commands_do_not_compactify(capsys, monkeypatch, tmp_path):
+    # steenbrink and cs-check build the page on the open complex; hodge-cycle
+    # prints face indices of the compactification and check-all needs it for
+    # cellular cohomology, so each of them compactifies once.
+    calls = []
+    compactify_once = cli.compactify
+    monkeypatch.setattr(cli, "compactify", lambda y: calls.append(y) or compactify_once(y))
+    for name, fan in (("u35", bergman_fan(uniform_matroid(5, 3))), ("b4", bergman_fan(boolean_matroid(4)))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(complex_to_json(fan)))
+        for argv, compactified in ((["steenbrink"], 0), (["cs-check"], 0),
+                                   (["hodge-cycle", "--p", "1"], 1), (["check-all"], 1)):
+            calls.clear()
+            code, _ = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, len(calls)) == (0, compactified), (name, argv)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_COMPACTIFIABLE))
+def test_page_commands_reject_what_compactify_rejects(name, capsys, tmp_path):
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(complex_to_json(NOT_COMPACTIFIABLE[name][0]())))
+    want = run(capsys, "cohomology", str(path))
+    assert want[0] in (1, 2)
+    for command in ("steenbrink", "cs-check"):
+        assert run(capsys, command, str(path)) == want
+
+
+@pytest.mark.parametrize("name", sorted(UNSMOOTH))
+def test_commands_name_a_face_of_a_failed_page_alike(name, capsys, tmp_path):
+    # The page of steenbrink and cs-check is built on the open complex, that of
+    # hodge-cycle on its compactification; the failing face is named alike.
+    vertices, specs, problem = UNSMOOTH[name]
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(complex_to_json(build_complex(2, vertices, [], specs))))
+    detail = f"star fan of the bounded face with vertices {problem}"
+    for argv in (["steenbrink"], ["cs-check"], ["hodge-cycle", "--p", "0"]):
+        code, out = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, json.loads(out)) == (1, {"error": "verification-failed", "detail": detail})
 
 
 def test_hodge_cycle_fix_d(capsys):

@@ -29,6 +29,7 @@ from trophodge.polyhedral import (
     _lifted_rows,
     _make_face,
     build_complex,
+    check_compactifiable,
     compactify,
     complex_from_json,
     complex_to_json,
@@ -62,18 +63,21 @@ def test_recession_fan_of_product(fixf):
     assert faces_by_dim(rec) == {0: 1, 1: 4, 2: 4}
 
 
-def test_recession_fan_rejects_improper_overlap():
-    # Two disjoint unbounded 2-faces in parallel planes whose recession
-    # cones overlap without a common face.
-    bad = build_complex(
+def _improper_overlap():
+    """Two disjoint unbounded 2-faces in parallel planes whose recession
+    cones overlap without a common face."""
+    return build_complex(
         3,
         [[0, 0, 0], [0, 0, 1]],
         [[1, 0, 0], [1, 2, 0], [1, 1, 0], [-1, 1, 0]],
         [([0], []), ([1], []),
          ([0], [0]), ([0], [1]), ([0], [0, 1]),
          ([1], [2]), ([1], [3]), ([1], [2, 3])])
+
+
+def test_recession_fan_rejects_improper_overlap():
     with pytest.raises(NotAFanError):
-        recession_fan(bad)
+        recession_fan(_improper_overlap())
 
 
 def test_star_fan_at_origin_is_fan_itself(fixa):
@@ -344,21 +348,54 @@ def test_compactify_checks_the_cones_of_an_unvalidated_fan(monkeypatch):
     assert len(calls) == 276
 
 
+def _one_apex_overlap():
+    """Two unimodular cones sharing the ray (1, 1): (2, 1) = (1, 0) + (1, 1)
+    lies inside the first, so the second overlaps it beyond their common ray."""
+    return make_fan(2, [[(1, 0), (1, 1)], [(2, 1), (1, 1)]], validate=False)
+
+
 def test_compactify_rejects_unvalidated_one_apex_overlap():
-    # Two unimodular cones sharing the ray (1, 1): (2, 1) = (1, 0) + (1, 1)
-    # lies inside the first, so the second overlaps it beyond their common ray.
-    fan = make_fan(2, [[(1, 0), (1, 1)], [(2, 1), (1, 1)]], validate=False)
+    fan = _one_apex_overlap()
     assert len({v for f in fan.faces for v in f.vertices}) == 1
     with pytest.raises(NotAFanError):
         compactify(fan)
 
 
+def _quadrant_without_boundary():
+    """A quadrant given without its boundary rays, accepted only unvalidated."""
+    return build_complex(2, [[0, 0]], [[1, 0], [0, 1]], [([0], []), ([0], [0, 1])],
+                         validate=False)
+
+
 def test_recession_fan_rejects_cones_not_closed_under_faces():
-    # A quadrant given without its boundary rays, accepted only unvalidated.
-    quadrant = build_complex(2, [[0, 0]], [[1, 0], [0, 1]], [([0], []), ([0], [0, 1])],
-                             validate=False)
     with pytest.raises(NotAFanError):
-        recession_fan(quadrant)
+        recession_fan(_quadrant_without_boundary())
+
+
+# Inputs without a canonical compactification, and the error each raises.  The
+# cone on (1, 0) and (1, 2) has index 2: as a validated fan its face flags say
+# so, and with a second vertex its recession fan is built and says so.
+NOT_COMPACTIFIABLE = {
+    "improper overlap": (_improper_overlap, NotAFanError),
+    "not closed under faces": (_quadrant_without_boundary, NotAFanError),
+    "unvalidated one-apex overlap": (_one_apex_overlap, NotAFanError),
+    "non-unimodular validated fan": (lambda: make_fan(2, [[(1, 0), (1, 2)]]), NotUnimodularError),
+    "non-unimodular recession cone": (lambda: build_complex(
+        2, [[0, 0], [-1, 0]], [[1, 0], [1, 2]],
+        [([0], []), ([1], []), ([0, 1], []), ([0], [0]), ([0], [1]), ([0], [0, 1])]),
+        NotUnimodularError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_COMPACTIFIABLE))
+def test_check_compactifiable_raises_as_compactify(name):
+    build, error = NOT_COMPACTIFIABLE[name]
+    with pytest.raises(error) as checked:
+        check_compactifiable(build())
+    with pytest.raises(error) as compactified:
+        compactify(build())
+    assert type(checked.value) is type(compactified.value)
+    assert str(checked.value) == str(compactified.value)
 
 
 def test_intersections_take_one_fourier_motzkin_run_per_pair(monkeypatch):

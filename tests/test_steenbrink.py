@@ -1,14 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import grid_plane, plane_curve
 
+from trophodge import NotUnimodularError
 from trophodge.chow import ChowClass
 from trophodge.cohomology import hodge_diamond
 from trophodge.linalg import RationalMatrix, rank
-from trophodge.polyhedral import FaceComplex, compactify
+from trophodge.polyhedral import FaceComplex, build_complex, compactify
 from trophodge.steenbrink import (
     SteenbrinkPage,
     _n_power_vec,
@@ -466,3 +468,32 @@ def test_psi_equals_blockwise_oracle(st_a, comp_b, st_c, st_d, st_e, st_f, st_gr
                     mismatched += 1
                     assert got == 0
         assert matched and mismatched and nonzero
+
+
+# Bounded complexes that fail the page's smoothness screening at one face.  The
+# bowtie's origin is face 0 of the complex and face 2 of its compactification,
+# whose faces are sorted by dimension and coordinates.
+_TRIANGLE = [([0], []), ([1], []), ([2], []), ([0, 1], []), ([0, 2], []), ([1, 2], []),
+             ([0, 1, 2], [])]
+UNSMOOTH = {
+    # two unit triangles meeting only at the origin
+    "bowtie": ([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]],
+               _TRIANGLE + [([3], []), ([4], []), ([0, 3], []), ([0, 4], []), ([3, 4], []),
+                            ([0, 3, 4], [])],
+               "(0, 0) is disconnected in codim 1"),
+    # a unit triangle with an edge hanging off the origin
+    "pendant": ([[0, 0], [1, 0], [0, 1], [-1, -1]], [([3], [])] + _TRIANGLE + [([0, 3], [])],
+                "(-1, -1) is not pure of dim 2"),
+    # a triangle of lattice volume 3, so no vertex star is unimodular
+    "index three": ([[0, 0], [2, 1], [1, 2]], _TRIANGLE, "(0, 0) is not unimodular"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSMOOTH))
+def test_screening_names_the_face_by_its_vertices(name):
+    vertices, specs, problem = UNSMOOTH[name]
+    y = build_complex(2, vertices, [], specs)
+    message = re.escape(f"star fan of the bounded face with vertices {problem}")
+    for cx in (y, compactify(y)):
+        with pytest.raises(NotUnimodularError, match=f"^{message}$"):
+            build_steenbrink(cx)
