@@ -88,8 +88,8 @@ def test_page_commands_do_not_compactify(capsys, monkeypatch, tmp_path):
     # prints face indices of the compactification and check-all needs it for
     # cellular cohomology, so each of them compactifies once.
     calls = []
-    compactify_once = cli.compactify
-    monkeypatch.setattr(cli, "compactify", lambda y: calls.append(y) or compactify_once(y))
+    real_compactify = cli.compactify
+    monkeypatch.setattr(cli, "compactify", lambda y: calls.append(y) or real_compactify(y))
     for name, fan in (("u35", bergman_fan(uniform_matroid(5, 3))), ("b4", bergman_fan(boolean_matroid(4)))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(complex_to_json(fan)))
