@@ -11,7 +11,8 @@ support; each rewrite strictly lowers total multiplicity, so reduction
 terminates in one pass per repeat.  Reduction modulo the relations is
 linear: each monomial's normal form is computed once per ring, a class is
 the sum of its monomials' normal forms, and a product the sum of cached
-products of basis monomials.
+products of basis monomials.  A ring depends only on its fan's geometry, so
+the star fans of one complex that share a geometry share one ring.
 """
 
 from __future__ import annotations
@@ -54,21 +55,23 @@ class ChowClass:
 
 
 class ChowRing:
-    """The Chow ring of a unimodular (star) fan, degree by degree."""
+    """The Chow ring of a unimodular fan, degree by degree, given by its
+    geometry alone: the lattice rank, the ray vectors, and the cones as sets
+    of ray positions.  It knows no face labels; a star fan of that geometry
+    reads them (see `ring_of`)."""
 
-    def __init__(self, star: StarFan):
-        if not star.unimodular:
-            raise NotUnimodularError("Chow ring requires a unimodular fan")
-        self.star = star
-        self.rank = star.rank
-        self.nrays = len(star.ray_labels)
-        self.top = star.dim
+    def __init__(self, rank: int, ray_vectors: tuple, cones: frozenset):
+        self.rank = rank
+        self.ray_vectors = ray_vectors
+        self.cones = cones
+        self.nrays = len(ray_vectors)
+        self.top = max(map(len, cones), default=0)
 
     # -- presentation ---------------------------------------------------
 
     @cached
     def monomials(self, p: int) -> list[frozenset]:
-        return [rays for _, rays in self.star.cones_of_dim(p)]
+        return sorted((rays for rays in self.cones if len(rays) == p), key=sorted)
 
     @cached
     def adapted_functional(self, rho: int, zero_on: frozenset, tweak: int = 0) -> list[Rational]:
@@ -78,7 +81,7 @@ class ChowRing:
         span of {rho} | zero_on, when that span is proper; restriction
         classes must not depend on this.
         """
-        cols = [self.star.ray_vectors[i] for i in [rho] + sorted(zero_on)]
+        cols = [self.ray_vectors[i] for i in [rho] + sorted(zero_on)]
         m = RationalMatrix(len(cols), self.rank)
         for i, c in enumerate(cols):
             for j, v in enumerate(c):
@@ -94,7 +97,7 @@ class ChowRing:
         return f
 
     def pair(self, functional: Sequence[Rational], pos: int) -> Rational:
-        return sum(f * v for f, v in zip(functional, self.star.ray_vectors[pos]) if v)
+        return sum(f * v for f, v in zip(functional, self.ray_vectors[pos]) if v)
 
     def reduce_monomial(self, ms: tuple[int, ...]) -> dict[frozenset, Rational]:
         """Rewrite a ray multiset into squarefree cone monomials."""
@@ -103,7 +106,7 @@ class ChowRing:
     @cached
     def _reduce_sorted(self, ms: tuple[int, ...]) -> dict[frozenset, Rational]:
         supp = frozenset(ms)
-        if not self.star.is_cone(supp):
+        if supp not in self.cones:
             return {}
         if len(supp) == len(ms):
             return {supp: 1}
@@ -130,12 +133,12 @@ class ChowRing:
         with squares rewritten, since the rewriting of x_rho x_tau uses a
         functional that vanishes on tau - {rho}; so the echelon's pivots and
         normal forms, which depend only on the row space, are theirs."""
-        vectors, rows = self.star.ray_vectors, []
+        vectors, rows = self.ray_vectors, []
         for tau in self.monomials(p - 1):
             zs = kernel_basis_int([vectors[i] for i in sorted(tau)]) if tau else \
                 [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
             cones = [(cone, vectors[pos]) for pos in range(self.nrays)
-                     if pos not in tau and self.star.is_cone(cone := tau | {pos})]
+                     if pos not in tau and (cone := tau | {pos}) in self.cones]
             for z in zs:
                 row = {cone: c for cone, v in cones if (c := sum(a * b for a, b in zip(z, v)))}
                 if row:
@@ -265,7 +268,16 @@ class ChowRing:
 
 @cached
 def ring_of(star: StarFan) -> ChowRing:
-    return ChowRing(star)
+    """The ring of star's geometry, shared by every star of that geometry in
+    star's complex, which keeps it (`_ring`)."""
+    if not star.unimodular:
+        raise NotUnimodularError("Chow ring requires a unimodular fan")
+    return _ring(star.complex, star.rank, star.ray_vectors, frozenset(rays for _, rays in star.cones))
+
+
+@cached
+def _ring(x: FaceComplex, rank: int, ray_vectors: tuple, cones: frozenset) -> ChowRing:
+    return ChowRing(rank, ray_vectors, cones)
 
 
 def fan_star(f: FaceComplex) -> StarFan:
@@ -482,20 +494,22 @@ def _cone_quotient(star: StarFan, rays: frozenset):
     )
 
 
-def weight_from_class(ring: ChowRing, cls: ChowClass) -> MinkowskiWeight:
-    """The canonical Minkowski weight of a Chow class: sigma -> deg(a . x_sigma)."""
-    d = ring.top
-    k = d - cls.degree
+def weight_from_class(star: StarFan, cls: ChowClass) -> MinkowskiWeight:
+    """The canonical Minkowski weight of a class of star's ring, on star's
+    cone labels: sigma -> deg(a . x_sigma)."""
+    ring = ring_of(star)
+    k = ring.top - cls.degree
     weights = []
-    for lbl, rays in ring.star.cones_of_dim(k):
+    for lbl, rays in star.cones_of_dim(k):
         val = ring.pairing(cls, ring.reduce_class(k, {rays: 1}))
         if val != 0:
             weights.append((lbl, val))
     return MinkowskiWeight(k, tuple(weights))
 
 
-def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Rational:
-    """Evaluation pairing: sum of monomial coefficients against weights.
+def mw_evaluate(star: StarFan, cls: ChowClass, w: MinkowskiWeight) -> Rational:
+    """Evaluation pairing of a class of star's ring with a weight on star's
+    cone labels: sum of monomial coefficients against weights.
 
     The class degree must equal the weight dimension; well-definedness on
     classes is a consequence of the balancing condition.
@@ -504,7 +518,6 @@ def mw_evaluate(ring: ChowRing, cls: ChowClass, w: MinkowskiWeight) -> Rational:
         raise DegreeMismatchError("evaluation pairing needs matching degrees")
     wd = w.as_dict()
     total = 0
-    for mono, c in ring.monomial_representative(cls).items():
-        lbl = ring.star.cone_label(mono)
-        total += c * wd.get(lbl, 0)
+    for mono, c in ring_of(star).monomial_representative(cls).items():
+        total += c * wd.get(star.cone_label(mono), 0)
     return total

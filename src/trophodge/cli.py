@@ -177,24 +177,23 @@ def _parse_class(st, path: str, p: int) -> HodgeClass:
             vid = int(vid_s)
             if vid not in st.finite_by_dim.get(0, []):
                 raise InputFormatError(f"class file names face {vid_s}, which is not a finite vertex")
-            ring = st.rings_for(vid)
-            combo = {}
+            star, combo = st.x.star_fan(vid), {}
             for label_s, coeff in monos.items():
                 if type(coeff) not in (int, str):
                     raise InputFormatError('every coefficient must be an integer or a "p/q" string')
                 labels = tuple(int(t) for t in label_s.split(",")) if label_s else ()
-                rays = frozenset(ring.star.ray_position(l) for l in labels)
+                rays = frozenset(star.ray_position(l) for l in labels)
                 if len(rays) != len(labels):
                     raise InputFormatError(f"cone monomial {label_s!r} names a ray twice")
                 combo[rays] = combo.get(rays, 0) + rat(coeff)
-            classes[vid] = ring.reduce_class(p, combo)
+            classes[vid] = st.rings_for(vid).reduce_class(p, combo)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed class JSON: {exc!r}") from exc
     return HodgeClass(p, classes)
 
 
-def _mono_label(ring, mono) -> str:
-    return ",".join(str(ring.star.ray_labels[i]) for i in sorted(mono))
+def _mono_label(star, mono) -> str:
+    return ",".join(str(star.ray_labels[i]) for i in sorted(mono))
 
 
 def cmd_hodge_cycle(args) -> int:
@@ -213,7 +212,7 @@ def cmd_hodge_cycle(args) -> int:
         ok = verify_class(st, alpha, cyc)
         all_ok = all_ok and balanced and ok
         out[str(i)] = {
-            "class": {str(v): {_mono_label(st.rings_for(v), m): fmt_rat(c)
+            "class": {str(v): {_mono_label(st.x.star_fan(v), m): fmt_rat(c)
                                for m, c in zip(st.rings_for(v).basis(p), cls.coeffs) if c}
                       for v, cls in alpha.classes.items()},
             "cycle": {"p": p, "weights": {str(f): fmt_rat(v) for f, v in cyc.weight.weights}},

@@ -11,7 +11,8 @@ at the pivot columns.  The cochain differential runs over all codimension-one
 incidences of the face order: same-sedentarity incidences contribute duals
 of inclusions, sedentarity-raising incidences contribute duals of the wedge
 power of the stratum projection (built once per stratum pair and p), each
-multiplied by the orientation sign.
+multiplied by the orientation sign.  A space depends only on its stratum and
+its span, and a block only on its two spaces and strata, so faces share them.
 """
 
 from __future__ import annotations
@@ -158,23 +159,22 @@ def wedge_map_matrix(q_rows: Sequence[Sequence[int]], m_src: int, p: int) -> Rat
 
 
 class CoefficientSpace:
-    """F_p at a face: the sum of wedge powers of same-sedentarity coface
-    tangents, held by its reduced row echelon basis (see the module note)."""
+    """F_p in a stratum of rank m: the span of the p-th wedge powers of the
+    given tangents, held by its reduced row echelon basis (see the module
+    note).  It depends on that span alone, so faces with the same stratum
+    and maximal coface tangents share one (`_space`)."""
 
-    def __init__(self, complex_: FaceComplex, face_idx: int, p: int):
-        self.face = face_idx
+    def __init__(self, m: int, p: int, tangents: frozenset):
         self.p = p
-        face = complex_.faces[face_idx]
-        m, _, _ = complex_.stratum(face.sedentarity)
         self.stratum_rank = m
         self.ambient_dim = n = comb(m, p)
-        tops, self.full = _maximal_cofaces(complex_)[face_idx]
+        self.full = any(len(t) == m for t in tangents)
         if self.full:
             self.pivots = list(range(n))
             self.basis: list[Vec] = [[int(i == j) for j in range(n)] for i in range(n)]
             return
-        span = Echelon(wedge_vector(sub, m) for j in tops
-                       for sub in itertools.combinations(complex_.faces[j].tangent, p))
+        span = Echelon(wedge_vector(sub, m) for t in sorted(tangents)
+                       for sub in itertools.combinations(t, p))
         self.pivots = sorted(span.pivots)
         for lead in reversed(self.pivots):  # back-substitution to reduced form
             row = span.pivots[lead]
@@ -203,18 +203,23 @@ def coefficient_space(x: FaceComplex, delta_idx: int, p: int) -> CoefficientSpac
 
 @cached
 def _fp_spaces(x: FaceComplex, p: int) -> dict[int, CoefficientSpace]:
-    return {f.index: CoefficientSpace(x, f.index, p) for f in x.faces}
+    return {f.index: _space(x, f.sedentarity, tangents, p)
+            for f, tangents in zip(x.faces, _maximal_coface_tangents(x))}
 
 
 @cached
-def _maximal_cofaces(x: FaceComplex) -> dict[int, tuple[list[int], bool]]:
-    """Per face, its maximal cofaces of equal sedentarity (or itself), and
-    whether one of them spans the stratum: the same for every p."""
-    out = {}
+def _space(x: FaceComplex, sed, tangents: frozenset, p: int) -> CoefficientSpace:
+    return CoefficientSpace(x.stratum(sed)[0], p, tangents)
+
+
+@cached
+def _maximal_coface_tangents(x: FaceComplex) -> list[frozenset]:
+    """Per face, the tangents of its maximal cofaces of equal sedentarity (or
+    of itself): the same for every p."""
+    out = []
     for f in x.faces:
         same = {f.index} | {j for j in x.cofaces(f.index) if x.faces[j].sedentarity == f.sedentarity}
-        tops = sorted(j for j in same if not x.cofaces(j) & same)
-        out[f.index] = tops, any(x.faces[j].dim == x.stratum(f.sedentarity)[0] for j in tops)
+        out.append(frozenset(x.faces[j].tangent for j in same if not x.cofaces(j) & same))
     return out
 
 
@@ -223,14 +228,14 @@ def _stratum_wedge_map(x: FaceComplex, sed_to, sed_from, p: int) -> RationalMatr
     return wedge_map_matrix(x.stratum_map(sed_to, sed_from), x.stratum(sed_from)[0], p)
 
 
-def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> RationalMatrix:
-    """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence,
-    but for a same-sedentarity pair of full spaces (the identity)."""
-    fg, fd = x.faces[gamma], x.faces[delta]
-    sg, sd = spaces[gamma], spaces[delta]
+def _chain_map_block(x: FaceComplex, sg: CoefficientSpace, sd: CoefficientSpace,
+                     sed_g, sed_d) -> RationalMatrix:
+    """Matrix of F_p(delta) -> F_p(gamma) for a codimension-one incidence of
+    spaces sd into sg and strata sed_d into sed_g, but for a same-sedentarity
+    pair of full spaces (the identity)."""
     wm = None
-    if fg.sedentarity != fd.sedentarity:
-        wm = _stratum_wedge_map(x, fg.sedentarity, fd.sedentarity, sd.p)
+    if sed_g != sed_d:
+        wm = _stratum_wedge_map(x, sed_g, sed_d, sd.p)
         if sd.full and sg.full:  # both all of Lambda^p: the block is the map itself
             return wm
     imgs = sd.basis if wm is None else [wm.mul_vec(b) for b in sd.basis]
@@ -240,7 +245,8 @@ def _chain_map_block(x: FaceComplex, spaces, gamma: int, delta: int) -> Rational
 @cached
 def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
     """The cellular cochain complex C^{p,*} with signed dual differentials,
-    each block written straight into the entries (no two blocks overlap)."""
+    each block written straight into the entries (no two blocks overlap).
+    A block depends only on its two spaces and strata, so each is built once."""
     spaces = _fp_spaces(x, p)
     by_dim: dict[int, list[int]] = {}
     for f in x.faces:
@@ -255,20 +261,24 @@ def cochain_complex(x: FaceComplex, p: int) -> GradedComplex:
             offsets[q][i] = len(labels[q])
             labels[q].extend((i, t) for t in range(spaces[i].dim))
         terms[q] = len(labels[q])
-    diffs = {}
+    diffs, blocks = {}, {}
     for q in sorted(terms):
         if q + 1 not in terms:
             continue
         d = diffs[q] = RationalMatrix(terms[q + 1], terms[q])
         for delta in by_dim.get(q + 1, []):
-            od, sd = offsets[q + 1][delta], spaces[delta]
+            od, sd, sed_d = offsets[q + 1][delta], spaces[delta], x.faces[delta].sedentarity
             for gamma in x.covered_by(delta):
                 og, sg, sign = offsets[q][gamma], spaces[gamma], x.incidence_sign(gamma, delta)
-                if sd.full and sg.full and x.faces[gamma].sedentarity == x.faces[delta].sedentarity:
+                sed_g = x.faces[gamma].sedentarity
+                if sd.full and sg.full and sed_g == sed_d:
                     d.entries.update(((od + t, og + t), sign) for t in range(sd.dim))
-                else:  # the cochain differential: transpose of the chain-level block
-                    block = _chain_map_block(x, spaces, gamma, delta).entries
-                    d.entries.update(((od + j, og + i), sign * v) for (i, j), v in block.items())
+                    continue
+                key = (sg, sd, sed_g, sed_d)
+                if key not in blocks:
+                    blocks[key] = _chain_map_block(x, sg, sd, sed_g, sed_d).entries
+                # the cochain differential: transpose of the chain-level block
+                d.entries.update(((od + j, og + i), sign * v) for (i, j), v in blocks[key].items())
     gc = GradedComplex(terms, diffs, labels)
     if not gc.check():
         raise NotAComplexError(f"cellular differential of C^{{{p},*}} does not square to zero")

@@ -136,8 +136,9 @@ def hodge_to_cycle(st: SteenbrinkPage, alpha: HodgeClass) -> TropicalCycle:
                 f"face {eta} of the open part has no finite vertex")
         vals = []
         for v in verts:
-            ring = st.rings_for(v)
-            cone = ring.star.cone_rays(eta) if k > 0 else frozenset()
+            star = st.x.star_fan(v)
+            ring = ring_of(star)
+            cone = star.cone_rays(eta) if k > 0 else frozenset()
             xcls = ring.reduce_class(k, {cone: 1})
             vals.append(ring.pairing(alpha.component(st, v), xcls))
         if any(val != vals[0] for val in vals[1:]):
@@ -155,10 +156,9 @@ def hodge_to_cycle(st: SteenbrinkPage, alpha: HodgeClass) -> TropicalCycle:
 
 def local_weight(st: SteenbrinkPage, w: MinkowskiWeight, v: int) -> MinkowskiWeight:
     """The weight induced on the star fan of a finite vertex."""
-    ring = st.rings_for(v)
     star_vals = []
     wd = w.as_dict()
-    for lbl, _rays in ring.star.cones_of_dim(w.dim):
+    for lbl, _rays in st.x.star_fan(v).cones_of_dim(w.dim):
         val = wd.get(lbl, 0)
         if val != 0:
             star_vals.append((lbl, val))
@@ -186,7 +186,7 @@ def verify_class(st: SteenbrinkPage, alpha: HodgeClass, cyc: TropicalCycle) -> b
             ring = st.rings[v]
             bv = beta.component(st, v)
             chow_side += ring.pairing(alpha.component(st, v), bv)
-            mw_side += mw_evaluate(ring, bv, weight)
+            mw_side += mw_evaluate(st.x.star_fan(v), bv, weight)
         if chow_side != mw_side:
             return False
     return True

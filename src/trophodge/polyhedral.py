@@ -51,7 +51,7 @@ from .lattice import (
     saturate,
     spans_unimodularly,
 )
-from .linalg import Rational, normal, rat
+from .linalg import Rational, fmt_rat, normal, rat
 
 Point = tuple[Rational, ...]
 IntVec = tuple[int, ...]
@@ -263,7 +263,10 @@ class FaceComplex:
             raise NotCodimOneError("faces have different sedentarity")
         if delta.dim != gamma.dim + 1 or (gamma_idx, delta_idx) not in self.order:
             raise NotCodimOneError("not a codimension-one face pair")
-        return self._sign_of(gamma.tangent, self.direction_into(gamma, delta), delta.tangent)
+        try:
+            return self._sign_of(gamma.tangent, self.direction_into(gamma, delta), delta.tangent)
+        except NotUnimodularError as exc:
+            raise _named(exc, gamma, delta) from None
 
     @cached
     def _sign_of(self, gamma_tangent: tuple, direction: IntVec, tangent: tuple) -> int:
@@ -280,7 +283,10 @@ class FaceComplex:
             raise NotCodimOneError("not a codimension-one face pair")
         if len(set(gamma.sedentarity) - set(delta.sedentarity)) != 1:
             raise NotCodimOneError("sedentarity does not rise by one ray")
-        return self._infinity_sign_of(gamma.sedentarity, delta.sedentarity, gamma.tangent, delta.tangent)
+        try:
+            return self._infinity_sign_of(gamma.sedentarity, delta.sedentarity, gamma.tangent, delta.tangent)
+        except NotUnimodularError as exc:
+            raise _named(exc, gamma, delta) from None
 
     @cached
     def _infinity_sign_of(self, gamma_sed: SedKey, delta_sed: SedKey, gamma_tangent: tuple,
@@ -326,6 +332,14 @@ def _compose(a_rows: Sequence[Sequence[int]], b_section: Sequence[Sequence[int]]
 def _dots(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """The integer matrix of dot products rows[i] . cols[j]."""
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
+def _named(exc: NotUnimodularError, gamma: Face, delta: Face) -> NotUnimodularError:
+    """exc with the pair's faces named by their vertices, as the page names a
+    face (the sign caches are keyed by geometry, so _unit_sign cannot)."""
+    a, b = (", ".join("(" + ", ".join(map(fmt_rat, v)) + ")" for v in f.vertices)
+            for f in (gamma, delta))
+    return NotUnimodularError(f"{exc}, between the face with vertices {a} and the face with vertices {b}")
 
 
 def _unit_sign(det: int, gram: int, what: str) -> int:
@@ -707,10 +721,6 @@ class StarFan:
         self._cone_by_rays = {rays: label for label, rays in self.cones}
         self._cone_by_label = {label: rays for label, rays in self.cones}
         self._ray_pos = {label: i for i, label in enumerate(self.ray_labels)}
-
-    @property
-    def dim(self) -> int:
-        return max((len(r) for _, r in self.cones), default=0)
 
     def is_cone(self, ray_positions: frozenset) -> bool:
         return ray_positions in self._cone_by_rays

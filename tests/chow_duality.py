@@ -4,7 +4,7 @@ complementary dimension, which acceptance criterion 2 requires to be square
 and invertible."""
 
 from trophodge import DegreeMismatchError, RankDeficientError
-from trophodge.chow import MinkowskiWeight, fan_ring, star_fan_weights, weight_from_class
+from trophodge.chow import MinkowskiWeight, fan_ring, fan_star, star_fan_weights, weight_from_class
 from trophodge.linalg import Rational, RationalMatrix, rank
 from trophodge.polyhedral import StarFan
 
@@ -13,11 +13,12 @@ def chow_mw_duality(f, p: int) -> list[list[Rational]]:
     """The pairing matrix between A^p and MW_(d-p); raises when degenerate."""
     ring = fan_ring(f)
     d = ring.top
-    mw_basis = star_fan_weights(ring.star if isinstance(f, StarFan) else f, d - p)
+    star = f if isinstance(f, StarFan) else fan_star(f)
+    mw_basis = star_fan_weights(f, d - p)
     a_basis = ring.basis(p)
     matrix = []
     for mono in a_basis:
-        wcls = weight_from_class(ring, ring.reduce_class(p, {mono: 1}))
+        wcls = weight_from_class(star, ring.reduce_class(p, {mono: 1}))
         matrix.append([mw_evaluate_weights(wcls, w) for w in mw_basis])
     if len(a_basis) != len(mw_basis):
         raise RankDeficientError(

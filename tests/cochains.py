@@ -64,9 +64,8 @@ def pair_class_with_weight(st: SteenbrinkPage, alpha: HodgeClass,
     """Steenbrink-side pairing of a kernel cocycle with a Minkowski weight."""
     total = 0
     for v in st.finite_by_dim.get(0, []):
-        ring = st.rings[v]
         av = alpha.component(st, v)
-        total += mw_evaluate(ring, av, local_weight(st, w, v))
+        total += mw_evaluate(st.x.star_fan(v), av, local_weight(st, w, v))
     return total
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import grid_plane
 from trophodge import cached, chow, clemens_schmid, cohomology, fixtures, lattice, polyhedral, steenbrink
-from trophodge.chow import ring_of
+from trophodge.chow import ChowRing, ring_of
 from trophodge.cli import main
-from trophodge.cohomology import cochain_complex
+from trophodge.cohomology import CoefficientSpace, _fp_spaces, cochain_complex
 from trophodge.matroids import bergman_fan, boolean_matroid, uniform_matroid
 from trophodge.polyhedral import FaceComplex, compactify, complex_to_json, make_fan, product_complex
 from trophodge.steenbrink import build_steenbrink, primitive_parts
@@ -186,13 +186,48 @@ def test_check_hl_and_the_sequences_share_the_rank_of_l(monkeypatch):
 
 
 def test_caches_die_with_their_complex():
+    # The rings and coefficient spaces shared by the faces of one geometry
+    # are kept on the complex, so they go with it: a table outside it would
+    # keep them, or it, alive.
     x = compactify(fixtures.fix_f())
     for p in range(x.dim + 1):
         cochain_complex(x, p).h_basis(1)
     st = build_steenbrink(x)
     st.k_complex(1).h_basis(0)
     assert primitive_parts(st)["all"]
-    ref = weakref.ref(x)
+    refs = [weakref.ref(x)]
+    refs += [weakref.ref(ring) for ring in st.rings.values()]
+    refs += [weakref.ref(space) for p in range(x.dim + 1) for space in _fp_spaces(x, p).values()]
     del x, st
     gc.collect()
-    assert ref() is None
+    assert len(refs) > 1 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("name, rings, spaces", [("grid3", 10, 9), ("prod", 2, 27), ("u35", 1, 71)])
+def test_shared_rings_and_spaces_equal_those_built_for_each_face(name, rings, spaces):
+    # A ring is a function of its star's rank, ray vectors and cones, and a
+    # space of its stratum and span: so the one shared by the faces of a
+    # geometry equals the one built for each face from its own star, and from
+    # the tangents of all its same-sedentarity cofaces (which span the same
+    # wedge powers as the maximal ones).  Every space of grid3 and prod is
+    # all of its wedge power; those of u35 are not.
+    x = compactify(STAR_FAN_INPUTS[name]())
+    st = build_steenbrink(x)
+    assert len(set(map(id, st.rings.values()))) == rings
+    for f in x.faces:
+        star = x.star_fan(f.index)
+        shared, own = ring_of(star), ChowRing(star.rank, star.ray_vectors,
+                                              frozenset(rays for _, rays in star.cones))
+        for p in range(own.top + 1):
+            assert shared.basis(p) == own.basis(p)
+            mine, theirs = shared.pairing_matrix(p), own.pairing_matrix(p)
+            assert (mine.rows, mine.cols, mine.entries) == (theirs.rows, theirs.cols, theirs.entries)
+    for p in range(x.dim + 1):
+        table = _fp_spaces(x, p)
+        assert len(set(map(id, table.values()))) == spaces < len(table)
+        for f in x.faces:
+            same = [f.index] + [j for j in x.cofaces(f.index)
+                                if x.faces[j].sedentarity == f.sedentarity]
+            own = CoefficientSpace(x.stratum(f.sedentarity)[0], p,
+                                   frozenset(x.faces[j].tangent for j in same))
+            assert (table[f.index].pivots, table[f.index].basis) == (own.pivots, own.basis)

@@ -123,6 +123,19 @@ def test_commands_name_a_face_of_a_failed_page_alike(name, capsys, tmp_path):
         assert (code, json.loads(out)) == (1, {"error": "verification-failed", "detail": detail})
 
 
+def test_an_undefined_sign_names_both_faces_by_their_vertices(capsys, tmp_path):
+    # The triangle of lattice volume 3 has no unimodular pair, so cohomology
+    # and check-all stop at the first sign, and name its faces.
+    vertices, specs, _ = UNSMOOTH["index three"]
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(complex_to_json(build_complex(2, vertices, [], specs))))
+    detail = ("sign undefined: pair is not unimodular, between the face with vertices"
+              " (0, 0), (1, 2) and the face with vertices (0, 0), (1, 2), (2, 1)")
+    for command in ("cohomology", "check-all"):
+        code, out = run(capsys, command, str(path))
+        assert (code, json.loads(out)) == (1, {"error": "verification-failed", "detail": detail})
+
+
 def test_hodge_cycle_fix_d(capsys):
     code, out = run(capsys, "hodge-cycle", "fixD", "--p", "1")
     assert code == 0
