@@ -334,12 +334,16 @@ def _dots(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
+def vertex_text(face: Face) -> str:
+    """The face's vertices as "(x, y), ...": a name that does not depend on the face order."""
+    return ", ".join("(" + ", ".join(map(fmt_rat, v)) + ")" for v in face.vertices)
+
+
 def _named(exc: NotUnimodularError, gamma: Face, delta: Face) -> NotUnimodularError:
     """exc with the pair's faces named by their vertices, as the page names a
     face (the sign caches are keyed by geometry, so _unit_sign cannot)."""
-    a, b = (", ".join("(" + ", ".join(map(fmt_rat, v)) + ")" for v in f.vertices)
-            for f in (gamma, delta))
-    return NotUnimodularError(f"{exc}, between the face with vertices {a} and the face with vertices {b}")
+    return NotUnimodularError(f"{exc}, between the face with vertices {vertex_text(gamma)}"
+                              f" and the face with vertices {vertex_text(delta)}")
 
 
 def _unit_sign(det: int, gram: int, what: str) -> int:

@@ -31,8 +31,8 @@ from . import HLFailureError, NotUnimodularError, cached
 from .chow import ChowRing, gysin, restriction, ring_of
 from .clemens_schmid import steenbrink_triple
 from .cohomology import GradedComplex, QuotientBasis, induced_map
-from .linalg import Rational, RationalMatrix, fmt_rat, kernel_basis, normal, rank
-from .polyhedral import FaceComplex
+from .linalg import Rational, RationalMatrix, kernel_basis, normal, rank
+from .polyhedral import FaceComplex, vertex_text
 
 
 class SteenbrinkPage:
@@ -235,8 +235,8 @@ def build_steenbrink(x: FaceComplex) -> SteenbrinkPage:
             problem = "is disconnected in codim 1"
         else:
             continue
-        vertices = ", ".join("(" + ", ".join(map(fmt_rat, v)) + ")" for v in x.faces[i].vertices)
-        raise NotUnimodularError(f"star fan of the bounded face with vertices {vertices} {problem}")
+        raise NotUnimodularError(
+            f"star fan of the bounded face with vertices {vertex_text(x.faces[i])} {problem}")
     return SteenbrinkPage(x, finite)
 
 
